@@ -1,14 +1,13 @@
 // Hash-path microbenchmark: single-lane hash_words vs. the multi-lane
-// batched hash_words_lanes (the compiled executors' hash phase), across
-// key widths and burst sizes.
+// batched hash_words_lanes (the compiled executors' batched hashing),
+// across key widths and burst sizes.
 //
 // Single-lane CRC is latency-bound: each word's slicing-by-4 lookup chains
 // through the previous word's accumulator, so the load ports sit idle.
 // The lanes path interleaves four independent accumulator chains, turning
 // the same table lookups into parallel streams.  The ratio printed here is
-// the raw memory-level-parallelism headroom the executor's burst schedule
-// taps; BENCH_runtime.json's "mlp" block shows how much survives end to
-// end.
+// the raw headroom the compiled executors' H ops tap; the traced perfbench
+// run's compile.fused_ns_per_pkt shows how much survives end to end.
 //
 //   bench_hash [--reps N]    hash calls per measurement (default sized so
 //                            a full run takes a few seconds)
@@ -112,7 +111,7 @@ int main(int argc, char** argv) {
   }
 
   // Key widths: 1 (single field), 2 (src/dst pair), 5 (five-tuple),
-  // 9 (every global field — what the executors' hash phase uses).
+  // 9 (every global field — what the executors' H ops hash).
   // Lane counts: the runtime burst sweep's shapes.
   const std::size_t widths[] = {1, 2, 5, 9};
   const std::size_t lane_counts[] = {4, 16, 64, 256};

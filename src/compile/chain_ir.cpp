@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/modules.h"
-#include "dataplane/phv.h"
 #include "dataplane/pipeline.h"
 
 namespace newton::compile {
@@ -92,86 +91,10 @@ Lowering lower(Pipeline& pipe) {
       }
     }
   }
-  for (Chain& c : out.chains) {
-    c.signature = signature_of(c.ops);
-    plan_chain(c, /*cse=*/true);
-  }
+  for (Chain& c : out.chains) c.signature = signature_of(c.ops);
   std::sort(out.chains.begin(), out.chains.end(),
             [](const Chain& a, const Chain& b) { return a.qid < b.qid; });
   return out;
-}
-
-void plan_chain(Chain& chain, bool cse) {
-  chain.digests.clear();
-  chain.cse_ops = 0;
-  chain.sidx_blocks = 0;
-
-  // Effective masks per metadata set at the current walk position.  The
-  // dataplane zeroes staged keys per packet before any K runs, so "no K
-  // yet" behaves exactly like an all-zero mask: every key word is 0
-  // regardless of the packet fields.
-  constexpr std::array<uint32_t, kNumFields> kZero{};
-  std::array<std::array<uint32_t, kNumFields>, kNumMetadataSets> masks;
-  masks.fill(kZero);
-
-  // Per-set hash_result provenance: digest slot + (offset, width) mapping
-  // of the most recent HHash, or -1 when hash_result is not digest-derived
-  // (no H yet, or an HDirect overwrote it).
-  struct Feed {
-    int16_t slot = -1;
-    uint32_t offset = 0;
-    uint32_t width = 1;
-  };
-  std::array<Feed, kNumMetadataSets> feed{};
-
-  for (ChainOp& op : chain.ops) {
-    op.digest_slot = -1;
-    op.sidx_block = -1;
-    op.feed_slot = -1;
-    switch (op.kind) {
-      case OpKind::K:
-        masks[op.set] = op.masks;
-        break;
-      case OpKind::HHash: {
-        const uint64_t fp = digest_fingerprint(op.algo, op.seed,
-                                               masks[op.set]);
-        int16_t slot = -1;
-        if (cse) {
-          for (std::size_t d = 0; d < chain.digests.size(); ++d) {
-            const DigestSpec& spec = chain.digests[d];
-            if (spec.fingerprint == fp && spec.algo == op.algo &&
-                spec.seed == op.seed && spec.masks == masks[op.set]) {
-              slot = static_cast<int16_t>(d);
-              ++chain.cse_ops;
-              break;
-            }
-          }
-        }
-        if (slot < 0) {
-          slot = static_cast<int16_t>(chain.digests.size());
-          chain.digests.push_back({op.algo, op.seed, masks[op.set], fp});
-        }
-        op.digest_slot = slot;
-        feed[op.set] = {slot, op.offset, op.width};
-        break;
-      }
-      case OpKind::HDirect:
-        // hash_result now comes from a packet field, not a digest.
-        feed[op.set] = {};
-        break;
-      case OpKind::SOp:
-        if (feed[op.set].slot >= 0 && op.regs != nullptr) {
-          op.feed_slot = feed[op.set].slot;
-          op.feed_offset = feed[op.set].offset;
-          op.feed_width = feed[op.set].width;
-          op.sidx_block = chain.sidx_blocks++;
-        }
-        break;
-      case OpKind::SBypass:
-      case OpKind::R:
-        break;
-    }
-  }
 }
 
 }  // namespace newton::compile

@@ -52,19 +52,6 @@ struct ChainOp {
   uint32_t order = 0;
   uint64_t* hits = nullptr;  // source module's rule-hit cell
 
-  // --- burst-schedule plan (plan_chain; single-chain/fused execution) ---
-  // HHash: which entry of Chain::digests holds this op's raw digest —
-  // hash-CSE maps every op with the same (algo, seed, effective masks) to
-  // one slot, so the batched hash phase computes each digest once per lane.
-  int16_t digest_slot = -1;
-  // SOp fed by a planned HHash: which per-run index-lane block holds this
-  // op's resolved register indices (prefetch phase), and the feeding H's
-  // digest slot + result mapping to recompute hash_result from the digest.
-  int16_t sidx_block = -1;
-  int16_t feed_slot = -1;
-  uint32_t feed_offset = 0;
-  uint32_t feed_width = 1;
-
   // K
   std::array<uint32_t, kNumFields> masks{};
   // HHash / HDirect
@@ -98,42 +85,11 @@ struct ChainOp {
 // two-phase distinct+reduce, lowers to 17 ops).
 using Signature = unsigned __int128;
 
-// One distinct digest the batched hash phase computes per burst lane.
-// Fully identifies the digest value given a packet: the hash suite, the
-// instance seed, and the effective per-field masks the feeding K applied
-// (keys[f] = pkt.fields[f] & masks[f], so hashing the masked packet fields
-// directly is bit-identical to hashing the staged keys).
-struct DigestSpec {
-  HashAlgo algo = HashAlgo::Crc32;
-  uint32_t seed = 0;
-  std::array<uint32_t, kNumFields> masks{};
-  uint64_t fingerprint = 0;  // fast inequality filter for CSE dedup
-};
-
-inline uint64_t digest_fingerprint(HashAlgo algo, uint32_t seed,
-                                   const std::array<uint32_t, kNumFields>&
-                                       masks) {
-  uint64_t fp = (uint64_t{static_cast<uint8_t>(algo)} << 32) | seed;
-  for (uint32_t m : masks) {
-    fp ^= m;
-    fp *= 0x9E3779B97F4A7C15ull;
-    fp ^= fp >> 29;
-  }
-  return fp;
-}
-
 // A query's full lowered chain, ops in interpreter visit order.
 struct Chain {
   uint16_t qid = 0;
   Signature signature = 0;  // packed op-kind sequence; 0 = too long to pack
   std::vector<ChainOp> ops;
-  // Burst-schedule plan (plan_chain): the distinct digests this chain's
-  // HHash ops need (digest_slot indexes here), the number of HHash ops CSE
-  // folded away (telemetry), and the number of precomputed index-lane
-  // blocks its planned S ops consume (sidx_block indexes [0, sidx_blocks)).
-  std::vector<DigestSpec> digests;
-  uint32_t cse_ops = 0;
-  int16_t sidx_blocks = 0;
 };
 
 // Keys the compile-time registry of fused shape executors (executor.cpp);
@@ -165,20 +121,8 @@ struct Lowering {
 
 // Lower every installed chain of `pipe`.  Call with the replica quiesced
 // and (for R ops) after report sinks were rebound: the lowered ops capture
-// the sink pointers as constants.  Every chain is plan_chain()ed with
-// hash-CSE on; callers that want CSE off re-plan.
+// the sink pointers as constants.
 Lowering lower(Pipeline& pipe);
-
-// Compute the chain's static burst-schedule plan: assign each HHash op a
-// digest slot (deduplicating ops with identical (algo, seed, effective
-// masks) when `cse`), and each SOp whose hash input is fully produced by a
-// planned HHash a precomputed-index block plus the feed's digest mapping.
-// Sound for single-chain (fused) execution, where K ops run unconditionally
-// over all lanes and dead-lane results are never read; the merged
-// multi-chain path plans dynamically per run instead (executor.cpp),
-// because another chain's K can rewrite a metadata set between this
-// chain's K and H.  Idempotent: re-planning resets previous annotations.
-void plan_chain(Chain& chain, bool cse);
 
 }  // namespace compile
 }  // namespace newton

@@ -1,25 +1,12 @@
 #include "compile/executor.h"
 
 #include <algorithm>
-#include <span>
 
 #include "dataplane/pipeline.h"
 
 namespace newton::compile {
 
-// The hash phase reads packet fields for all lanes of a run straight out
-// of the PHV array, striding lane-to-lane by whole PHVs.
-static_assert(sizeof(Phv) % sizeof(uint32_t) == 0,
-              "hash phase strides packet fields by whole PHVs");
-inline constexpr std::size_t kPhvStrideWords = sizeof(Phv) / sizeof(uint32_t);
-
-// Below this run length the generic path skips dynamic planning: the plan
-// walk would cost about as much as the run itself.
-inline constexpr std::size_t kGenericPlanMinRun = 4;
-
-void BurstBuffers::resize(std::size_t cap, std::size_t digest_rows,
-                          std::size_t sidx_rows) {
-  capacity = cap;
+void BurstBuffers::resize(std::size_t cap) {
   for (std::size_t s = 0; s < kNumMetadataSets; ++s) {
     keys[s].resize(cap * kNumFields);
     hash[s].resize(cap);
@@ -27,43 +14,14 @@ void BurstBuffers::resize(std::size_t cap, std::size_t digest_rows,
   }
   global.resize(cap);
   alive.resize(cap);
-  digest.resize(digest_rows * cap);
-  sidx.resize(sidx_rows * cap);
+  lane.resize(cap);
 }
 
 namespace {
 
-// Phase 2 worker: resolve one planned S op's register index for every lane
-// from its feeding digest row (mapped through the feeding H's offset/width,
-// then the S op's guard and base — exactly the scalar math of the apply
-// path, so the precomputed index is the index), and prime the prefetch
-// stream with the first prefetch_distance lanes.
-void index_phase_op(BurstBuffers& b, const ChainOp& op, int16_t slot,
-                    uint32_t offset, uint32_t width, std::size_t block,
-                    std::size_t n) {
-  const uint32_t* dig = b.digest_row(slot);
-  uint32_t* idx = b.sidx_row(block);
-  RegisterArray& regs = *op.regs;
-  const std::size_t size = regs.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const uint32_t v = dig[i];
-    const uint32_t h = offset + (width == 0 ? v : v % width);
-    idx[i] = (h < op.guard_lo || h > op.guard_hi)
-                 ? kMissIndex
-                 : static_cast<uint32_t>(
-                       (op.index_base + (h - op.guard_lo)) % size);
-  }
-  const std::size_t d = std::min(b.prefetch_distance, n);
-  for (std::size_t i = 0; i < d; ++i) {
-    if (idx[i] == kMissIndex) continue;
-    regs.prefetch(idx[i]);
-    ++b.stats.prefetch_issued;
-  }
-}
-
-bool stops(const ChainOp& op) {
-  return op.on_match == RAction::Stop || op.on_match == RAction::ReportStop ||
-         op.on_miss == RAction::Stop || op.on_miss == RAction::ReportStop;
+// H's result mapping: a digest (or direct key word) into the query's slice.
+uint32_t map_hash(const ChainOp& op, uint32_t v) {
+  return op.offset + (op.width == 0 ? v : v % op.width);
 }
 
 // ---------------------------------------------------------------------------
@@ -75,7 +33,8 @@ bool stops(const ChainOp& op) {
 // the interpreter's tables re-test the bit.
 // ---------------------------------------------------------------------------
 
-void generic_op(const ChainOp& op, Phv* phvs, std::size_t n) {
+void generic_op(const ChainOp& op, Phv* phvs, std::size_t n,
+                BurstBuffers& b) {
   uint64_t hits = 0;
   switch (op.kind) {
     case OpKind::K:
@@ -88,26 +47,32 @@ void generic_op(const ChainOp& op, Phv* phvs, std::size_t n) {
           set.keys[f] = p.pkt.fields[f] & op.masks[f];
       }
       break;
-    case OpKind::HHash:
+    case OpKind::HHash: {
+      // Gather the staged keys of the lanes where the query is still active
+      // into contiguous rows, hash them in one batch, scatter the results.
+      // Lanes an earlier R stopped are not hashed at all.
+      uint32_t* rows = b.keys[op.set].data();
+      uint32_t* digest = b.hash[op.set].data();
       for (std::size_t i = 0; i < n; ++i) {
-        Phv& p = phvs[i];
-        if (!p.active.test(op.qid)) continue;
-        ++hits;
-        MetadataSet& set = p.sets[op.set];
-        const uint32_t v = hash_words(
-            op.algo, op.seed,
-            std::span<const uint32_t>(set.keys.data(), kNumFields));
-        set.hash_result = op.offset + (op.width == 0 ? v : v % op.width);
+        if (!phvs[i].active.test(op.qid)) continue;
+        std::copy_n(phvs[i].sets[op.set].keys.data(), kNumFields,
+                    rows + hits * kNumFields);
+        b.lane[hits++] = static_cast<uint32_t>(i);
       }
+      hash_words_lanes(op.algo, op.seed, rows, kNumFields, kNumFields, hits,
+                       nullptr, digest);
+      b.hash_lanes += hits;
+      for (std::size_t j = 0; j < hits; ++j)
+        phvs[b.lane[j]].sets[op.set].hash_result = map_hash(op, digest[j]);
       break;
+    }
     case OpKind::HDirect:
       for (std::size_t i = 0; i < n; ++i) {
         Phv& p = phvs[i];
         if (!p.active.test(op.qid)) continue;
         ++hits;
         MetadataSet& set = p.sets[op.set];
-        const uint32_t v = set.keys[op.direct_index];
-        set.hash_result = op.offset + (op.width == 0 ? v : v % op.width);
+        set.hash_result = map_hash(op, set.keys[op.direct_index]);
       }
       break;
     case OpKind::SBypass:
@@ -183,50 +148,11 @@ void generic_op(const ChainOp& op, Phv* phvs, std::size_t n) {
   *op.hits += hits;
 }
 
-// Apply-phase bodies for planned ops in the generic path.  Only ops BEFORE
-// the first stop-capable R are ever planned (plan_generic), and within a
-// run every lane starts with the identical active set, so the per-packet
-// active guard is all-true here by construction — the loops run
-// unconditionally and credit n hits, exactly what generic_op would do.
-
-void generic_planned_h(const ChainOp& op, BurstBuffers& b, Phv* phvs,
-                       std::size_t n, int16_t slot) {
-  *op.hits += n;
-  const uint32_t* dig = b.digest_row(slot);
-  for (std::size_t i = 0; i < n; ++i) {
-    const uint32_t v = dig[i];
-    phvs[i].sets[op.set].hash_result =
-        op.offset + (op.width == 0 ? v : v % op.width);
-  }
-}
-
-void generic_planned_s(const ChainOp& op, BurstBuffers& b, Phv* phvs,
-                       std::size_t n, std::size_t block) {
-  *op.hits += n;
-  RegisterArray& regs = *op.regs;
-  const uint32_t* idx = b.sidx_row(block);
-  const std::size_t d = b.prefetch_distance;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (d != 0 && i + d < n && idx[i + d] != kMissIndex) {
-      regs.prefetch(idx[i + d]);
-      ++b.stats.prefetch_issued;
-    }
-    MetadataSet& set = phvs[i].sets[op.set];
-    if (idx[i] == kMissIndex) {
-      set.state_result = kSMissValue;
-      continue;
-    }
-    const uint32_t operand =
-        op.operand_is_pkt_len ? phvs[i].pkt.get(Field::PktLen) : op.operand;
-    set.state_result = regs.execute_unchecked(op.sop, idx[i], operand);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Fused path: one executor per registered chain shape, ops dispatched at
-// compile time over the SoA burst buffers.  K and the direct/bypass moves
-// run unconditionally across the run — dead (stopped) lanes compute
-// results nothing will read, which costs less than a branch per lane —
+// compile time over the SoA burst buffers.  K, H and the bypass move run
+// unconditionally across the run — dead (stopped) lanes compute results
+// nothing will read, which costs less than a branch per lane —
 // while everything with side effects outside the buffers (SALU register
 // ops, report emission) honors the alive mask strictly.  Rule-hit cells
 // advance by the alive count, matching the interpreter's active-guarded
@@ -254,26 +180,10 @@ void fused_op<OpKind::HHash>(const ChainOp& op, BurstBuffers& b, const Phv*,
                              std::size_t n) {
   *op.hits += b.alive_n;
   uint32_t* hash = b.hash[op.set].data();
-  if (op.digest_slot >= 0) {
-    // Hash phase already computed this op's raw digest for every lane;
-    // just map it through offset/width.  Unconditional across lanes —
-    // dead lanes' hash results are never read.
-    const uint32_t* dig = b.digest_row(op.digest_slot);
-    for (std::size_t i = 0; i < n; ++i) {
-      const uint32_t v = dig[i];
-      hash[i] = op.offset + (op.width == 0 ? v : v % op.width);
-    }
-    return;
-  }
-  const uint32_t* keys = b.keys[op.set].data();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!b.alive[i]) continue;
-    const uint32_t v =
-        hash_words(op.algo, op.seed,
-                   std::span<const uint32_t>(keys + i * kNumFields,
-                                             kNumFields));
-    hash[i] = op.offset + (op.width == 0 ? v : v % op.width);
-  }
+  hash_words_lanes(op.algo, op.seed, b.keys[op.set].data(), kNumFields,
+                   kNumFields, n, nullptr, hash);
+  b.hash_lanes += n;
+  for (std::size_t i = 0; i < n; ++i) hash[i] = map_hash(op, hash[i]);
 }
 
 template <>
@@ -282,10 +192,8 @@ void fused_op<OpKind::HDirect>(const ChainOp& op, BurstBuffers& b, const Phv*,
   *op.hits += b.alive_n;
   const uint32_t* keys = b.keys[op.set].data();
   uint32_t* hash = b.hash[op.set].data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const uint32_t v = keys[i * kNumFields + op.direct_index];
-    hash[i] = op.offset + (op.width == 0 ? v : v % op.width);
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    hash[i] = map_hash(op, keys[i * kNumFields + op.direct_index]);
 }
 
 template <>
@@ -303,30 +211,6 @@ void fused_op<OpKind::SOp>(const ChainOp& op, BurstBuffers& b,
   *op.hits += b.alive_n;
   RegisterArray& regs = *op.regs;
   uint32_t* state = b.state[op.set].data();
-  if (op.sidx_block >= 0) {
-    // Prefetch phase resolved every lane's register index (kMissIndex =
-    // guard miss); the loop keeps the prefetch stream prefetch_distance
-    // lanes ahead and hits the bank through the unchecked accessor — the
-    // index is already reduced mod size.
-    const uint32_t* idx = b.sidx_row(op.sidx_block);
-    const std::size_t d = b.prefetch_distance;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!b.alive[i]) continue;
-      if (d != 0 && i + d < n && idx[i + d] != kMissIndex) {
-        regs.prefetch(idx[i + d]);
-        ++b.stats.prefetch_issued;
-      }
-      if (idx[i] == kMissIndex) {
-        state[i] = kSMissValue;
-        continue;
-      }
-      const uint32_t operand = op.operand_is_pkt_len
-                                   ? phvs[i].pkt.get(Field::PktLen)
-                                   : op.operand;
-      state[i] = regs.execute_unchecked(op.sop, idx[i], operand);
-    }
-    return;
-  }
   const std::size_t size = regs.size();
   const uint32_t* hash = b.hash[op.set].data();
   for (std::size_t i = 0; i < n; ++i) {
@@ -498,7 +382,6 @@ bool lanes_need_zero(const Chain& c) {
 void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
                              const ExecOptions& opts) {
   enabled_ = false;
-  opts_ = opts;
   chains_.clear();
   by_qid_.fill(nullptr);
   fused_.fill(nullptr);
@@ -510,29 +393,8 @@ void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
   Lowering l = lower(pipe);
   if (!l.ok) return;
   chains_ = std::move(l.chains);
-  std::size_t total_ops = 0, total_h = 0, total_s = 0;
-  for (Chain& c : chains_) {
-    // lower() plans with CSE on; honor the knobs.  schedule == false strips
-    // the plan entirely, reverting every op to the pre-MLP execution.
-    if (!opts.schedule) {
-      c.digests.clear();
-      c.cse_ops = 0;
-      c.sidx_blocks = 0;
-      for (ChainOp& op : c.ops) {
-        op.digest_slot = -1;
-        op.sidx_block = -1;
-      }
-    } else if (!opts.hash_cse) {
-      plan_chain(c, /*cse=*/false);
-    }
-    for (ChainOp& op : c.ops) {
-      total_h += op.kind == OpKind::HHash ? 1 : 0;
-      total_s += op.kind == OpKind::SOp ? 1 : 0;
-      // kMissIndex must stay unambiguous: unplan S ops over (absurdly)
-      // large banks rather than risk sentinel collision.
-      if (op.sidx_block >= 0 && op.regs->size() >= kMissIndex)
-        op.sidx_block = -1;
-    }
+  std::size_t total_ops = 0;
+  for (const Chain& c : chains_) {
     by_qid_[c.qid] = &c;
     compiled_.set(c.qid);
     total_ops += c.ops.size();
@@ -542,15 +404,7 @@ void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
     coverage_.push_back({c.qid, true, fused_[c.qid] != nullptr});
   }
   merged_.resize(total_ops);
-  ann_slot_.assign(total_ops, int16_t{-1});
-  ann_block_.assign(total_ops, -1);
-  run_specs_.clear();
-  run_specs_.reserve(total_h);
-  run_sops_.clear();
-  run_sops_.reserve(total_s);
-  buffers_.prefetch_distance = opts.prefetch_distance;
-  buffers_.resize(burst_capacity == 0 ? 1 : burst_capacity, total_h,
-                  total_s);
+  buffers_.resize(burst_capacity == 0 ? 1 : burst_capacity);
   enabled_ = true;
 }
 
@@ -583,111 +437,8 @@ bool CompiledPipeline::execute_fused(const Chain& c, Phv* phvs,
       std::fill_n(b.state[s].begin(), n, 0u);
     }
   }
-  // Phase 1 — batched hashing: each distinct digest the chain needs
-  // (plan_chain deduplicated them) is computed for all lanes at once,
-  // straight off the strided packet fields.  Dead lanes are hashed too;
-  // their results are never read, and skipping them would cost more in
-  // lane bookkeeping than the wasted CRCs.
-  if (!c.digests.empty()) {
-    const uint32_t* base = phvs[0].pkt.fields.data();
-    for (std::size_t d = 0; d < c.digests.size(); ++d) {
-      const DigestSpec& spec = c.digests[d];
-      hash_words_lanes(spec.algo, spec.seed, base, kNumFields,
-                       kPhvStrideWords, n, spec.masks.data(),
-                       b.digest_row(d));
-    }
-    b.stats.hash_lanes += c.digests.size() * n;
-    b.stats.hash_cse_lanes += c.cse_ops * n;
-    ++b.stats.planned_runs;
-  }
-  // Phase 2 — index resolution + prefetch priming for every planned S op.
-  for (const ChainOp& op : c.ops)
-    if (op.sidx_block >= 0)
-      index_phase_op(b, op, op.feed_slot, op.feed_offset, op.feed_width,
-                     static_cast<std::size_t>(op.sidx_block), n);
-  // Phase 3 — apply.
   fn(c, b, phvs, n);
   return true;
-}
-
-// Dynamic per-run plan for the generic (merged multi-chain) path.  Unlike
-// the fused path's static per-chain plan, the effective key masks seen by
-// an H op here depend on the MERGED op order — another chain's K can
-// rewrite a metadata set between this chain's K and H — so the plan walks
-// the merged sequence.  Planning is sound only while the run's lanes are
-// lockstep: every lane starts with the identical active set, so until the
-// first stop-capable R executes, every op runs on every lane and the
-// tracked masks/feeds are exact.  Ops at or after that R stay unplanned
-// and run through the per-packet-guarded generic_op.
-void CompiledPipeline::plan_generic(std::size_t m, Phv* phvs, std::size_t n) {
-  run_specs_.clear();
-  run_sops_.clear();
-  std::fill_n(ann_slot_.begin(), m, int16_t{-1});
-  std::fill_n(ann_block_.begin(), m, -1);
-
-  static constexpr std::array<uint32_t, kNumFields> kZeroMasks{};
-  const std::array<uint32_t, kNumFields>* masks[kNumMetadataSets];
-  for (std::size_t s = 0; s < kNumMetadataSets; ++s) masks[s] = &kZeroMasks;
-  struct Feed {
-    int16_t slot = -1;
-    uint32_t offset = 0;
-    uint32_t width = 1;
-  };
-  Feed feed[kNumMetadataSets]{};
-
-  uint64_t folded = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const ChainOp& op = *merged_[j];
-    if (op.kind == OpKind::K) {
-      masks[op.set] = &op.masks;
-    } else if (op.kind == OpKind::HHash) {
-      const uint64_t fp = digest_fingerprint(op.algo, op.seed, *masks[op.set]);
-      int16_t slot = -1;
-      if (opts_.hash_cse) {
-        for (std::size_t d = 0; d < run_specs_.size(); ++d) {
-          const DigestSpec& spec = run_specs_[d];
-          if (spec.fingerprint == fp && spec.algo == op.algo &&
-              spec.seed == op.seed && spec.masks == *masks[op.set]) {
-            slot = static_cast<int16_t>(d);
-            ++folded;
-            break;
-          }
-        }
-      }
-      if (slot < 0) {
-        slot = static_cast<int16_t>(run_specs_.size());
-        run_specs_.push_back({op.algo, op.seed, *masks[op.set], fp});
-      }
-      ann_slot_[j] = slot;
-      feed[op.set] = {slot, op.offset, op.width};
-    } else if (op.kind == OpKind::HDirect) {
-      feed[op.set] = {};
-    } else if (op.kind == OpKind::SOp) {
-      if (feed[op.set].slot >= 0 && op.regs != nullptr &&
-          op.regs->size() < kMissIndex) {
-        const int32_t block = static_cast<int32_t>(run_sops_.size());
-        ann_block_[j] = block;
-        run_sops_.push_back({&op, feed[op.set].slot, feed[op.set].offset,
-                             feed[op.set].width, block});
-      }
-    } else if (op.kind == OpKind::R && stops(op)) {
-      break;
-    }
-  }
-
-  if (run_specs_.empty()) return;
-  const uint32_t* base = phvs[0].pkt.fields.data();
-  for (std::size_t d = 0; d < run_specs_.size(); ++d) {
-    const DigestSpec& spec = run_specs_[d];
-    hash_words_lanes(spec.algo, spec.seed, base, kNumFields, kPhvStrideWords,
-                     n, spec.masks.data(), buffers_.digest_row(d));
-  }
-  buffers_.stats.hash_lanes += run_specs_.size() * n;
-  buffers_.stats.hash_cse_lanes += folded * n;
-  ++buffers_.stats.planned_runs;
-  for (const PlannedS& ps : run_sops_)
-    index_phase_op(buffers_, *ps.op, ps.slot, ps.offset, ps.width,
-                   static_cast<std::size_t>(ps.block), n);
 }
 
 void CompiledPipeline::execute_generic(const Phv& shape, Phv* phvs,
@@ -715,20 +466,8 @@ void CompiledPipeline::execute_generic(const Phv& shape, Phv* phvs,
     for (std::size_t q = 0; q < k; ++q)
       if (cur[q] != end[q] && cur[q]->order == best) merged_[m++] = cur[q]++;
   }
-  if (n < kGenericPlanMinRun || !opts_.schedule) {
-    for (std::size_t j = 0; j < m; ++j) generic_op(*merged_[j], phvs, n);
-    return;
-  }
-  plan_generic(m, phvs, n);
-  for (std::size_t j = 0; j < m; ++j) {
-    if (ann_slot_[j] >= 0)
-      generic_planned_h(*merged_[j], buffers_, phvs, n, ann_slot_[j]);
-    else if (ann_block_[j] >= 0)
-      generic_planned_s(*merged_[j], buffers_, phvs, n,
-                        static_cast<std::size_t>(ann_block_[j]));
-    else
-      generic_op(*merged_[j], phvs, n);
-  }
+  for (std::size_t j = 0; j < m; ++j)
+    generic_op(*merged_[j], phvs, n, buffers_);
 }
 
 }  // namespace newton::compile

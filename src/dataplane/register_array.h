@@ -11,7 +11,6 @@
 //   Or    -> PREVIOUS value (so `distinct` sees 0/partial on first occurrence)
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -42,28 +41,6 @@ class RegisterArray {
   // per-packet innermost call of the interpreter's S module.
   uint32_t execute(SaluOp op, std::size_t index, uint32_t operand) {
     return apply(regs_.at(index), op, operand);
-  }
-
-  // Hot-path variant for the compiled executors (src/compile/): identical
-  // semantics, but the caller guarantees index < size() — the lowered index
-  // expressions are reduced modulo size() at compile/lower time, so the
-  // per-packet innermost loop re-running `at()`'s bounds check buys
-  // nothing.  Debug builds still assert.
-  uint32_t execute_unchecked(SaluOp op, std::size_t index, uint32_t operand) {
-    assert(index < regs_.size());
-    return apply(regs_[index], op, operand);
-  }
-
-  // Cache-line prefetch hint for an upcoming execute_unchecked on `index`
-  // (write intent: every SALU op but Read stores).  Purely advisory — no
-  // architectural effect — but the compiled executors' prefetch phase uses
-  // it to overlap the state bank's DRAM latency across burst lanes.
-  // Caller guarantees index < size(), as for execute_unchecked.
-  void prefetch(std::size_t index) const {
-    assert(index < regs_.size());
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(regs_.data() + index, /*rw=*/1, /*locality=*/1);
-#endif
   }
 
   uint32_t read(std::size_t index) const { return regs_.at(index); }

@@ -58,17 +58,8 @@ ShardedRuntime::ShardedRuntime(NewtonSwitch& primary, RuntimeOptions opts,
   // bisects a suspected compiled-executor miscompare back to the
   // interpreter without touching any call site.
   if (std::getenv("NEWTON_NO_JIT") != nullptr) opts_.jit = false;
-  // Same escape-hatch pattern for the compiled executors' prefetch phase:
-  // prefetch is advisory, so turning it off isolates any suspected
-  // prefetch-related slowdown (or miscompare, though none is possible by
-  // construction) without a rebuild.
-  if (std::getenv("NEWTON_NO_PREFETCH") != nullptr)
-    opts_.prefetch_distance = 0;
   compile::ExecOptions exec_opts;
   exec_opts.enabled = opts_.jit;
-  exec_opts.schedule = opts_.jit_burst_schedule;
-  exec_opts.hash_cse = opts_.jit_hash_cse;
-  exec_opts.prefetch_distance = opts_.prefetch_distance;
   workers_.reserve(opts_.num_shards);
   for (std::size_t i = 0; i < opts_.num_shards; ++i) {
     workers_.push_back(std::make_unique<ShardWorker>(i, opts_.queue_capacity,
@@ -132,16 +123,8 @@ void ShardedRuntime::bind_telemetry() {
                    "executor (the rest took the generic compiled loop)");
   metrics_.jit_hash_lanes =
       &reg.counter("newton_runtime_jit_hash_lanes_total",
-                   "Digest lanes computed by the compiled executors' "
-                   "batched hash phase (docs/compile.md)");
-  metrics_.jit_hash_cse =
-      &reg.counter("newton_runtime_jit_hash_cse_lanes_total",
-                   "Digest lanes the compiled executors skipped because "
-                   "hash-CSE folded duplicate H ops onto one digest");
-  metrics_.jit_prefetch =
-      &reg.counter("newton_runtime_jit_prefetch_issued_total",
-                   "State-bank cache-line prefetch hints issued by the "
-                   "compiled executors' prefetch phase");
+                   "Digest lanes the compiled executors hashed in "
+                   "batches (docs/compile.md)");
   metrics_.installs_rejected =
       &reg.counter("newton_runtime_installs_rejected_total",
                    "Queued installs rejected by admission control at a "
@@ -191,10 +174,6 @@ void ShardedRuntime::flush_telemetry() {
                                     flushed_.workers[i].jit_fused_packets);
     metrics_.jit_hash_lanes->add(stats_.workers[i].jit_hash_lanes -
                                  flushed_.workers[i].jit_hash_lanes);
-    metrics_.jit_hash_cse->add(stats_.workers[i].jit_hash_cse_lanes -
-                               flushed_.workers[i].jit_hash_cse_lanes);
-    metrics_.jit_prefetch->add(stats_.workers[i].jit_prefetch_issued -
-                               flushed_.workers[i].jit_prefetch_issued);
   }
   flushed_ = stats_;
 }

@@ -70,21 +70,6 @@ struct RuntimeOptions {
   // fallback for uncovered shapes.  Forced off by the NEWTON_NO_JIT
   // environment variable (checked once at construction).
   bool jit = true;
-  // Master switch for the compiled executors' three-phase burst schedule
-  // (batched hashing + index precompute + prefetch, docs/compile.md);
-  // false reverts to plain op-major compiled execution.  Benchmark
-  // baseline and last-resort hatch; byte-identical either way.
-  bool jit_burst_schedule = true;
-  // Deduplicate identical digests across a compiled run's H ops (hash-CSE,
-  // docs/compile.md).  Purely an optimization; results are byte-identical
-  // either way.
-  bool jit_hash_cse = true;
-  // How many burst lanes ahead of the compiled apply loop the state-bank
-  // prefetch stream runs; 0 disables prefetch hints (precomputed indices
-  // and the rest of the burst schedule stay on).  Forced to 0 by the
-  // NEWTON_NO_PREFETCH environment variable (checked once at
-  // construction).  Advisory only — byte-identical at any value.
-  std::size_t prefetch_distance = 8;
   // Recompile coalescing under churn (docs/admission.md): after a barrier
   // applies rule mutations, the replica reload defers chain lowering and
   // the workers run the (byte-identical) interpreter until this many
@@ -273,8 +258,6 @@ class ShardedRuntime {
     telemetry::Counter* jit_packets = nullptr;        // compiled-path packets
     telemetry::Counter* jit_fused_packets = nullptr;  // fused-shape subset
     telemetry::Counter* jit_hash_lanes = nullptr;     // batched digest lanes
-    telemetry::Counter* jit_hash_cse = nullptr;       // lanes saved by CSE
-    telemetry::Counter* jit_prefetch = nullptr;       // prefetch hints issued
     telemetry::Counter* installs_rejected = nullptr;
     telemetry::Counter* jit_recompiles = nullptr;
     std::vector<telemetry::Counter*> shard_packets;

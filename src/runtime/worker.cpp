@@ -21,6 +21,39 @@ uint64_t thread_cpu_ns() {
   return 0;
 }
 
+// A deep copy of `src` like Pipeline::clone(), except that each state bank
+// is copied into the bank `old` holds at the same stage and slot, when the
+// sizes match, instead of into fresh memory.  A replica reload then keeps
+// its banks (192 KB each, one per stage) instead of freeing and allocating
+// them again at every mutation barrier; how much of that memory the
+// allocator hands back to the kernel, only to fault it in again, otherwise
+// depends on whatever else happens to sit in the heap.
+Pipeline copy_reusing_banks(const Pipeline& src, Pipeline& old) {
+  Pipeline out(src.num_stages());
+  for (std::size_t i = 0; i < src.num_stages(); ++i) {
+    const auto& from = src.stage(i).tables();
+    const auto* prev =
+        i < old.num_stages() ? &old.stage(i).tables() : nullptr;
+    for (std::size_t j = 0; j < from.size(); ++j) {
+      std::shared_ptr<TableProgram> t;
+      const auto* s = dynamic_cast<const SModule*>(from[j].get());
+      auto* into = prev != nullptr && j < prev->size()
+                       ? dynamic_cast<SModule*>((*prev)[j].get())
+                       : nullptr;
+      if (s != nullptr && into != nullptr &&
+          s->registers().size() == into->registers().size()) {
+        *into = *s;  // copy-assignment keeps the bank's storage
+        t = (*prev)[j];
+      } else {
+        t = from[j]->clone();
+      }
+      t->reset_telemetry();
+      out.stage(i).add(std::move(t));
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 ShardWorker::ShardWorker(std::size_t index, std::size_t queue_capacity,
@@ -42,7 +75,7 @@ ShardWorker::~ShardWorker() {
 
 void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init,
                                bool build_jit) {
-  pipeline_ = pipe.clone();
+  pipeline_ = copy_reusing_banks(pipe, pipeline_);
   auto cloned = std::dynamic_pointer_cast<InitModule>(init.clone());
   if (!cloned)
     throw std::logic_error("ShardWorker: init clone has unexpected type");
@@ -75,11 +108,7 @@ void ShardWorker::relower_chains() {
 }
 
 void ShardWorker::sync_jit_stats() {
-  const compile::ExecStats& es = jit_.stats();
-  stats_.jit_planned_runs = es.planned_runs;
-  stats_.jit_hash_lanes = es.hash_lanes;
-  stats_.jit_hash_cse_lanes = es.hash_cse_lanes;
-  stats_.jit_prefetch_issued = es.prefetch_issued;
+  stats_.jit_hash_lanes = jit_.hash_lanes();
 }
 
 void ShardWorker::start() {

@@ -36,12 +36,12 @@ struct WorkerStats {
   // a fused shape (the rest took the generic compiled op loop).
   uint64_t jit_packets = 0;
   uint64_t jit_fused_packets = 0;
-  // Burst-schedule counters mirrored from the compiled executors' ExecStats
-  // (compile/executor.h) at window fences: runs that took the three-phase
-  // schedule, digest lanes batch-hashed / saved by hash-CSE, and state-bank
-  // prefetch hints issued.
-  uint64_t jit_planned_runs = 0;
+  // Digest lanes the compiled executors hashed in batches, mirrored from
+  // CompiledPipeline::hash_lanes() at window fences.
   uint64_t jit_hash_lanes = 0;
+  // Always 0.  They counted hash-CSE folds and state-bank prefetch hints,
+  // both since removed from the executors; kept only because the benchmark
+  // in perfbench/ still reads them.
   uint64_t jit_hash_cse_lanes = 0;
   uint64_t jit_prefetch_issued = 0;
 };
@@ -70,7 +70,8 @@ class ShardWorker {
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  // Replace the replica with a fresh deep clone of `pipe` + `init`, bind
+  // Replace the replica with a fresh deep copy of `pipe` + `init` (the state
+  // banks are copied into the outgoing replica's bank storage), bind
   // the cloned R modules to this worker's private report buffer, and lower
   // the installed chains into compiled executors (unless jit was turned
   // off).  `build_jit` = false defers the lowering — the replica runs the
@@ -87,8 +88,7 @@ class ShardWorker {
   void relower_chains();
 
   // Executor options for subsequent replica loads: chain compilation
-  // on/off (RuntimeOptions::jit / NEWTON_NO_JIT), hash-CSE, prefetch
-  // distance (RuntimeOptions::prefetch_distance / NEWTON_NO_PREFETCH).
+  // on/off (RuntimeOptions::jit / NEWTON_NO_JIT).
   void set_exec_options(const compile::ExecOptions& opts) {
     exec_opts_ = opts;
   }
@@ -141,7 +141,7 @@ class ShardWorker {
  private:
   void run();
   void process_batch(const WorkItem* items, std::size_t n);
-  void sync_jit_stats();  // mirror ExecStats into stats_ (fence/exit path)
+  void sync_jit_stats();  // mirror executor counters (fence/exit path)
 
   std::size_t index_;
   std::size_t burst_;

@@ -29,7 +29,7 @@ uint32_t hash_u32(HashAlgo algo, uint32_t seed, uint32_t value);
 uint32_t hash_words(HashAlgo algo, uint32_t seed,
                     std::span<const uint32_t> words);
 
-// Multi-lane batched hashing (the compiled executors' hash phase).  For
+// Multi-lane batched hashing (the compiled executors' H ops).  For
 // each lane l in [0, lanes) computes
 //
 //     out[l] = hash_words(algo, seed, masked(base + l*stride_words))
@@ -38,7 +38,7 @@ uint32_t hash_words(HashAlgo algo, uint32_t seed,
 // nullptr hashes the words unmasked.  Bit-identical to calling hash_words
 // on each lane's masked key.  `stride_words` lets the lanes live either in
 // contiguous SoA key rows (stride == nwords) or strided inside an array of
-// larger records (e.g. PHV packet fields).  The CRC paths interleave four
+// larger records (e.g. the staged keys of a run of PHVs).  The CRC paths interleave four
 // independent lanes so the per-word table-lookup chains overlap in the
 // load ports instead of serializing — single-lane CRC is latency-bound,
 // not throughput-bound.

@@ -87,37 +87,25 @@ struct RunOut {
            std::vector<uint32_t>>
       state;
   uint64_t jit_packets = 0;
+  uint64_t hash_lanes = 0;
   uint64_t packets_in = 0;
-};
-
-// Executor-knob overrides for run_scenario: the burst-schedule levers
-// (hash-CSE, prefetch distance) and the hot-path burst size.
-struct JitKnobs {
-  bool jit = true;
-  bool schedule = true;  // three-phase burst schedule master switch
-  bool hash_cse = true;
-  std::size_t prefetch_distance = SIZE_MAX;  // SIZE_MAX = runtime default
-  std::size_t burst = 0;                     // 0 = scenario's burst
 };
 
 // Mirror of the difftest harness's sharded-runtime execution (op schedule,
 // affine shard key, window snapshots), but collecting the raw report
 // stream so the jit-on/off comparison is byte-level, not keyset-level.
+// `burst` = 0 keeps the scenario's burst size.
 RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
-                    std::size_t nshards, JitKnobs knobs) {
+                    std::size_t nshards, bool jit, std::size_t burst = 0) {
   RunOut out;
   ReportBuffer buf;
   NewtonSwitch primary(1, difftest::kPipelineStages, nullptr, bank_size(s));
   primary.set_window_ns(s.window_ns());
   RuntimeOptions ro;
   ro.num_shards = nshards;
-  ro.burst = knobs.burst == 0 ? s.burst : knobs.burst;
+  ro.burst = burst == 0 ? s.burst : burst;
   ro.record_snapshots = true;
-  ro.jit = knobs.jit;
-  ro.jit_burst_schedule = knobs.schedule;
-  ro.jit_hash_cse = knobs.hash_cse;
-  if (knobs.prefetch_distance != SIZE_MAX)
-    ro.prefetch_distance = knobs.prefetch_distance;
+  ro.jit = jit;
   const auto key = difftest::affine_shard_key(s.queries);
   ro.shard_key = key ? *key : ShardKey::five_tuple();
   ShardedRuntime rt(primary, ro, nullptr);
@@ -144,15 +132,11 @@ RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
     for (const BranchSnapshot& b : snap.branches)
       out.state[{b.query, b.branch, snap.window}] = b.state;
   out.packets_in = rt.stats().packets_in;
-  for (const WorkerStats& w : rt.stats().workers) out.jit_packets += w.jit_packets;
+  for (const WorkerStats& w : rt.stats().workers) {
+    out.jit_packets += w.jit_packets;
+    out.hash_lanes += w.jit_hash_lanes;
+  }
   return out;
-}
-
-RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
-                    std::size_t nshards, bool jit) {
-  JitKnobs k;
-  k.jit = jit;
-  return run_scenario(s, t, nshards, k);
 }
 
 void expect_same(const RunOut& a, const RunOut& b) {
@@ -206,13 +190,12 @@ TEST(CompiledCorpus, JitMatchesInterpreterAt1And4Shards) {
   EXPECT_GT(jit_packets_total, 0u);
 }
 
-// The burst schedule's knobs — hash-CSE and prefetch distance — and the
-// burst size itself are pure performance levers.  Sweep all of them over
-// representative seeds against one interpreter baseline: byte-identical
-// reports and register state at every point of the matrix.  Burst 1
-// degenerates the hash phase to single-lane, burst 3 leaves the CRC
-// 4-way interleave partially filled, burst 64 is the steady-state shape.
-TEST(CompiledBurstSchedule, BurstAndKnobMatrixByteIdentical) {
+// Batched hashing must be exact at every run length.  Sweep the burst
+// size over representative seeds against one interpreter baseline:
+// byte-identical reports and register state at every point.  Burst 1
+// degenerates batched hashing to single-lane, burst 3 leaves the CRC 4-way
+// interleave partially filled, burst 64 is the steady-state shape.
+TEST(CompiledBatchedHashing, BurstSweepByteIdentical) {
   const auto files = corpus_files();
   ASSERT_GE(files.size(), 2u);
   for (std::size_t fi = 0; fi < 2; ++fi) {
@@ -220,62 +203,18 @@ TEST(CompiledBurstSchedule, BurstAndKnobMatrixByteIdentical) {
     const difftest::Scenario s = difftest::Scenario::load(files[fi].string());
     const Trace t = s.trace.build();
     const RunOut base = run_scenario(s, t, 1, /*jit=*/false);
-    uint64_t jit_packets_total = 0;
+    uint64_t jit_packets_total = 0, hash_lanes_total = 0;
     for (const std::size_t burst : {std::size_t{1}, std::size_t{3},
                                     std::size_t{64}}) {
-      for (const std::size_t pfd : {SIZE_MAX, std::size_t{0}}) {
-        for (const bool cse : {true, false}) {
-          SCOPED_TRACE("burst=" + std::to_string(burst) +
-                       " prefetch=" + (pfd == SIZE_MAX
-                                           ? std::string("default")
-                                           : std::to_string(pfd)) +
-                       " cse=" + (cse ? "on" : "off"));
-          JitKnobs k;
-          k.burst = burst;
-          k.prefetch_distance = pfd;
-          k.hash_cse = cse;
-          const RunOut on = run_scenario(s, t, 1, k);
-          expect_same(on, base);
-          jit_packets_total += on.jit_packets;
-        }
-      }
-      // Whole burst schedule off: compiled executors, pre-MLP op order.
-      SCOPED_TRACE("burst=" + std::to_string(burst) + " schedule=off");
-      JitKnobs k;
-      k.burst = burst;
-      k.schedule = false;
-      const RunOut on = run_scenario(s, t, 1, k);
+      SCOPED_TRACE("burst=" + std::to_string(burst));
+      const RunOut on = run_scenario(s, t, 1, /*jit=*/true, burst);
       expect_same(on, base);
       jit_packets_total += on.jit_packets;
+      hash_lanes_total += on.hash_lanes;
     }
     EXPECT_GT(jit_packets_total, 0u);
+    EXPECT_GT(hash_lanes_total, 0u);
   }
-}
-
-// Full corpus with both knobs forced off (no CSE folding, no prefetch) at
-// 1 and 4 shards: the degenerate schedule must still replay every seed
-// byte-identically.  Together with JitMatchesInterpreterAt1And4Shards
-// (knobs at defaults) this brackets the whole knob space over the corpus.
-TEST(CompiledBurstSchedule, CorpusKnobsOffByteIdenticalAt1And4Shards) {
-  const auto files = corpus_files();
-  ASSERT_GE(files.size(), 8u);
-  uint64_t jit_packets_total = 0;
-  for (const fs::path& p : files) {
-    SCOPED_TRACE(p.filename().string());
-    const difftest::Scenario s = difftest::Scenario::load(p.string());
-    const Trace t = s.trace.build();
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      JitKnobs off;
-      off.hash_cse = false;
-      off.prefetch_distance = 0;
-      const RunOut on = run_scenario(s, t, shards, off);
-      const RunOut interp = run_scenario(s, t, shards, /*jit=*/false);
-      expect_same(on, interp);
-      jit_packets_total += on.jit_packets;
-    }
-  }
-  EXPECT_GT(jit_packets_total, 0u);
 }
 
 // The bench query set lowers fully: every branch chain compiled, and the
@@ -303,11 +242,12 @@ TEST(CompiledCoverage, BenchQueriesCompileFused) {
   const Trace t = bench_trace(31);
   for (const Packet& pk : t.packets) rt.process(pk);
   rt.finish();
-  uint64_t jit = 0, fused_pk = 0, total = 0;
+  uint64_t jit = 0, fused_pk = 0, total = 0, lanes = 0;
   for (const WorkerStats& w : rt.stats().workers) {
     jit += w.jit_packets;
     fused_pk += w.jit_fused_packets;
     total += w.packets;
+    lanes += w.jit_hash_lanes;
   }
   // Full coverage: every demuxed packet rides the compiled path.  Packets
   // active in one query run fused; packets active in several queries take
@@ -316,6 +256,10 @@ TEST(CompiledCoverage, BenchQueriesCompileFused) {
   EXPECT_EQ(jit, total);
   EXPECT_GT(total, 0u);
   EXPECT_GT(fused_pk, total / 2);
+  // Every H op of every compiled packet hashes in a batch, fused and
+  // generic alike.  Each bench chain holds at least two HHash ops (q1 two,
+  // q3/q5 four).
+  EXPECT_GE(lanes, 2 * jit);
 }
 
 // All six detector-library chains lower to compiled executors (grouped by
@@ -390,46 +334,4 @@ TEST(CompiledEscapeHatch, EnvVarDisablesJit) {
     ShardedRuntime rt(sw, {}, &an);
     EXPECT_TRUE(rt.jit_enabled());
   }
-}
-
-// NEWTON_NO_PREFETCH kills the prefetch phase without touching the JIT:
-// compiled executors keep carrying packets, the prefetch-issued counter
-// stays at zero, and the report stream is byte-identical to the
-// prefetching run (prefetch is advisory, never semantic).
-TEST(CompiledEscapeHatch, EnvVarDisablesPrefetch) {
-  const auto run = [](bool no_prefetch) {
-    if (no_prefetch) EXPECT_EQ(setenv("NEWTON_NO_PREFETCH", "1", 1), 0);
-    ReportBuffer buf;
-    NewtonSwitch sw(1, 24, nullptr);
-    ShardedRuntime rt(sw, {}, nullptr);
-    rt.set_report_sink(&buf);
-    QueryParams p;
-    rt.install(make_q1(p));
-    rt.install(make_q3(p));
-    rt.install(make_q5(p));
-    rt.start();
-    EXPECT_TRUE(rt.jit_enabled());
-    const Trace t = bench_trace(35);
-    for (const Packet& pk : t.packets) rt.process(pk);
-    rt.finish();
-    uint64_t jit = 0, prefetch = 0;
-    for (const WorkerStats& w : rt.stats().workers) {
-      jit += w.jit_packets;
-      prefetch += w.jit_prefetch_issued;
-    }
-    EXPECT_GT(jit, 0u);
-    if (no_prefetch) {
-      EXPECT_EQ(prefetch, 0u);
-      unsetenv("NEWTON_NO_PREFETCH");
-    } else {
-      EXPECT_GT(prefetch, 0u);
-    }
-    return sorted(buf.records());
-  };
-  const auto with_prefetch = run(false);
-  const auto without_prefetch = run(true);
-  ASSERT_EQ(with_prefetch.size(), without_prefetch.size());
-  for (std::size_t i = 0; i < with_prefetch.size(); ++i)
-    ASSERT_EQ(rec_key(with_prefetch[i]), rec_key(without_prefetch[i]))
-        << "record " << i;
 }

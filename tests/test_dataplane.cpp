@@ -182,27 +182,6 @@ TEST(RegisterArray, RangeClampEdges) {
   EXPECT_EQ(c.read(3), 0u);
 }
 
-// execute_unchecked is the compiled executors' hot-path twin of execute:
-// identical SALU semantics and return values on every op, it only sheds
-// the bounds check (indices are reduced modulo size() at lower time).
-TEST(RegisterArray, ExecuteUncheckedMatchesExecute) {
-  RegisterArray checked(8), unchecked(8);
-  const SaluOp ops[] = {SaluOp::Read, SaluOp::Add, SaluOp::Write, SaluOp::Or,
-                        SaluOp::Add, SaluOp::Or, SaluOp::Read, SaluOp::Write};
-  uint32_t x = 12345u;
-  for (int round = 0; round < 64; ++round) {
-    x = x * 1664525u + 1013904223u;
-    const std::size_t idx = x % 8;
-    const SaluOp op = ops[(x >> 8) % 8];
-    const uint32_t operand = x >> 16;
-    EXPECT_EQ(unchecked.execute_unchecked(op, idx, operand),
-              checked.execute(op, idx, operand))
-        << "round " << round;
-  }
-  for (std::size_t i = 0; i < 8; ++i)
-    EXPECT_EQ(unchecked.read(i), checked.read(i)) << "slot " << i;
-}
-
 TEST(Resources, ArithmeticAndNormalization) {
   ResourceVec a{10, 20, 30, 4, 5, 1, 2};
   ResourceVec b{1, 2, 3, 1, 1, 1, 1};
