@@ -1,13 +1,14 @@
 // Hash-path microbenchmark: single-lane hash_words vs. the multi-lane
-// batched hash_words_lanes (the compiled executors' batched hashing),
+// batched hash_words_lanes (the compiled executor's batched hashing),
 // across key widths and burst sizes.
 //
 // Single-lane CRC is latency-bound: each word's slicing-by-4 lookup chains
 // through the previous word's accumulator, so the load ports sit idle.
 // The lanes path interleaves four independent accumulator chains, turning
 // the same table lookups into parallel streams.  The ratio printed here is
-// the raw headroom the compiled executors' H ops tap; the traced perfbench
-// run's compile.fused_ns_per_pkt shows how much survives end to end.
+// the raw headroom the compiled executor's H ops tap; the traced perfbench
+// run's compile.fused_ns_per_pkt (single-query runs) shows how much
+// survives end to end.
 //
 //   bench_hash [--reps N]    hash calls per measurement (default sized so
 //                            a full run takes a few seconds)

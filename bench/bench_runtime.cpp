@@ -84,7 +84,6 @@ struct Sample {
   std::size_t burst = 0;
   bool jit = true;
   uint64_t jit_packets = 0;
-  uint64_t jit_fused_packets = 0;
   uint64_t jit_hash_lanes = 0;
   uint64_t wall = 0;
   uint64_t demux_cpu = 0;
@@ -136,7 +135,6 @@ Sample run_one(const Trace& t, std::size_t shards, std::size_t burst,
     s.worker_cpu.push_back(ws.busy_ns);
     if (ws.busy_ns > s.max_worker_cpu) s.max_worker_cpu = ws.busy_ns;
     s.jit_packets += ws.jit_packets;
-    s.jit_fused_packets += ws.jit_fused_packets;
     s.jit_hash_lanes += ws.jit_hash_lanes;
   }
   s.stalls = st.backpressure_stalls;
@@ -278,10 +276,9 @@ int main(int argc, char** argv) {
               speedup_model, speedup_wall);
   const double speedup_jit = s1.model_pps / sji.model_pps;
   std::printf("1-shard jit speedup: model %.2fx (compiled %llu/%zu packets, "
-              "fused %llu, hash lanes %llu)\n",
+              "hash lanes %llu)\n",
               speedup_jit,
               static_cast<unsigned long long>(s1.jit_packets), t.size(),
-              static_cast<unsigned long long>(s1.jit_fused_packets),
               static_cast<unsigned long long>(s1.jit_hash_lanes));
 
   FILE* f = std::fopen("BENCH_runtime.json", "w");
@@ -342,8 +339,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"speedup_model_1shard\": %.3f,\n", speedup_jit);
   std::fprintf(f, "    \"jit_packets\": %llu,\n",
                static_cast<unsigned long long>(s1.jit_packets));
-  std::fprintf(f, "    \"jit_fused_packets\": %llu,\n",
-               static_cast<unsigned long long>(s1.jit_fused_packets));
   std::fprintf(f, "    \"hash_lanes\": %llu\n",
                static_cast<unsigned long long>(s1.jit_hash_lanes));
   std::fprintf(f, "  },\n");

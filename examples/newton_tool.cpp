@@ -144,7 +144,7 @@ int cmd_csv(int argc, char** argv) {
 // ...]` installs the named queries (default: all nine) through the sharded
 // runtime and prints the operator view of the installed set: tenant, qids,
 // per-stage resource usage (core/admission.h demand vectors) and each
-// branch's JIT coverage state (fused / compiled / interp) from the same
+// branch's JIT coverage state (compiled / interp) from the same
 // coverage the newton_jit_query_compiled gauge exports.
 int cmd_queries(int argc, char** argv) {
   if (argc < 3) {
@@ -189,15 +189,12 @@ int cmd_queries(int argc, char** argv) {
   std::map<uint16_t, compile::QueryCoverage> cov;
   for (const compile::QueryCoverage& c : rt.jit_coverage()) cov[c.qid] = c;
   const auto jit_state = [&](const std::vector<uint16_t>& qids) {
-    bool all_fused = !qids.empty(), any_compiled = false;
+    bool any_compiled = false;
     for (uint16_t qid : qids) {
       const auto it = cov.find(qid);
-      const bool compiled = it != cov.end() && it->second.compiled;
-      const bool fused = it != cov.end() && it->second.fused;
-      any_compiled |= compiled;
-      all_fused &= fused;
+      any_compiled |= it != cov.end() && it->second.compiled;
     }
-    return all_fused ? "fused" : any_compiled ? "compiled" : "interp";
+    return any_compiled ? "compiled" : "interp";
   };
 
   std::printf("%-18s %-10s %-8s %-6s %-6s %-6s %s\n", "query", "tenant",

@@ -12,7 +12,7 @@ namespace {
 Chain& chain_for(std::vector<Chain>& chains, uint16_t qid) {
   for (Chain& c : chains)
     if (c.qid == qid) return c;
-  chains.push_back({qid, 0, {}});
+  chains.push_back({qid, {}});
   return chains.back();
 }
 
@@ -91,7 +91,6 @@ Lowering lower(Pipeline& pipe) {
       }
     }
   }
-  for (Chain& c : out.chains) c.signature = signature_of(c.ops);
   std::sort(out.chains.begin(), out.chains.end(),
             [](const Chain& a, const Chain& b) { return a.qid < b.qid; });
   return out;

@@ -33,12 +33,9 @@ class Pipeline;
 
 namespace compile {
 
-// Lowered opcode.  H and S split by mode so the executors are branch-free
-// on the mode flags, and so the chain-shape signature distinguishes e.g. a
-// filter's direct/bypass suite from a sketch's hash/SALU suite.
+// Lowered opcode.  H and S split by mode so the executor is branch-free on
+// the mode flags.
 enum class OpKind : uint8_t { K, HHash, HDirect, SOp, SBypass, R };
-
-inline constexpr std::size_t kNumOpKinds = 6;
 
 // One lowered module rule.  POD with the rule parameters constant-folded;
 // non-owning pointers (register bank, report sink, hit cell) reference the
@@ -79,37 +76,11 @@ struct ChainOp {
   uint32_t switch_id = 0;
 };
 
-// Chain-shape signature: the op-kind sequence packed 4 bits per op, first
-// op in the high nibble.  128 bits holds 32 ops — enough for every chain
-// the scheduler can place today (the widest evaluation chain, q3/q5's
-// two-phase distinct+reduce, lowers to 17 ops).
-using Signature = unsigned __int128;
-
 // A query's full lowered chain, ops in interpreter visit order.
 struct Chain {
   uint16_t qid = 0;
-  Signature signature = 0;  // packed op-kind sequence; 0 = too long to pack
   std::vector<ChainOp> ops;
 };
-
-// Keys the compile-time registry of fused shape executors (executor.cpp);
-// chains longer than 32 ops don't fit and fall back to the generic
-// compiled loop (signature 0).
-inline Signature signature_of(const std::vector<ChainOp>& ops) {
-  if (ops.empty() || ops.size() > 32) return 0;
-  Signature sig = 0;
-  for (const ChainOp& op : ops)
-    sig = (sig << 4) | (static_cast<Signature>(op.kind) + 1);
-  return sig;
-}
-
-// Compile-time companion for building registry entries from a kind pack.
-template <OpKind... Ks>
-constexpr Signature pack_signature() {
-  Signature sig = 0;
-  ((sig = (sig << 4) | (static_cast<Signature>(Ks) + 1)), ...);
-  return sig;
-}
 
 struct Lowering {
   std::vector<Chain> chains;

@@ -87,8 +87,7 @@ std::size_t Controller::chain_min_stage(const Query& q,
   return min_stage;
 }
 
-AdmitDecision Controller::admit_compiled(const CompiledQuery& cq,
-                                         const QueryDemand& d,
+AdmitDecision Controller::admit_compiled(const QueryDemand& d,
                                          const std::string& tenant) const {
   const auto qit = quotas_.find(tenant);
   if (qit != quotas_.end()) {
@@ -170,7 +169,7 @@ AdmitDecision Controller::admit(const Query& q, CompileOptions opts,
   opts.min_stage = std::max(opts.min_stage, chain_min_stage(q));
   try {
     const CompiledQuery cq = compile_query(q, opts);
-    return admit_compiled(cq, QueryDemand::of(cq), tenant);
+    return admit_compiled(QueryDemand::of(cq), tenant);
   } catch (const std::exception& e) {
     AdmitDecision d;
     d.code = AdmitCode::kCompileError;
@@ -204,10 +203,10 @@ Controller::OpStats Controller::install(const Query& q, CompileOptions opts,
   opts.min_stage = std::max(opts.min_stage, chain_min_stage(q));
   CompiledQuery cq = compile_query(q, opts);
   QueryDemand d = QueryDemand::of(cq);
-  AdmitDecision dec = admit_compiled(cq, d, tenant);
+  AdmitDecision dec = admit_compiled(d, tenant);
   if (!dec.admitted() && dec.would_fit_compacted && auto_compact_) {
     compact();
-    dec = admit_compiled(cq, d, tenant);
+    dec = admit_compiled(d, tenant);
   }
   record_admission(dec, tenant);
   if (!dec.admitted()) throw AdmissionError(std::move(dec));
@@ -236,11 +235,11 @@ Controller::InstallOutcome Controller::try_install(const Query& q,
     return out;
   }
   QueryDemand d = QueryDemand::of(cq);
-  out.decision = admit_compiled(cq, d, tenant);
+  out.decision = admit_compiled(d, tenant);
   if (!out.decision.admitted() && out.decision.would_fit_compacted &&
       auto_compact_) {
     compact();
-    out.decision = admit_compiled(cq, d, tenant);
+    out.decision = admit_compiled(d, tenant);
   }
   record_admission(out.decision, tenant);
   if (!out.decision.admitted()) return out;

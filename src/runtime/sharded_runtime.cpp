@@ -117,10 +117,6 @@ void ShardedRuntime::bind_telemetry() {
       &reg.counter("newton_runtime_jit_packets_total",
                    "Packets executed by compiled chain executors "
                    "(src/compile/) instead of the interpreter");
-  metrics_.jit_fused_packets =
-      &reg.counter("newton_runtime_jit_fused_packets_total",
-                   "Compiled-path packets that ran a fused chain-shape "
-                   "executor (the rest took the generic compiled loop)");
   metrics_.jit_hash_lanes =
       &reg.counter("newton_runtime_jit_hash_lanes_total",
                    "Digest lanes the compiled executors hashed in "
@@ -170,8 +166,6 @@ void ShardedRuntime::flush_telemetry() {
                                    flushed_.workers[i].packets);
     metrics_.jit_packets->add(stats_.workers[i].jit_packets -
                               flushed_.workers[i].jit_packets);
-    metrics_.jit_fused_packets->add(stats_.workers[i].jit_fused_packets -
-                                    flushed_.workers[i].jit_fused_packets);
     metrics_.jit_hash_lanes->add(stats_.workers[i].jit_hash_lanes -
                                  flushed_.workers[i].jit_hash_lanes);
   }
@@ -634,10 +628,10 @@ void ShardedRuntime::publish_jit_coverage() {
         {"branch",
          std::to_string(it == qid_owner_.end() ? 0 : it->second.second)}};
     reg.gauge("newton_jit_query_compiled",
-              "1 = the query branch's chain runs a compiled executor "
-              "(2 = fused shape), 0 = interpreter fallback",
+              "1 = the query branch's chain runs compiled, "
+              "0 = interpreter fallback",
               labels)
-        .set(c.compiled ? (c.fused ? 2 : 1) : 0);
+        .set(c.compiled ? 1 : 0);
   }
 }
 

@@ -255,9 +255,8 @@ class ShardedRuntime {
     telemetry::Counter* redistributed = nullptr;
     telemetry::Counter* abandoned = nullptr;
     telemetry::Gauge* live_shards = nullptr;
-    telemetry::Counter* jit_packets = nullptr;        // compiled-path packets
-    telemetry::Counter* jit_fused_packets = nullptr;  // fused-shape subset
-    telemetry::Counter* jit_hash_lanes = nullptr;     // batched digest lanes
+    telemetry::Counter* jit_packets = nullptr;     // compiled-path packets
+    telemetry::Counter* jit_hash_lanes = nullptr;  // batched digest lanes
     telemetry::Counter* installs_rejected = nullptr;
     telemetry::Counter* jit_recompiles = nullptr;
     std::vector<telemetry::Counter*> shard_packets;

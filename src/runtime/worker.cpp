@@ -177,7 +177,7 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
     stats_.packets += n;
     return;
   }
-  // Partition the burst into maximal runs the compiled executors can take
+  // Partition the burst into maximal runs the compiled executor can take
   // whole — every active query compiled AND the same active set across the
   // run (the merged op program is computed once per run) — and hand the
   // rest to the interpreter.  Run boundaries preserve burst order, so
@@ -190,10 +190,10 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
       while (j < n && jit_.covers(phvs_[j]) &&
              phvs_[j].active == phvs_[i].active)
         ++j;
-      const bool fused = jit_.execute_run(phvs_.data() + i, j - i);
+      const bool single = jit_.execute_run(phvs_.data() + i, j - i);
       pipeline_.note_compiled_packets(j - i);
       stats_.jit_packets += j - i;
-      if (fused) stats_.jit_fused_packets += j - i;
+      if (single) stats_.jit_fused_packets += j - i;
     } else {
       while (j < n && !jit_.covers(phvs_[j])) ++j;
       pipeline_.process_burst(phvs_.data() + i, j - i);

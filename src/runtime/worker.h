@@ -31,9 +31,10 @@ struct WorkerStats {
   uint64_t packets = 0;   // packets this worker executed
   uint64_t reports = 0;   // reports it emitted (drained at barriers)
   uint64_t busy_ns = 0;   // thread CPU time consumed so far
-  // Of `packets`, how many ran through compiled chain executors
-  // (src/compile/) rather than the interpreter, and of those how many took
-  // a fused shape (the rest took the generic compiled op loop).
+  // Of `packets`, how many ran through the compiled chain executor
+  // (src/compile/) rather than the interpreter, and of those how many ran
+  // in single-query runs.  The second keeps its old "fused" name only
+  // because the benchmark in perfbench/ still reads it.
   uint64_t jit_packets = 0;
   uint64_t jit_fused_packets = 0;
   // Digest lanes the compiled executors hashed in batches, mirrored from

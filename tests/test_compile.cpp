@@ -4,9 +4,10 @@
 //   * every committed .nds corpus seed replays byte-identically with the
 //     JIT on vs. off, at 1 and at 4 shards (reports AND merged register
 //     state), with the compiled path actually carrying packets;
+//   * a stopped query never overwrites a metadata set that another live
+//     query of the same run still reads (per-query alive rows);
 //   * the bench query set (q1/q3/q5) and all six detector-library chains
-//     lower to compiled executors, with the bench set hitting the fused
-//     shape registry;
+//     lower to the compiled executor;
 //   * both escape hatches (RuntimeOptions::jit = false, NEWTON_NO_JIT)
 //     route every packet through the interpreter.
 #include <gtest/gtest.h>
@@ -23,10 +24,12 @@
 
 #include "analyzer/analyzer.h"
 #include "compile/executor.h"
+#include "core/modules.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
 #include "core/report.h"
 #include "detectors/detector.h"
+#include "dataplane/pipeline.h"
 #include "difftest/scenario.h"
 #include "runtime/sharded_runtime.h"
 #include "trace/attacks.h"
@@ -157,7 +160,177 @@ Trace bench_trace(uint32_t seed) {
   return t;
 }
 
+constexpr uint16_t kQA = 1, kQB = 2;
+
+// Two queries sharing metadata set 1, one module per stage.  Query A
+// filters on dport 80 through set 0 (direct H, bypass S, R that Stops every
+// other packet), then rewrites set 1 with its own K/H/S.  Query B fills
+// set 1 first and reads it back in the last stage, folding its state into
+// the global result A's R set.  In the interpreter a stopped A skips its
+// set-1 writes, so on every non-80 packet B reports its own keys, digest
+// and state.
+struct TwoQueryPipe {
+  Pipeline pipe{9};
+  ReportBuffer reports;
+  std::vector<SModule*> banks;
+  std::vector<TableProgram*> tables;
+
+  TwoQueryPipe() {
+    const auto place = [&](std::size_t stage, auto mod) {
+      tables.push_back(mod.get());
+      pipe.stage(stage).add(std::move(mod));
+    };
+    auto k0 = std::make_shared<KModule>("k0");
+    KConfig ka, kb;
+    ka.masks[index(Field::DstPort)] = 0xffffffffu;
+    kb.set = 1;
+    kb.masks[index(Field::SrcIp)] = 0xffffffffu;
+    kb.masks[index(Field::DstIp)] = 0xffffff00u;
+    k0->table().insert(kQA, ka);
+    k0->table().insert(kQB, kb);
+    place(0, k0);
+
+    auto h1 = std::make_shared<HModule>("h1");
+    HConfig ha, hb;
+    ha.direct = true;
+    ha.direct_field = Field::DstPort;
+    ha.width = 0;
+    hb.set = 1;
+    hb.width = 64;
+    h1->table().insert(kQA, ha);
+    h1->table().insert(kQB, hb);
+    place(1, h1);
+
+    auto s2 = std::make_shared<SModule>("s2", 128);
+    SConfig sa, sb;
+    sa.bypass = true;
+    sb.set = 1;
+    s2->table().insert(kQA, sa);
+    s2->table().insert(kQB, sb);
+    banks.push_back(s2.get());
+    place(2, s2);
+
+    auto r3 = std::make_shared<RModule>("r3", &reports, 1);
+    RConfig ra;
+    ra.match_on_global = false;
+    ra.match_lo = ra.match_hi = 80;
+    ra.on_miss = RAction::Stop;
+    r3->table().insert(kQA, ra);
+    place(3, r3);
+
+    auto k4 = std::make_shared<KModule>("k4");
+    KConfig ka2;
+    ka2.set = 1;
+    ka2.masks[index(Field::SrcPort)] = 0xffffffffu;
+    k4->table().insert(kQA, ka2);
+    place(4, k4);
+
+    auto h5 = std::make_shared<HModule>("h5");
+    HConfig ha2;
+    ha2.algo = HashAlgo::Crc32c;
+    ha2.seed = 9;
+    ha2.set = 1;
+    ha2.width = 64;
+    ha2.offset = 64;
+    h5->table().insert(kQA, ha2);
+    place(5, h5);
+
+    auto s6 = std::make_shared<SModule>("s6", 128);
+    SConfig sa2;
+    sa2.set = 1;
+    s6->table().insert(kQA, sa2);
+    banks.push_back(s6.get());
+    place(6, s6);
+
+    auto r7 = std::make_shared<RModule>("r7", &reports, 1);
+    RConfig ra2;
+    ra2.set = 1;
+    ra2.combine = RCombine::Set;
+    ra2.match_lo = 2;
+    ra2.on_match = RAction::Report;
+    r7->table().insert(kQA, ra2);
+    place(7, r7);
+
+    auto r8 = std::make_shared<RModule>("r8", &reports, 1);
+    RConfig rb;
+    rb.set = 1;
+    rb.combine = RCombine::Add;
+    rb.match_on_global = false;
+    rb.on_match = RAction::Report;
+    r8->table().insert(kQB, rb);
+    place(8, r8);
+  }
+};
+
+// Packet i of the two-query stream: mostly both queries active (A first),
+// with single-query packets mixed in so runs split at active-set changes.
+void load_two_query_phv(Phv& phv, const std::vector<Packet>& pkts,
+                        std::size_t i) {
+  phv.reset();
+  phv.pkt = pkts[i];
+  if (i % 11 != 5) phv.activate_query(kQA);
+  if (i % 7 != 3) phv.activate_query(kQB);
+}
+
 }  // namespace
+
+// A query that R stopped mid-run must not write the metadata set another
+// live query of the same run still reads.  Reports, register state and
+// rule-hit counts must match the interpreter at every burst size.
+TEST(CompiledAliveRows, StoppedQueryLeavesSharedSetToLiveQuery) {
+  std::mt19937 rng(5);
+  std::vector<Packet> pkts;
+  const uint32_t dports[] = {80, 443, 53};
+  for (std::size_t i = 0; i < 300; ++i)
+    pkts.push_back(make_packet(ipv4(10, 0, 0, 1 + rng() % 4),
+                               ipv4(10, 1, rng() % 3, 9), 1000 + rng() % 5,
+                               dports[rng() % 3], kProtoTcp, 0, 64, i));
+
+  TwoQueryPipe interp;
+  std::vector<Phv> phvs(pkts.size());
+  for (std::size_t i = 0; i < pkts.size(); ++i)
+    load_two_query_phv(phvs[i], pkts, i);
+  interp.pipe.process_burst(phvs.data(), phvs.size());
+  const auto want = sorted(interp.reports.records());
+  // B reports every packet it sees, so some B reports come from packets
+  // where A was active and then stopped.
+  ASSERT_GT(want.size(), pkts.size() / 2);
+
+  for (const std::size_t burst :
+       {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    SCOPED_TRACE("burst=" + std::to_string(burst));
+    TwoQueryPipe jit;
+    compile::CompiledPipeline exec;
+    exec.build(jit.pipe, burst, {});
+    ASSERT_TRUE(exec.enabled());
+    uint64_t multi = 0;
+    for (std::size_t base = 0; base < pkts.size(); base += burst) {
+      const std::size_t m = std::min(burst, pkts.size() - base);
+      for (std::size_t i = 0; i < m; ++i)
+        load_two_query_phv(phvs[i], pkts, base + i);
+      for (std::size_t i = 0; i < m;) {
+        std::size_t j = i + 1;
+        while (j < m && phvs[j].active == phvs[i].active) ++j;
+        ASSERT_TRUE(exec.covers(phvs[i]));
+        if (!exec.execute_run(phvs.data() + i, j - i)) multi += j - i;
+        i = j;
+      }
+    }
+    EXPECT_GT(multi, pkts.size() / 2);
+    const auto got = sorted(jit.reports.records());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(rec_key(got[i]), rec_key(want[i])) << "record " << i;
+    for (std::size_t b = 0; b < jit.banks.size(); ++b)
+      for (std::size_t r = 0; r < jit.banks[b]->registers().size(); ++r)
+        ASSERT_EQ(jit.banks[b]->registers().read(r),
+                  interp.banks[b]->registers().read(r))
+            << "bank " << b << " register " << r;
+    for (std::size_t t = 0; t < jit.tables.size(); ++t)
+      EXPECT_EQ(*jit.tables[t]->hits_cell(), *interp.tables[t]->hits_cell())
+          << "table " << t;
+  }
+}
 
 // Every committed seed scenario — including the mid-stream
 // install/withdraw schedules — must produce a byte-identical report stream
@@ -218,9 +391,8 @@ TEST(CompiledBatchedHashing, BurstSweepByteIdentical) {
 }
 
 // The bench query set lowers fully: every branch chain compiled, and the
-// shapes land in the fused registry (the 3x single-core model-pps claim in
-// BENCH_runtime.json rides on the fused executors, not the generic merge).
-TEST(CompiledCoverage, BenchQueriesCompileFused) {
+// compiled executor carries the whole stream.
+TEST(CompiledCoverage, BenchQueriesCompile) {
   Analyzer an;
   NewtonSwitch sw(1, 24, nullptr);
   ShardedRuntime rt(sw, {}, &an);
@@ -232,33 +404,27 @@ TEST(CompiledCoverage, BenchQueriesCompileFused) {
   ASSERT_TRUE(rt.jit_enabled());
   const auto cov = rt.jit_coverage();
   ASSERT_FALSE(cov.empty());
-  std::size_t fused = 0;
-  for (const compile::QueryCoverage& c : cov) {
+  for (const compile::QueryCoverage& c : cov)
     EXPECT_TRUE(c.compiled) << "qid " << c.qid << " fell back to interpreter";
-    fused += c.fused;
-  }
-  EXPECT_EQ(fused, cov.size()) << "bench chains must hit the fused registry";
 
   const Trace t = bench_trace(31);
   for (const Packet& pk : t.packets) rt.process(pk);
   rt.finish();
-  uint64_t jit = 0, fused_pk = 0, total = 0, lanes = 0;
+  uint64_t jit = 0, single = 0, total = 0, lanes = 0;
   for (const WorkerStats& w : rt.stats().workers) {
     jit += w.jit_packets;
-    fused_pk += w.jit_fused_packets;
+    single += w.jit_fused_packets;  // packets in single-query runs
     total += w.packets;
     lanes += w.jit_hash_lanes;
   }
-  // Full coverage: every demuxed packet rides the compiled path.  Packets
-  // active in one query run fused; packets active in several queries take
-  // the generic merge (cross-chain global_result combines couple them), so
-  // fused is the dominant share but not the whole stream.
+  // Full coverage: every demuxed packet rides the compiled path, and most
+  // of the stream activates a single query.
   EXPECT_EQ(jit, total);
   EXPECT_GT(total, 0u);
-  EXPECT_GT(fused_pk, total / 2);
-  // Every H op of every compiled packet hashes in a batch, fused and
-  // generic alike.  Each bench chain holds at least two HHash ops (q1 two,
-  // q3/q5 four).
+  EXPECT_GT(single, total / 2);
+  // Every H op of every compiled packet hashes in a batch.  Each bench
+  // chain holds at least two HHash ops (q1 two, q3/q5 four) ahead of its
+  // first Stop.
   EXPECT_GE(lanes, 2 * jit);
 }
 
