@@ -44,7 +44,7 @@ namespace compile {
 
 // Executor options, plumbed from RuntimeOptions (sharded_runtime.h).
 struct ExecOptions {
-  bool enabled = true;  // false = skip lowering entirely (NEWTON_NO_JIT)
+  bool enabled = true;  // false = skip lowering entirely
 };
 
 // Structure-of-arrays run scratch: per-packet key rows (kNumFields words,
@@ -80,7 +80,7 @@ class CompiledPipeline {
  public:
   // Lower every installed chain of `pipe` (after report sinks are rebound)
   // and preallocate run scratch for bursts up to `burst_capacity`.
-  // `opts.enabled` = false (NEWTON_NO_JIT / RuntimeOptions::jit) skips the
+  // `opts.enabled` = false (RuntimeOptions::jit) skips the
   // lowering entirely and leaves the object permanently not covering.
   void build(Pipeline& pipe, std::size_t burst_capacity,
              const ExecOptions& opts);

@@ -796,8 +796,7 @@ CheckOutcome check_scenario(const Scenario& s) {
   // Compiled-vs-interpreted: rt1 above ran with the chain JIT on (the
   // runtime default), so re-running it with the JIT forced off pins the
   // compiled executors against the interpreter — reports AND merged
-  // end-of-window state must agree byte-for-byte.  (With NEWTON_NO_JIT in
-  // the environment both runs interpret and the axis is vacuous.)
+  // end-of-window state must agree byte-for-byte.
   const ExecResult rti = run_runtime(s, t, 1, /*jit=*/false);
   diff_exact(rti, rt1, "jit-vs-rt1", std::nullopt, o.divergences);
   diff_state(rti, rt1, "jit-vs-rt1", o.divergences);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -54,10 +53,6 @@ ShardedRuntime::ShardedRuntime(NewtonSwitch& primary, RuntimeOptions opts,
         replicas_dirty_ = true;
       });
   if (opts_.burst == 0) opts_.burst = 1;
-  // The environment escape hatch wins over the option: one variable
-  // bisects a suspected compiled-executor miscompare back to the
-  // interpreter without touching any call site.
-  if (std::getenv("NEWTON_NO_JIT") != nullptr) opts_.jit = false;
   compile::ExecOptions exec_opts;
   exec_opts.enabled = opts_.jit;
   workers_.reserve(opts_.num_shards);
@@ -128,7 +123,7 @@ void ShardedRuntime::bind_telemetry() {
   metrics_.jit_recompiles =
       &reg.counter("newton_jit_recompiles_total",
                    "Chain-JIT rebuild events (back-to-back rule updates "
-                   "coalesce into one rebuild; see jit_debounce_windows)");
+                   "coalesce into one rebuild; see docs/admission.md)");
   metrics_.shard_packets.resize(workers_.size());
   metrics_.shard_occupancy.resize(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -179,7 +174,7 @@ ShardedRuntime::~ShardedRuntime() {
     // and harmlessly; hung workers are reaped by ~ShardWorker, which
     // releases their stall before joining.
     for (std::size_t i = 0; i < workers_.size(); ++i)
-      if (alive_[i]) workers_[i]->post({WorkItem::Kind::Stop, {}});
+      if (alive_[i]) post_control(i, WorkItem::Kind::Stop);
     for (std::size_t i = 0; i < workers_.size(); ++i)
       if (alive_[i]) workers_[i]->join();
   }
@@ -255,26 +250,7 @@ void ShardedRuntime::process(const Packet& pkt) {
 
 void ShardedRuntime::flush_bucket(std::size_t bucket) {
   auto& buf = staging_[bucket];
-  std::size_t done = 0;
-  while (done < buf.size()) {
-    const std::size_t wi = shard_map_[bucket];
-    ShardWorker& w = *workers_[wi];
-    const uint64_t hb = w.heartbeat();
-    std::size_t pushed = 0;
-    const auto r = w.ring().push_bulk_for(buf.data() + done,
-                                          buf.size() - done,
-                                          opts_.watchdog_stall_ms, &pushed);
-    done += pushed;
-    stats_.backpressure_stalls += r.stalls;
-    if (r.ok) break;  // everything landed
-    // Push failed: the ring closed (worker crashed), or it made no progress
-    // past the watchdog deadline.  An advancing heartbeat means a slow but
-    // live worker — retry; frozen heartbeat means a hang.  Items already
-    // pushed sit in the dead worker's ring backlog, which failover()
-    // salvages and redistributes ahead of the rest of this buffer.
-    if (!w.dead() && w.heartbeat() != hb) continue;
-    failover(wi);
-  }
+  push_to_bucket(bucket, buf.data(), buf.size());
   buf.clear();
 }
 
@@ -283,29 +259,32 @@ void ShardedRuntime::flush_staging() {
     if (!staging_[b].empty()) flush_bucket(b);
 }
 
-void ShardedRuntime::route_packet(std::size_t bucket, const Packet& pkt) {
-  while (true) {
+void ShardedRuntime::push_to_bucket(std::size_t bucket, const WorkItem* items,
+                                    std::size_t n) {
+  std::size_t done = 0;
+  while (done < n) {
     const std::size_t wi = shard_map_[bucket];
-    ShardWorker& w = *workers_[wi];
-    const uint64_t hb = w.heartbeat();
-    const auto r = w.ring().push_for({WorkItem::Kind::Packet, pkt},
-                                     opts_.watchdog_stall_ms);
-    stats_.backpressure_stalls += r.stalls;
-    if (r.ok) return;
-    // Push failed: the ring closed (worker crashed), or it stayed full past
-    // the watchdog deadline.  A full ring with an advancing heartbeat is
-    // just a slow worker — retry; frozen heartbeat means a hang.
-    if (!w.dead() && w.heartbeat() != hb) continue;
-    failover(wi);
+    done += workers_[wi]->post(items + done, n - done,
+                               opts_.watchdog_stall_ms,
+                               stats_.backpressure_stalls);
+    // Items already pushed sit in the failed worker's ring backlog, which
+    // failover() moves to the successor ahead of the rest of `items`.
+    if (done < n) failover(wi);
   }
 }
 
+bool ShardedRuntime::post_control(std::size_t wi, WorkItem::Kind kind) {
+  const WorkItem item{kind, {}};
+  return workers_.at(wi)->post(&item, 1, opts_.watchdog_stall_ms,
+                               stats_.backpressure_stalls) == 1;
+}
+
 void ShardedRuntime::kill_shard_for_test(std::size_t i) {
-  workers_.at(i)->post({WorkItem::Kind::Kill, {}});
+  post_control(i, WorkItem::Kind::Kill);
 }
 
 void ShardedRuntime::stall_shard_for_test(std::size_t i) {
-  workers_.at(i)->post({WorkItem::Kind::Stall, {}});
+  post_control(i, WorkItem::Kind::Stall);
 }
 
 void ShardedRuntime::failover(std::size_t wi) {
@@ -353,11 +332,9 @@ void ShardedRuntime::failover(std::size_t wi) {
     } while (!alive_[succ]);
     if (!salvage) break;
     // Quiesce the successor so its replica is safely writable from here.
-    ++fences_posted_[succ];
-    const auto fr = workers_[succ]->post({WorkItem::Kind::Fence, {}});
-    stats_.backpressure_stalls += fr.stalls;
-    if (fr.ok && workers_[succ]->wait_fence_for(fences_posted_[succ],
-                                                opts_.watchdog_stall_ms))
+    if (post_control(succ, WorkItem::Kind::Fence) &&
+        workers_[succ]->wait_fence_for(++fences_posted_[succ],
+                                       opts_.watchdog_stall_ms))
       break;
     failover(succ);  // the successor died too; pick the next survivor
   }
@@ -365,7 +342,9 @@ void ShardedRuntime::failover(std::size_t wi) {
     if (owner == wi) owner = succ;
 
   if (!salvage) {
-    stats_.abandoned_packets += dead.ring().size_approx();
+    // Only packets are lost; a fence or stop token queued behind them is not.
+    stats_.abandoned_packets += dead.ring().count_queued(
+        [](const WorkItem& it) { return it.kind == WorkItem::Kind::Packet; });
     return;
   }
 
@@ -384,14 +363,21 @@ void ShardedRuntime::failover(std::size_t wi) {
   for (const ReportRecord& r : dead.reports().records()) deliver(r);
   dead.reports().clear();
 
-  // Re-push the unprocessed backlog (items queued behind the crash point)
-  // through the remapped buckets, keeping them in the open window.
-  WorkItem item;
-  while (dead.ring().try_pop(item)) {
-    if (item.kind != WorkItem::Kind::Packet) continue;
-    route_packet(opts_.shard_key.shard_of(item.pkt, shard_map_.size()),
-                 item.pkt);
-    ++stats_.redistributed_packets;
+  // Move the unprocessed backlog (packets queued behind the crash point)
+  // into the open window: every bucket the dead worker owned now maps where
+  // bucket `wi` does, so its packet runs go as bulk pushes, read in place
+  // from the dead ring (the demux consumes it now the thread is joined).
+  SpscRing<WorkItem>& backlog = dead.ring();
+  for (auto s = backlog.peek(backlog.capacity()); !s.empty();
+       s = backlog.peek(backlog.capacity())) {
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      std::size_t j = i;
+      while (j < s.size() && s[j].kind == WorkItem::Kind::Packet) ++j;
+      push_to_bucket(wi, s.data() + i, j - i);
+      stats_.redistributed_packets += j - i;
+      i = j;  // s[j], if any, is a control item
+    }
+    backlog.consume(s.size());
   }
 }
 
@@ -402,8 +388,9 @@ void ShardedRuntime::run(const Trace& t) {
 void ShardedRuntime::finish() {
   if (!started_) return;
   barrier();  // drain the final (partial) window
+  // The barrier left every live ring empty, so each Stop lands at once.
   for (std::size_t i = 0; i < workers_.size(); ++i)
-    if (alive_[i]) workers_[i]->post({WorkItem::Kind::Stop, {}});
+    if (alive_[i]) post_control(i, WorkItem::Kind::Stop);
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     if (!alive_[i]) continue;  // dead: joined at failover, or hung (reaped
                                // by ~ShardWorker)
@@ -432,11 +419,11 @@ void ShardedRuntime::barrier() {
     bool redo = false;
     for (std::size_t i = 0; i < workers_.size() && !redo; ++i) {
       if (!alive_[i]) continue;
-      ++fences_posted_[i];
-      const auto r = workers_[i]->post({WorkItem::Kind::Fence, {}});
-      stats_.backpressure_stalls += r.stalls;
-      if (!r.ok) {
-        --fences_posted_[i];  // nothing was enqueued
+      // A fence that cannot land within the watchdog deadline (dead ring,
+      // or a hung worker's full ring) fails the worker over like a burst.
+      if (post_control(i, WorkItem::Kind::Fence)) {
+        ++fences_posted_[i];
+      } else {
         failover(i);
         redo = true;
       }
@@ -459,8 +446,7 @@ void ShardedRuntime::barrier() {
   const bool mutating = !pending_.empty();
   drain_and_merge();
   apply_mutations();
-  if (replicas_dirty_)
-    reload_replicas(/*build_jit=*/opts_.jit_debounce_windows == 0);
+  if (replicas_dirty_) reload_replicas(/*build_jit=*/false);
   maybe_relower(mutating);
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i]) workers_[i]->reset_banks();
@@ -592,22 +578,15 @@ void ShardedRuntime::reload_replicas(bool build_jit) {
     publish_jit_coverage();
   } else if (opts_.jit) {
     jit_stale_ = true;
-    quiet_barriers_ = 0;
   }
 }
 
 void ShardedRuntime::maybe_relower(bool mutated_this_barrier) {
-  if (!opts_.jit || !jit_stale_) return;
-  if (mutated_this_barrier) {
-    quiet_barriers_ = 0;
-    return;
-  }
-  if (++quiet_barriers_ < opts_.jit_debounce_windows) return;
+  if (!opts_.jit || !jit_stale_ || mutated_this_barrier) return;
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i]) workers_[i]->relower_chains();
   ++stats_.jit_recompiles;
   jit_stale_ = false;
-  quiet_barriers_ = 0;
   publish_jit_coverage();
 }
 

@@ -21,7 +21,7 @@
 //     (crash) or whose heartbeat froze with work outstanding (hang) is
 //     failed over — its flow-key buckets are redirected to one surviving
 //     shard, its window-partial register banks merged into that successor,
-//     its pending reports delivered, and its ring backlog redistributed, so
+//     its pending reports delivered, and its ring backlog moved there, so
 //     window reports stay complete across the failure (docs/fault.md).
 #pragma once
 
@@ -67,16 +67,12 @@ struct RuntimeOptions {
   uint64_t watchdog_stall_ms = 2000;
   // Lower installed chains into compiled per-query executors in every
   // worker (src/compile/, docs/compile.md); the interpreter remains the
-  // fallback for uncovered shapes.  Forced off by the NEWTON_NO_JIT
-  // environment variable (checked once at construction).
+  // fallback for uncovered shapes.  Recompiles coalesce under churn
+  // (docs/admission.md): a barrier that applies rule mutations reloads the
+  // replicas with lowering deferred, the workers run the (byte-identical)
+  // interpreter, and the next mutation-free barrier does ONE rebuild for
+  // the whole batch of updates.
   bool jit = true;
-  // Recompile coalescing under churn (docs/admission.md): after a barrier
-  // applies rule mutations, the replica reload defers chain lowering and
-  // the workers run the (byte-identical) interpreter until this many
-  // consecutive mutation-free barriers pass, then ONE rebuild covers the
-  // whole batch of updates.  0 rebuilds eagerly at every reload (the
-  // pre-churn behavior).
-  std::size_t jit_debounce_windows = 1;
 };
 
 // Aggregated per-run totals, derived from the same values the telemetry
@@ -166,8 +162,7 @@ class ShardedRuntime {
   std::size_t num_shards() const { return workers_.size(); }
   std::size_t live_shards() const { return live_count_; }
 
-  // Whether chain compilation is on for this runtime (RuntimeOptions::jit
-  // minus the NEWTON_NO_JIT override).
+  // Whether chain compilation is on for this runtime (RuntimeOptions::jit).
   bool jit_enabled() const { return opts_.jit; }
   // Per-query compiled/interpreted coverage of the current replicas, read
   // from the first live worker (all workers load identical replicas).
@@ -190,8 +185,8 @@ class ShardedRuntime {
   // back-to-back reloads coalesce into one rebuild later — see
   // maybe_relower().
   void reload_replicas(bool build_jit = true);
-  // Debounced chain-JIT rebuild: called at mutation-free barriers; lowers
-  // the current replicas once the storm has been quiet long enough.
+  // Debounced chain-JIT rebuild: lowers deferred replicas at the first
+  // mutation-free barrier after the storm.
   void maybe_relower(bool mutated_this_barrier);
   // Mirror per-query compiled/interpreted coverage into the registry's
   // newton_jit_query_compiled gauge (cold path: after replica reloads).
@@ -199,17 +194,21 @@ class ShardedRuntime {
   void deliver(const ReportRecord& r);
   void bind_telemetry();    // resolve metric handles against the registry
   void flush_telemetry();   // mirror counters batched at each barrier
-  // Push one packet to the worker owning `bucket`, failing over dead or
-  // hung workers until the push lands.
-  void route_packet(std::size_t bucket, const Packet& pkt);
   // Bulk-push everything staged for `bucket` into its current owner's ring
-  // (single index handshake per burst), failing over dead/hung owners.
+  // (single index handshake per burst).
   void flush_bucket(std::size_t bucket);
   void flush_staging();  // all buckets, in bucket order (window barriers)
+  // Push items, in order, to the worker owning `bucket`, failing over dead
+  // or hung owners until every item lands.
+  void push_to_bucket(std::size_t bucket, const WorkItem* items,
+                      std::size_t n);
+  // Post one control item to worker `wi` under the watchdog deadline;
+  // false (nothing enqueued) when the worker is dead or hung.
+  bool post_control(std::size_t wi, WorkItem::Kind kind);
   // Retire worker `wi`: remap its buckets to a surviving shard and (when
   // the thread exited and left its replica intact) merge its window-partial
-  // state into that successor, deliver its pending reports, and re-push its
-  // ring backlog so the open window stays complete.
+  // state into that successor, deliver its pending reports, and move its
+  // ring backlog there so the open window stays complete.
   void failover(std::size_t wi);
 
   struct PendingMutation {
@@ -281,10 +280,8 @@ class ShardedRuntime {
   bool at_barrier_ = false;   // quiesce guard: controller mutation allowed
   bool replicas_dirty_ = true;
   // Chain-JIT debounce state: replicas were reloaded with lowering deferred
-  // (workers interpret), and how many consecutive mutation-free barriers
-  // have passed since.
+  // (workers interpret) and await one rebuild.
   bool jit_stale_ = false;
-  std::size_t quiet_barriers_ = 0;
 };
 
 }  // namespace newton

@@ -2,24 +2,28 @@
 // packet channel of the sharded runtime.
 //
 // The fast path is lock-free (a release/acquire pair on the two indices —
-// the classic cached-index SPSC queue).  When one side would spin for long
+// the classic cached-index SPSC queue), amortized over bursts: one pair
+// moves a whole burst, which the consumer reads in place from the slots
+// (docs/runtime.md "Hot path").  When one side would spin for long
 // it parks on a condition variable with a short timeout, so the runtime
 // stays live and cheap on CPU-starved hosts (CI containers often pin us to
 // a single core) without the latency cliffs of pure blocking queues.
 //
 // The release/acquire pair doubles as the runtime's quiesce fence: any
-// plain-memory write the producer performs before push() is visible to the
-// consumer after the matching pop(), and vice versa — which is what makes
+// plain-memory write the producer performs before a push is visible to the
+// consumer after the matching peek, and vice versa — which is what makes
 // it safe for the demux thread to rebuild a worker's pipeline replica
 // between a fence acknowledgement and the next push.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -38,34 +42,6 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  bool try_push(const T& v) {
-    if (closed_.load(std::memory_order_acquire)) return false;
-    const uint64_t t = tail_.load(std::memory_order_relaxed);
-    if (t - head_cache_ > mask_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (t - head_cache_ > mask_) return false;  // full
-    }
-    buf_[t & mask_] = v;
-    tail_.store(t + 1, std::memory_order_release);
-    return true;
-  }
-
-  bool try_pop(T& out) {
-    const uint64_t h = head_.load(std::memory_order_relaxed);
-    if (h == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (h == tail_cache_) return false;  // empty
-    }
-    out = buf_[h & mask_];
-    head_.store(h + 1, std::memory_order_release);
-    return true;
-  }
-
-  // ---- bulk transfer -------------------------------------------------
-  // One acquire/release pair moves a whole burst, so the cross-thread
-  // cache-line traffic on the two indices is amortized over the burst
-  // instead of paid per item (docs/runtime.md "Hot path").
-
   // Enqueue up to n items; returns how many fit (0 when full or closed).
   // A partial push publishes a contiguous prefix of v.
   std::size_t try_push_bulk(const T* v, std::size_t n) {
@@ -83,22 +59,23 @@ class SpscRing {
     return m;
   }
 
-  // Copy up to max queued items into out WITHOUT consuming them; returns
-  // the count.  Pair with consume(k), k <= that count, once the items are
-  // actually handled.  Consumer thread only.  The peek/consume split lets
-  // the shard worker stop a burst at a control item (fence, crash poison)
-  // and leave everything behind it in the ring — exactly the items the
+  // Up to max queued items, read in place from the ring's slots and NOT
+  // consumed; empty when the ring is.  The span stops at the physical end
+  // of the buffer, so a burst that wraps comes back in two calls.  The
+  // slots stay untouched by the producer until consume(k), k <= size(),
+  // retires them.  Consumer thread only.  The peek/consume split lets the
+  // shard worker stop a burst at a control item (fence, crash poison) and
+  // leave everything behind it in the ring — exactly the items the
   // failover path must be able to salvage.
-  std::size_t peek_bulk(T* out, std::size_t max) {
+  std::span<const T> peek(std::size_t max) {
     const uint64_t h = head_.load(std::memory_order_relaxed);
     if (h == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (h == tail_cache_) return 0;  // empty
+      if (h == tail_cache_) return {};  // empty
     }
+    const std::size_t at = static_cast<std::size_t>(h & mask_);
     const std::size_t avail = static_cast<std::size_t>(tail_cache_ - h);
-    const std::size_t m = max < avail ? max : avail;
-    for (std::size_t i = 0; i < m; ++i) out[i] = buf_[(h + i) & mask_];
-    return m;
+    return {buf_.data() + at, std::min({avail, max, mask_ + 1 - at})};
   }
 
   // Retire n items previously peeked (single release on the head index).
@@ -109,20 +86,13 @@ class SpscRing {
     wake(producer_waiting_);
   }
 
-  // Dequeue up to max items in one handshake; returns the count.
-  std::size_t try_pop_bulk(T* out, std::size_t max) {
-    const std::size_t n = peek_bulk(out, max);
-    consume(n);
-    return n;
-  }
-
-  // Blocking bulk peek: waits (spin, then park) until at least one item is
-  // queued, then copies up to max items out without consuming them.
-  std::size_t wait_peek_bulk(T* out, std::size_t max) {
+  // Blocking peek: waits (spin, then park) until at least one item is
+  // queued, then returns peek(max).
+  std::span<const T> wait_peek(std::size_t max) {
     while (true) {
       for (int i = 0; i < kSpin; ++i) {
-        const std::size_t n = peek_bulk(out, max);
-        if (n != 0) return n;
+        const std::span<const T> s = peek(max);
+        if (!s.empty()) return s;
         std::this_thread::yield();
       }
       park(consumer_waiting_, [this] { return can_pop(); });
@@ -130,51 +100,19 @@ class SpscRing {
   }
 
   struct PushResult {
-    uint64_t stalls = 0;  // failed attempts before the item fit
-    bool ok = true;       // false: the ring is closed, nothing was enqueued
+    uint64_t stalls = 0;  // failed attempts before the items fit
+    bool ok = true;       // false: not everything was enqueued
   };
 
-  // Blocking push.  Fails fast (ok = false) if the ring is closed — a
-  // consumer that exited must not strand its producer spinning forever.
-  // The demux counts `stalls` as backpressure.
-  PushResult push(const T& v) { return push_for(v, /*timeout_ms=*/0); }
-
-  // Blocking push with a deadline: additionally gives up (ok = false, ring
-  // still open) after `timeout_ms` milliseconds without space, so a caller
-  // can check the consumer's health before trying again.  timeout_ms = 0
-  // means no deadline.
-  PushResult push_for(const T& v, uint64_t timeout_ms) {
-    PushResult r;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (true) {
-      if (closed_.load(std::memory_order_acquire)) {
-        r.ok = false;
-        return r;
-      }
-      for (int i = 0; i < kSpin; ++i) {
-        if (try_push(v)) {
-          wake(consumer_waiting_);
-          return r;
-        }
-        ++r.stalls;
-        std::this_thread::yield();
-      }
-      if (timeout_ms != 0 && std::chrono::steady_clock::now() >= deadline) {
-        r.ok = false;
-        return r;
-      }
-      park(producer_waiting_,
-           [this] { return can_push() || closed(); });
-    }
-  }
-
-  // Blocking bulk push of the whole batch.  Partial progress is fine (the
-  // batch lands as several bursts under backpressure); the call only gives
-  // up when the ring closes (ok = false) or when `timeout_ms` milliseconds
-  // pass with NO forward progress — a deadline since the last accepted
-  // item, not since the call, so a slowly-draining consumer never trips it.
-  // `*pushed` always reports how many leading items were enqueued.
+  // Blocking bulk push of the whole batch: the only blocking push.
+  // Partial progress is fine (the batch lands as several bursts under
+  // backpressure); the call only gives up when the ring closes (ok =
+  // false; a consumer that exited must not strand its producer) or when
+  // `timeout_ms` milliseconds pass with NO forward progress — a deadline
+  // since the last accepted item, not since the call, so a
+  // slowly-draining consumer never trips it.  timeout_ms = 0 means no
+  // deadline.  `*pushed` always reports how many leading items were
+  // enqueued.
   PushResult push_bulk_for(const T* v, std::size_t n, uint64_t timeout_ms,
                            std::size_t* pushed) {
     PushResult r;
@@ -210,22 +148,8 @@ class SpscRing {
     return r;
   }
 
-  // Blocking pop.
-  void pop(T& out) {
-    while (true) {
-      for (int i = 0; i < kSpin; ++i) {
-        if (try_pop(out)) {
-          wake(producer_waiting_);
-          return;
-        }
-        std::this_thread::yield();
-      }
-      park(consumer_waiting_, [this] { return can_pop(); });
-    }
-  }
-
   // Shut the ring: subsequent pushes fail fast; items already enqueued can
-  // still be drained with try_pop.  Either side may close (the runtime's
+  // still be drained with peek/consume.  Either side may close (the runtime's
   // workers close on death so the demux detects them at the next push);
   // parked producers are woken promptly.
   void close() {
@@ -249,8 +173,19 @@ class SpscRing {
     return static_cast<std::size_t>(t - h);
   }
 
+  // Producer side, for a closed ring: how many queued items satisfy
+  // `pred`.  A consumer only reads slots, so a hung one is no hazard.
+  template <typename Pred>
+  std::size_t count_queued(Pred pred) const {
+    const uint64_t t = tail_.load(std::memory_order_relaxed);
+    std::size_t n = 0;
+    for (uint64_t i = head_.load(std::memory_order_acquire); i != t; ++i)
+      n += pred(buf_[i & mask_]) ? 1 : 0;
+    return n;
+  }
+
   // Test seam: invoked at the top of park(), i.e. exactly in the window
-  // between the caller's last failed try_pop/try_push and the waiting-flag
+  // between the caller's last failed peek/try_push_bulk and the waiting-flag
   // publication.  Lets a regression test inject a push into that window
   // deterministically (tests/test_runtime.cpp ParkRecheck).
   void set_park_test_hook(std::function<void()> hook) {

@@ -59,7 +59,6 @@ Pipeline copy_reusing_banks(const Pipeline& src, Pipeline& old) {
 ShardWorker::ShardWorker(std::size_t index, std::size_t queue_capacity,
                          std::size_t burst)
     : index_(index), burst_(burst == 0 ? 1 : burst), ring_(queue_capacity) {
-  batch_.resize(burst_);
   phvs_.resize(burst_);
 }
 
@@ -68,7 +67,8 @@ ShardWorker::~ShardWorker() {
     // Release a Stall'd thread first; the Stop push fails harmlessly on a
     // closed ring (dead worker), whose thread has already returned.
     stall_release_.store(true, std::memory_order_release);
-    ring_.push({WorkItem::Kind::Stop, {}});
+    const WorkItem stop{WorkItem::Kind::Stop, {}};
+    ring_.push_bulk_for(&stop, 1, /*timeout_ms=*/0, nullptr);
     thread_.join();
   }
 }
@@ -124,6 +124,23 @@ void ShardWorker::join() {
   started_ = false;
 }
 
+std::size_t ShardWorker::post(const WorkItem* items, std::size_t n,
+                              uint64_t stall_ms, uint64_t& stalls) {
+  std::size_t done = 0;
+  while (done < n) {
+    const uint64_t hb = heartbeat();
+    std::size_t pushed = 0;
+    const auto r = ring_.push_bulk_for(items + done, n - done, stall_ms,
+                                       &pushed);
+    done += pushed;
+    stalls += r.stalls;
+    // Gave up: ring closed (crash), or no progress by the deadline — retry
+    // if the heartbeat advanced (slow but live), else it is a hang.
+    if (r.ok || dead() || heartbeat() == hb) break;
+  }
+  return done;
+}
+
 bool ShardWorker::wait_fence_for(uint64_t seq, uint64_t stall_ms) const {
   uint64_t last_hb = heartbeat();
   auto last_change = std::chrono::steady_clock::now();
@@ -163,9 +180,9 @@ void ShardWorker::reset_banks() {
 void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
   // Mirrors the plain-path NewtonSwitch::process (no CQE slices here);
   // window rollover is the runtime's job, signalled by fences, so the
-  // worker never resets state on its own.  PHVs are reused from a
-  // preallocated buffer and every PHV member lives in inline storage, so
-  // the steady-state loop performs no heap allocation.
+  // worker never resets state on its own.  Packets load straight from the
+  // ring slots into PHVs reused from a preallocated buffer; every PHV
+  // member lives in inline storage, so the loop performs no heap allocation.
   for (std::size_t i = 0; i < n; ++i) {
     Phv& phv = phvs_[i];
     phv.reset();
@@ -205,17 +222,18 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
 
 void ShardWorker::run() {
   while (true) {
-    // Drain up to a burst in one index handshake, but only consume through
-    // the first control item: anything queued behind a fence or a crash
-    // poison must stay in the ring (the demux redistributes it at
+    // Read up to a burst in place in one index handshake, but only consume
+    // through the first control item: anything queued behind a fence or a
+    // crash poison must stay in the ring (the demux redistributes it at
     // failover, and nothing follows a fence until the barrier completes).
-    const std::size_t n = ring_.wait_peek_bulk(batch_.data(), burst_);
+    const std::span<const WorkItem> items = ring_.wait_peek(burst_);
+    const std::size_t n = items.size();  // the ring's slots, read in place
     std::size_t npkts = 0;
-    while (npkts < n && batch_[npkts].kind == WorkItem::Kind::Packet) ++npkts;
-    if (npkts > 0) process_batch(batch_.data(), npkts);
+    while (npkts < n && items[npkts].kind == WorkItem::Kind::Packet) ++npkts;
+    if (npkts > 0) process_batch(items.data(), npkts);
     const bool had_control = npkts < n;
     const WorkItem::Kind k =
-        had_control ? batch_[npkts].kind : WorkItem::Kind::Packet;
+        had_control ? items[npkts].kind : WorkItem::Kind::Packet;
     ring_.consume(npkts + (had_control ? 1 : 0));
     heartbeat_.fetch_add(1, std::memory_order_release);
     if (!had_control) continue;

@@ -89,7 +89,7 @@ class ShardWorker {
   void relower_chains();
 
   // Executor options for subsequent replica loads: chain compilation
-  // on/off (RuntimeOptions::jit / NEWTON_NO_JIT).
+  // on/off (RuntimeOptions::jit).
   void set_exec_options(const compile::ExecOptions& opts) {
     exec_opts_ = opts;
   }
@@ -103,11 +103,13 @@ class ShardWorker {
 
   SpscRing<WorkItem>& ring() { return ring_; }
 
-  // Enqueue one item.  `ok = false` means the ring is closed — the worker
-  // died (crashed or was failed over); nothing was enqueued.
-  SpscRing<WorkItem>::PushResult post(const WorkItem& item) {
-    return ring_.push(item);
-  }
+  // The one demux push path (packets, control items, failover backlog):
+  // enqueue items in order under the watchdog deadline `stall_ms` (0 =
+  // none), retrying while the heartbeat advances.  Returns how many landed;
+  // fewer than n means the worker is dead or hung.  Failed attempts
+  // (backpressure) accumulate into `stalls`.
+  std::size_t post(const WorkItem* items, std::size_t n, uint64_t stall_ms,
+                   uint64_t& stalls);
 
   // Block (spin+yield) until the worker acknowledged `seq` fences total.
   // Returns false if the worker died (ring closed without the ack) or made
@@ -153,9 +155,9 @@ class ShardWorker {
   std::shared_ptr<InitModule> init_;
   std::vector<SModule*> s_by_stage_;  // typed views into the replica
   std::vector<RModule*> r_mods_;
-  // Reusable drain/execute buffers, sized to burst_ once at start: the
-  // steady-state loop allocates nothing (docs/runtime.md "Hot path").
-  std::vector<WorkItem> batch_;
+  // Reusable PHV buffer, sized to burst_ once at construction; bursts are
+  // read in place from the ring, so the steady-state loop allocates
+  // nothing (docs/runtime.md "Hot path").
   std::vector<Phv> phvs_;
   ReportBuffer reports_;
   WorkerStats stats_;

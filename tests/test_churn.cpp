@@ -211,15 +211,14 @@ TEST(JitCoalescing, InstallStormTriggersFewRebuilds) {
   const Trace t = port_trace(4, 8, 60);
   constexpr std::size_t kStormInstalls = 12;
 
-  auto run = [&](std::size_t debounce, bool jit,
-                 std::vector<ReportRecord>& reports) -> uint64_t {
+  std::size_t mutation_barriers = 0;
+  auto run = [&](bool jit, std::vector<ReportRecord>& reports) -> uint64_t {
     telemetry::Registry::global().reset();
     Analyzer an;
     NewtonSwitch sw(1, 24, &an, 1 << 14);
     RuntimeOptions ro;
     ro.num_shards = 1;
     ro.jit = jit;
-    ro.jit_debounce_windows = debounce;
     ShardedRuntime rt(sw, ro, &an);
     ReportBuffer buf;
     rt.set_report_sink(&buf);
@@ -228,6 +227,7 @@ TEST(JitCoalescing, InstallStormTriggersFewRebuilds) {
                             static_cast<uint16_t>(20'000 + i)));
     rt.start();
     std::size_t queued = 0;
+    mutation_barriers = 0;
     uint64_t seen_epoch = ~0ull;
     for (const Packet& p : t.packets) {
       const uint64_t epoch = p.ts_ns / 100'000'000ull;
@@ -235,6 +235,7 @@ TEST(JitCoalescing, InstallStormTriggersFewRebuilds) {
         seen_epoch = epoch;
         // Three installs per window: a storm of back-to-back mutation
         // barriers.
+        ++mutation_barriers;
         for (int j = 0; j < 3 && queued < kStormInstalls; ++j, ++queued)
           rt.install(port_query("storm" + std::to_string(queued),
                                 static_cast<uint16_t>(21'000 + queued)));
@@ -242,29 +243,29 @@ TEST(JitCoalescing, InstallStormTriggersFewRebuilds) {
       rt.process(p);
     }
     rt.finish();
+    EXPECT_EQ(rt.stats().rule_updates_applied, kStormInstalls);
     reports = buf.records();
     return rt.stats().jit_recompiles;
   };
 
-  std::vector<ReportRecord> debounced, eager, interp;
-  const uint64_t coalesced = run(/*debounce=*/2, /*jit=*/true, debounced);
-  const uint64_t eager_n = run(/*debounce=*/0, /*jit=*/true, eager);
-  (void)run(/*debounce=*/0, /*jit=*/false, interp);
+  std::vector<ReportRecord> coalesced_reports, interp;
+  const uint64_t coalesced = run(/*jit=*/true, coalesced_reports);
+  (void)run(/*jit=*/false, interp);
 
-  // Eager rebuilds once per mutation barrier (+1 initial); debounce folds
-  // back-to-back storms into far fewer.
+  // Rebuilding at every mutation barrier would cost one recompile per
+  // barrier (+1 initial); the debounce folds the back-to-back storm into
+  // far fewer.
+  ASSERT_GE(mutation_barriers, 3u);
   EXPECT_LT(coalesced, kStormInstalls / 2);
   EXPECT_GE(coalesced, 1u);
-  EXPECT_LT(coalesced, eager_n);
+  EXPECT_LT(coalesced, mutation_barriers + 1);
 
   // Coalescing (and the interpreter windows it runs in the meantime) must
   // not change a single output byte.
-  ASSERT_EQ(debounced.size(), eager.size());
-  ASSERT_EQ(debounced.size(), interp.size());
-  for (std::size_t i = 0; i < debounced.size(); ++i) {
-    EXPECT_TRUE(same_record(debounced[i], eager[i])) << "record " << i;
-    EXPECT_TRUE(same_record(debounced[i], interp[i])) << "record " << i;
-  }
+  ASSERT_EQ(coalesced_reports.size(), interp.size());
+  for (std::size_t i = 0; i < coalesced_reports.size(); ++i)
+    EXPECT_TRUE(same_record(coalesced_reports[i], interp[i]))
+        << "record " << i;
 }
 
 // ---------------------------------------------------------------------------

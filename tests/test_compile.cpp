@@ -8,13 +8,12 @@
 //     query of the same run still reads (per-query alive rows);
 //   * the bench query set (q1/q3/q5) and all six detector-library chains
 //     lower to the compiled executor;
-//   * both escape hatches (RuntimeOptions::jit = false, NEWTON_NO_JIT)
-//     route every packet through the interpreter.
+//   * the escape hatch (RuntimeOptions::jit = false) routes every packet
+//     through the interpreter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <random>
@@ -481,23 +480,4 @@ TEST(CompiledEscapeHatch, OptionDisablesJit) {
   }
   EXPECT_EQ(jit, 0u);
   EXPECT_GT(total, 0u);
-}
-
-// NEWTON_NO_JIT in the environment overrides the default-on option — the
-// operator's kill switch needs no code change.
-TEST(CompiledEscapeHatch, EnvVarDisablesJit) {
-  ASSERT_EQ(setenv("NEWTON_NO_JIT", "1", 1), 0);
-  {
-    Analyzer an;
-    NewtonSwitch sw(1, 24, nullptr);
-    ShardedRuntime rt(sw, {}, &an);
-    EXPECT_FALSE(rt.jit_enabled());
-  }
-  unsetenv("NEWTON_NO_JIT");
-  {
-    Analyzer an;
-    NewtonSwitch sw(1, 24, nullptr);
-    ShardedRuntime rt(sw, {}, &an);
-    EXPECT_TRUE(rt.jit_enabled());
-  }
 }

@@ -6,9 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <exception>
+#include <future>
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -756,6 +762,90 @@ TEST(Watchdog, StalledShardIsDetectedAndAbandoned) {
   // Lossy by design, but bounded: only the abandoned backlog is missing.
   const RunResult ref = run_direct(t, queries);
   EXPECT_LE(r.records.size(), ref.records.size());
+}
+
+// ---------------------------------------------------------------------------
+// Bounded handoff: every demux push, control items included, runs under the
+// watchdog deadline
+// ---------------------------------------------------------------------------
+
+// The hung-shard probe: 2 shards keyed on dip, shard 1 stalled, then
+// `to_stalled` packets owned by shard 1 and one packet in the next window,
+// whose barrier must detect the hang.  The demux runs on its own thread so
+// a barrier that wedges fails the test within seconds instead of hanging
+// the suite; the wedged thread is then detached and keeps the state it
+// owns.  Returns the run's stats, or nothing if finish() never returned.
+std::optional<RuntimeStats> run_hung_shard_probe(std::size_t queue_capacity,
+                                                 std::size_t to_stalled) {
+  struct Probe {
+    NewtonSwitch sw{1, 24, nullptr};
+    std::unique_ptr<ShardedRuntime> rt;
+  };
+  auto probe = std::make_shared<Probe>();
+  RuntimeOptions o;
+  o.num_shards = 2;
+  o.queue_capacity = queue_capacity;
+  o.shard_key = ShardKey::on({Field::DstIp});
+  o.watchdog_stall_ms = 50;
+  o.record_snapshots = false;
+  probe->rt = std::make_unique<ShardedRuntime>(probe->sw, o);
+  probe->rt->install(make_syn_export());
+
+  std::vector<Packet> pkts;
+  for (uint32_t dip = 1; pkts.size() < to_stalled; ++dip) {
+    const Packet p = make_packet(ipv4(10, 0, 0, 1), dip, 1234, 80, kProtoTcp,
+                                 kTcpSyn, 64, 1'000 * pkts.size());
+    if (o.shard_key.shard_of(p, o.num_shards) == 1) pkts.push_back(p);
+  }
+  pkts.push_back(make_packet(ipv4(10, 0, 0, 1), 1, 1234, 80, kProtoTcp,
+                             kTcpSyn, 64, 150'000'000));  // next window
+
+  std::promise<RuntimeStats> done;
+  std::future<RuntimeStats> result = done.get_future();
+  std::thread demux([probe, pkts, done = std::move(done)]() mutable {
+    try {
+      ShardedRuntime& rt = *probe->rt;
+      rt.start();
+      rt.stall_shard_for_test(1);
+      for (const Packet& p : pkts) rt.process(p);
+      rt.finish();
+      done.set_value(rt.stats());
+    } catch (...) {
+      done.set_exception(std::current_exception());
+    }
+  });
+  if (result.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    demux.detach();
+    return std::nullopt;
+  }
+  demux.join();
+  return result.get();
+}
+
+TEST(BoundedHandoff, FenceIntoFullHungRingFailsOver) {
+  // Shard 1 hangs with its ring exactly full, so the barrier's fence cannot
+  // land.  The fence push runs under the watchdog deadline like a packet
+  // burst: the shard fails over and finish() returns, instead of the demux
+  // parking forever on the full ring.
+  const auto stats = run_hung_shard_probe(/*queue_capacity=*/8,
+                                          /*to_stalled=*/8);
+  ASSERT_TRUE(stats.has_value()) << "barrier wedged on a hung shard's full "
+                                    "ring";
+  EXPECT_EQ(stats->worker_failovers, 1u);
+  EXPECT_EQ(stats->live_shards, 1u);
+  EXPECT_EQ(stats->abandoned_packets, 8u);
+  EXPECT_EQ(stats->packets_in, 9u);
+}
+
+TEST(BoundedHandoff, AbandonedCountsOnlyPackets) {
+  // The hung shard's ring holds its 5 packets and the fence the barrier
+  // posted behind them; only the packets are lost.
+  const auto stats = run_hung_shard_probe(/*queue_capacity=*/64,
+                                          /*to_stalled=*/5);
+  ASSERT_TRUE(stats.has_value()) << "barrier wedged on a hung shard";
+  EXPECT_EQ(stats->worker_failovers, 1u);
+  EXPECT_EQ(stats->abandoned_packets, 5u);
 }
 
 // ---------------------------------------------------------------------------

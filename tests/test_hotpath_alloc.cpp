@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include <cstdio>
@@ -141,10 +142,9 @@ TEST(HotPathAlloc, SteadyStateBurstLoopAllocatesNothing) {
     }
   }
 
-  // The worker's preallocated drain/execute buffers and ring.
+  // The demux's staging buffer, the ring, and the worker's PHV buffer.
   SpscRing<WorkItem> ring(256);
   std::vector<WorkItem> staged(kBurst);
-  std::vector<WorkItem> batch(kBurst);
   std::vector<Phv> phvs(kBurst);
 
   // Warm-up pass: fault in any lazy one-time work.
@@ -168,17 +168,22 @@ TEST(HotPathAlloc, SteadyStateBurstLoopAllocatesNothing) {
       ++n;
     }
     ASSERT_EQ(ring.try_push_bulk(staged.data(), n), n);
-    // Worker side: one bulk peek/consume, PHV refill, stage-major burst.
-    const std::size_t got = ring.peek_bulk(batch.data(), kBurst);
-    ASSERT_EQ(got, n);
-    for (std::size_t i = 0; i < got; ++i) {
-      phvs[i].reset();
-      phvs[i].pkt = batch[i].pkt;
+    // Worker side: in-place peek (a burst that wraps comes back in two
+    // pieces), PHVs loaded straight from the ring slots, stage-major burst,
+    // consume.
+    for (std::size_t got = 0; got < n;) {
+      const std::span<const WorkItem> items = ring.peek(kBurst);
+      ASSERT_FALSE(items.empty());
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        phvs[i].reset();
+        phvs[i].pkt = items[i].pkt;
+      }
+      init->execute_burst(phvs.data(), items.size());
+      replica.process_burst(phvs.data(), items.size());
+      ring.consume(items.size());
+      got += items.size();
     }
-    init->execute_burst(phvs.data(), got);
-    replica.process_burst(phvs.data(), got);
-    ring.consume(got);
-    done += got;
+    done += n;
   }
   const uint64_t after = g_allocs.load(std::memory_order_relaxed);
   // --- end measured region --------------------------------------------

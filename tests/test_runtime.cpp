@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -475,9 +476,22 @@ TEST(BurstEquivalence, MidStreamMutationsUnaffectedByBurst) {
   }
 }
 
+// One item through the ring's bulk API: the blocking push (no deadline) and
+// a blocking in-place peek plus consume.
+template <typename T>
+bool push_one(SpscRing<T>& ring, T v, uint64_t timeout_ms = 0) {
+  return ring.push_bulk_for(&v, 1, timeout_ms, nullptr).ok;
+}
+
+template <typename T>
+T pop_one(SpscRing<T>& ring) {
+  const T v = ring.wait_peek(1)[0];
+  ring.consume(1);
+  return v;
+}
+
 TEST(SpscRing, BulkTransferRoundTrips) {
   SpscRing<int> ring(8);
-  int buf[16];
 
   // Partial prefix push into a ring with limited space.
   int src[12];
@@ -485,21 +499,27 @@ TEST(SpscRing, BulkTransferRoundTrips) {
   EXPECT_EQ(ring.try_push_bulk(src, 12), 8u);   // capacity-bounded
   EXPECT_EQ(ring.try_push_bulk(src + 8, 4), 0u);
 
-  // Peek does not consume; consume advances exactly n.
-  EXPECT_EQ(ring.peek_bulk(buf, 16), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(buf[i], i);
-  EXPECT_EQ(ring.peek_bulk(buf, 16), 8u);  // unchanged
+  // Peek reads the slots in place and does not consume; consume advances
+  // exactly n.
+  std::span<const int> s = ring.peek(16);
+  ASSERT_EQ(s.size(), 8u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(s[i], i);
+  EXPECT_EQ(ring.peek(16).data(), s.data());  // unchanged
+  EXPECT_EQ(ring.peek(3).size(), 3u);         // capped at max
   ring.consume(3);
-  EXPECT_EQ(ring.peek_bulk(buf, 16), 5u);
-  EXPECT_EQ(buf[0], 3);
+  s = ring.peek(16);
+  ASSERT_EQ(s.size(), 5u);
+  EXPECT_EQ(s[0], 3);
   EXPECT_EQ(ring.try_push_bulk(src + 8, 4), 3u);  // freed space reused
-  // The consumer-side tail cache refreshes lazily, so one pop may see a
-  // smaller burst than is queued — drain and check the whole sequence.
-  int drained[16];
-  std::size_t total = 0;
-  for (std::size_t n; (n = ring.try_pop_bulk(drained + total, 16)) != 0;)
-    total += n;
-  ASSERT_EQ(total, 8u);
+  // The consumer-side tail cache refreshes lazily, and a peek stops at the
+  // physical end of the buffer, so one peek may see a smaller burst than
+  // is queued — drain and check the whole sequence.
+  std::vector<int> drained;
+  for (s = ring.peek(16); !s.empty(); s = ring.peek(16)) {
+    drained.insert(drained.end(), s.begin(), s.end());
+    ring.consume(s.size());
+  }
+  ASSERT_EQ(drained.size(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(drained[i], 3 + i);
 
   // Blocking bulk push reports partial progress on close.
@@ -516,12 +536,28 @@ TEST(SpscRing, BulkTransferRoundTrips) {
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(pushed, 0u);
 
-  // Wraparound: bulk ops split across the physical end of the buffer.
+  // Wraparound: a bulk push splits across the physical end of the buffer,
+  // and the in-place peek hands the burst back in two contiguous pieces
+  // that end exactly at the wrap.
   SpscRing<int> wrap(8);
+  uint64_t tail = 0;
   for (int round = 0; round < 5; ++round) {
     ASSERT_EQ(wrap.try_push_bulk(src, 5), 5u);
-    ASSERT_EQ(wrap.try_pop_bulk(buf, 5), 5u);
-    for (int i = 0; i < 5; ++i) ASSERT_EQ(buf[i], i);
+    std::vector<int> got;
+    while (got.size() < 5) {
+      const std::span<const int> piece = wrap.peek(5);
+      ASSERT_FALSE(piece.empty());
+      const std::size_t slot = (tail + got.size()) % 8;
+      EXPECT_LE(slot + piece.size(), 8u) << "peek crossed the wrap";
+      if (slot + (5 - got.size()) > 8) {
+        EXPECT_EQ(piece.size(), 8 - slot) << "peek stopped short of the wrap";
+      }
+      got.insert(got.end(), piece.begin(), piece.end());
+      wrap.consume(piece.size());
+    }
+    tail += 5;
+    ASSERT_EQ(got.size(), 5u);
+    for (int i = 0; i < 5; ++i) ASSERT_EQ(got[i], i);
   }
 }
 
@@ -538,14 +574,16 @@ TEST(SpscRing, ParkRecheckSeesItemPublishedBeforeWait) {
   // 1ms timeout with data sitting in the queue.
   SpscRing<int> ring(8);
   int next = 0;
-  ring.set_park_test_hook([&] { ASSERT_TRUE(ring.try_push(++next)); });
+  ring.set_park_test_hook([&] {
+    ++next;
+    ASSERT_EQ(ring.try_push_bulk(&next, 1), 1u);
+  });
 
   constexpr int kIters = 16;
   int fast = 0;
   for (int i = 1; i <= kIters; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
-    int v = 0;
-    ring.pop(v);
+    const int v = pop_one(ring);
     const double us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
@@ -559,41 +597,47 @@ TEST(SpscRing, ParkRecheckSeesItemPublishedBeforeWait) {
 
 TEST(SpscRing, PushAfterCloseFailsFastAndWakesWaiters) {
   SpscRing<int> ring(4);
-  ASSERT_TRUE(ring.try_push(1));
+  ASSERT_TRUE(push_one(ring, 1));
   ring.close();
   EXPECT_TRUE(ring.closed());
 
   // Closed ring: non-blocking and blocking pushes both refuse immediately —
   // the demux must see the failure and fail the shard over, never enqueue
   // into a dead worker's ring.
-  EXPECT_FALSE(ring.try_push(2));
-  const auto res = ring.push_for(3, /*stall_ms=*/1'000);
+  const int two = 2;
+  EXPECT_EQ(ring.try_push_bulk(&two, 1), 0u);
+  std::size_t pushed = 1;
+  const int three = 3;
+  const auto res = ring.push_bulk_for(&three, 1, /*timeout_ms=*/1'000,
+                                      &pushed);
   EXPECT_FALSE(res.ok);
+  EXPECT_EQ(pushed, 0u);
 
   // Items accepted before the close still drain (the failover path salvages
   // the backlog), and close() is idempotent.
-  int v = 0;
-  EXPECT_TRUE(ring.try_pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_FALSE(ring.try_pop(v));
+  const std::span<const int> left = ring.peek(4);
+  ASSERT_EQ(left.size(), 1u);
+  EXPECT_EQ(left[0], 1);
+  ring.consume(1);
+  EXPECT_TRUE(ring.peek(4).empty());
   ring.close();
   EXPECT_TRUE(ring.closed());
 
   // A producer blocked on a full ring is released promptly by close(),
   // instead of sleeping out its full deadline.
   SpscRing<int> full(1);
-  ASSERT_TRUE(full.try_push(7));
+  ASSERT_TRUE(push_one(full, 7));
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     full.close();
   });
   const auto t0 = std::chrono::steady_clock::now();
-  const auto blocked = full.push_for(8, /*stall_ms=*/5'000);
+  const bool blocked = push_one(full, 8, /*timeout_ms=*/5'000);
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
   closer.join();
-  EXPECT_FALSE(blocked.ok);
+  EXPECT_FALSE(blocked);
   EXPECT_LT(ms, 2'000.0);
 }
 
@@ -606,18 +650,12 @@ TEST(SpscRing, PingPongLatency) {
   SpscRing<int> up(4), down(4);
   constexpr int kRounds = 1000;
   std::thread echo([&] {
-    for (int i = 0; i < kRounds; ++i) {
-      int v = 0;
-      up.pop(v);
-      down.push(v + 1);
-    }
+    for (int i = 0; i < kRounds; ++i) push_one(down, pop_one(up) + 1);
   });
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kRounds; ++i) {
-    up.push(i);
-    int v = 0;
-    down.pop(v);
-    ASSERT_EQ(v, i + 1);
+    push_one(up, i);
+    ASSERT_EQ(pop_one(down), i + 1);
   }
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
