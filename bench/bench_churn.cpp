@@ -11,8 +11,9 @@
 //            install+withdraw churn pairs (plus periodic inadmissible
 //            installs that admission must bounce without residue) at
 //            every window barrier.  Reports sustained churn ops/min,
-//            concurrent query count, rejected installs, and how many JIT
-//            rebuilds the debounce coalesced the mutation storm into.
+//            concurrent query count, rejected installs, and how many
+//            replica loads lowered the chains (the start plus one per
+//            mutation barrier).
 //   phase 2  install-latency SLO: on the still-loaded switch, run direct
 //            controller install+withdraw cycles and report the wall and
 //            modeled install-latency distribution (p50/p95/p99).

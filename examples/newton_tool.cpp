@@ -143,9 +143,9 @@ int cmd_csv(int argc, char** argv) {
 // Bare `queries` lists the Q1-Q9 library.  `queries --installed [qN[@tenant]
 // ...]` installs the named queries (default: all nine) through the sharded
 // runtime and prints the operator view of the installed set: tenant, qids,
-// per-stage resource usage (core/admission.h demand vectors) and each
-// branch's JIT coverage state (compiled / interp) from the same
-// coverage the newton_jit_query_compiled gauge exports.
+// per-stage resource usage (core/admission.h demand vectors) and the tier
+// its chains run on: `compiled` when the runtime's jit is on (every
+// installed branch lowers at every replica load), else `interp`.
 int cmd_queries(int argc, char** argv) {
   if (argc < 3) {
     for (std::size_t i = 1; i <= 9; ++i)
@@ -185,17 +185,7 @@ int cmd_queries(int argc, char** argv) {
     }
   }
   rt.start();  // clones replicas and lowers the installed chains
-
-  std::map<uint16_t, compile::QueryCoverage> cov;
-  for (const compile::QueryCoverage& c : rt.jit_coverage()) cov[c.qid] = c;
-  const auto jit_state = [&](const std::vector<uint16_t>& qids) {
-    bool any_compiled = false;
-    for (uint16_t qid : qids) {
-      const auto it = cov.find(qid);
-      any_compiled |= it != cov.end() && it->second.compiled;
-    }
-    return any_compiled ? "compiled" : "interp";
-  };
+  const char* tier = rt.jit_enabled() ? "compiled" : "interp";
 
   std::printf("%-18s %-10s %-8s %-6s %-6s %-6s %s\n", "query", "tenant",
               "jit", "rules", "regs", "init", "qids");
@@ -205,7 +195,7 @@ int cmd_queries(int argc, char** argv) {
       qids += (qids.empty() ? "" : ",") + std::to_string(q);
     std::printf("%-18s %-10s %-8s %-6zu %-6zu %-6zu [%s]\n",
                 info.name.c_str(), info.tenant.c_str(),
-                jit_state(info.qids), info.demand->total_rules,
+                tier, info.demand->total_rules,
                 info.demand->total_registers, info.demand->init_entries,
                 qids.c_str());
     for (const auto& [stage, sd] : info.demand->stages)

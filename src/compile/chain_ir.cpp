@@ -1,6 +1,7 @@
 #include "compile/chain_ir.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/modules.h"
 #include "dataplane/pipeline.h"
@@ -29,8 +30,8 @@ ChainOp base_op(OpKind kind, uint16_t qid, uint8_t set, std::size_t stage,
 
 }  // namespace
 
-Lowering lower(Pipeline& pipe) {
-  Lowering out;
+std::vector<Chain> lower(Pipeline& pipe) {
+  std::vector<Chain> out;
   // Walk (stage, slot) major — the interpreter's visit order — appending
   // each rule to its query's chain, so every chain comes out already
   // ordered and a k-way merge by `order` reconstructs the exact
@@ -43,7 +44,7 @@ Lowering lower(Pipeline& pipe) {
         k->table().for_each([&](uint16_t qid, const KConfig& cfg) {
           ChainOp op = base_op(OpKind::K, qid, cfg.set, si, ti, *k);
           op.masks = cfg.masks;
-          chain_for(out.chains, qid).ops.push_back(op);
+          chain_for(out, qid).ops.push_back(op);
         });
       } else if (auto* h = dynamic_cast<HModule*>(t)) {
         h->table().for_each([&](uint16_t qid, const HConfig& cfg) {
@@ -54,7 +55,7 @@ Lowering lower(Pipeline& pipe) {
           op.width = cfg.width;
           op.offset = cfg.offset;
           op.direct_index = static_cast<uint8_t>(index(cfg.direct_field));
-          chain_for(out.chains, qid).ops.push_back(op);
+          chain_for(out, qid).ops.push_back(op);
         });
       } else if (auto* s = dynamic_cast<SModule*>(t)) {
         s->table().for_each([&](uint16_t qid, const SConfig& cfg) {
@@ -67,7 +68,7 @@ Lowering lower(Pipeline& pipe) {
           op.guard_lo = cfg.guard_lo;
           op.guard_hi = cfg.guard_hi;
           op.index_base = cfg.index_base;
-          chain_for(out.chains, qid).ops.push_back(op);
+          chain_for(out, qid).ops.push_back(op);
         });
       } else if (auto* r = dynamic_cast<RModule*>(t)) {
         r->table().for_each([&](uint16_t qid, const RConfig& cfg) {
@@ -80,18 +81,15 @@ Lowering lower(Pipeline& pipe) {
           op.on_miss = cfg.on_miss;
           op.sink = r->sink();
           op.switch_id = r->switch_id();
-          chain_for(out.chains, qid).ops.push_back(op);
+          chain_for(out, qid).ops.push_back(op);
         });
       } else {
-        // A table type the lowerer doesn't model: the interpreter owns this
-        // pipeline outright.
-        out.ok = false;
-        out.chains.clear();
-        return out;
+        throw std::logic_error("compile::lower: unmodeled table " +
+                               t->name());
       }
     }
   }
-  std::sort(out.chains.begin(), out.chains.end(),
+  std::sort(out.begin(), out.end(),
             [](const Chain& a, const Chain& b) { return a.qid < b.qid; });
   return out;
 }

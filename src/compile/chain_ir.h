@@ -82,18 +82,12 @@ struct Chain {
   std::vector<ChainOp> ops;
 };
 
-struct Lowering {
-  std::vector<Chain> chains;
-  // False when the pipeline holds a table the lowerer doesn't model (no
-  // such table type exists today; defensive for future pipeline tenants) —
-  // the whole replica then stays on the interpreter.
-  bool ok = true;
-};
-
-// Lower every installed chain of `pipe`.  Call with the replica quiesced
-// and (for R ops) after report sinks were rebound: the lowered ops capture
-// the sink pointers as constants.
-Lowering lower(Pipeline& pipe);
+// Lower every installed chain of `pipe`, sorted by qid.  Call with the
+// replica quiesced and (for R ops) after report sinks were rebound: the
+// lowered ops capture the sink pointers as constants.  Throws
+// std::logic_error on a table that is not a K/H/S/R module — the layout
+// places nothing else in a switch pipeline.
+std::vector<Chain> lower(Pipeline& pipe);
 
 }  // namespace compile
 }  // namespace newton

@@ -189,19 +189,15 @@ void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
   by_qid_.fill(nullptr);
   needs_zero_.reset();
   compiled_.reset();
-  coverage_.clear();
   merged_.clear();
   if (!opts.enabled) return;
-  Lowering l = lower(pipe);
-  if (!l.ok) return;
-  chains_ = std::move(l.chains);
+  chains_ = lower(pipe);
   std::size_t total_ops = 0;
   for (const Chain& c : chains_) {
     by_qid_[c.qid] = &c;
     compiled_.set(c.qid);
     needs_zero_.set(c.qid, lanes_need_zero(c));
     total_ops += c.ops.size();
-    coverage_.push_back({c.qid, true});
   }
   merged_.resize(total_ops);
   buffers_.resize(burst_capacity == 0 ? 1 : burst_capacity, chains_.size());

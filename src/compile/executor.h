@@ -1,14 +1,13 @@
 // Compiled per-query executor over lowered chains (chain_ir.h).
 //
-// A worker builds one CompiledPipeline per replica load.  At run time the
-// worker partitions each burst into maximal runs of packets whose active
-// query sets are identical and fully compiled, and hands each run here.
-// The run's k active chains are merged by interpreter visit order (with
-// k = 1 that is just the chain's own op array) and executed op-major over
+// A worker builds one CompiledPipeline at every replica load, so every
+// installed chain is lowered before the replica runs a packet.  At run
+// time the worker partitions each burst into maximal runs of packets whose
+// active query sets are identical, and hands each run here.  The run's k
+// active chains are merged by interpreter visit order (with k = 1 that is
+// just the chain's own op array) and executed op-major over
 // structure-of-arrays burst buffers, so field masking and hashing touch
-// contiguous lanes.  Runs containing a query the lowerer didn't cover
-// fall back to the interpreter (the worker routes those to
-// Pipeline::process_burst).
+// contiguous lanes.
 //
 // Each active query owns an alive row: R's Stop clears that query's lane,
 // and every later op of the query skips it.  So a stopped query never
@@ -70,12 +69,6 @@ struct BurstBuffers {
   void resize(std::size_t capacity, std::size_t queries);
 };
 
-// Per-query outcome of a build, for the runtime's coverage gauge.
-struct QueryCoverage {
-  uint16_t qid = 0;
-  bool compiled = false;  // chain lowered; false = interpreter fallback
-};
-
 class CompiledPipeline {
  public:
   // Lower every installed chain of `pipe` (after report sinks are rebound)
@@ -97,7 +90,6 @@ class CompiledPipeline {
   // run had exactly one active query.
   bool execute_run(Phv* phvs, std::size_t n);
 
-  const std::vector<QueryCoverage>& coverage() const { return coverage_; }
   // Digest lanes batch-hashed so far, cumulative across rebuilds.
   uint64_t hash_lanes() const { return buffers_.hash_lanes; }
 
@@ -110,7 +102,6 @@ class CompiledPipeline {
   // first: K before H before S before R, per metadata set).
   std::bitset<kMaxQueries> needs_zero_;
   std::bitset<kMaxQueries> compiled_;
-  std::vector<QueryCoverage> coverage_;
   // Multi-query merge scratch: sized at build to the total op count, so
   // merging never allocates on the packet path.
   std::vector<const ChainOp*> merged_;

@@ -116,6 +116,12 @@ bool InitEntrySpec::overlaps(const InitEntrySpec& other) const {
 BranchModules decompose_branch(const Query& q, std::size_t branch_index,
                                bool opt1) {
   const BranchDef& def = q.branches.at(branch_index);
+  // Every branch ends in a reporting R (the terminal step below), so every
+  // installed branch lowers to a compiled chain.  Only an empty branch has
+  // nothing to report.
+  if (def.primitives.empty())
+    throw std::invalid_argument("decompose_branch: branch " + def.name +
+                                " has no primitives");
   BranchModules out;
   out.name = def.name;
   out.branch_index = branch_index;
@@ -357,10 +363,6 @@ BranchModules decompose_branch(const Query& q, std::size_t branch_index,
     r.r.on_match = RAction::Report;
     ms.push_back(r);
   }
-
-  if (ms.empty())
-    throw std::invalid_argument("decompose_branch: branch " + def.name +
-                                " compiles to nothing on the data plane");
   return out;
 }
 

@@ -255,7 +255,7 @@ NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
   }
 
   init_->execute(phv);
-  pipeline_.process(phv);
+  pipeline_.process_burst(&phv, 1);
 
   // CQE egress: snapshot results toward the next hop for every non-final
   // slice that ran with its query still live.  A resumed pass continues

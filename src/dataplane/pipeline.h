@@ -24,10 +24,6 @@ class Stage {
   // per-stage resource capacity.
   void add(std::shared_ptr<TableProgram> table);
 
-  void execute(Phv& phv) {
-    for (auto& t : tables_) t->execute(phv);
-  }
-
   // Stage-major burst execution: each table runs over the whole burst
   // before the next table starts (see TableProgram::execute_burst for why
   // this is result-identical to the packet-major order).
@@ -57,23 +53,17 @@ class Pipeline {
   const Stage& stage(std::size_t i) const { return stages_.at(i); }
   std::size_t num_stages() const { return stages_.size(); }
 
-  // Run the packet through all stages in order.  The only telemetry cost on
-  // this path is one plain increment — counts reach the registry when
-  // publish_telemetry() folds the delta in (window barriers, flushes).
-  // Semantically a burst of one (kept as a direct loop so the plain path —
-  // network switches, CQE, fault re-runs — stays byte-identical and cheap).
-  void process(Phv& phv) {
-    ++packets_seen_;
-    for (Stage& s : stages_) s.execute(phv);
-  }
-
-  // Run a whole burst through the pipeline, stage-major: stage 0 executes
-  // every packet, then stage 1, and so on.  One stage's tables (rules,
-  // match index, register bank) stay hot in cache for the entire burst
-  // instead of being evicted 24 stages deep on every packet.  Results are
-  // byte-identical to calling process() per packet in burst order: packets
-  // are independent except through per-stage register banks, and each
-  // bank's op sequence keeps the same per-packet order either way.
+  // Run a burst through the pipeline, stage-major: stage 0 executes every
+  // packet, then stage 1, and so on.  One stage's tables (rules, match
+  // index, register bank) stay hot in cache for the entire burst instead
+  // of being evicted 24 stages deep on every packet.  Results are
+  // byte-identical to running the packets one at a time in burst order:
+  // packets are independent except through per-stage register banks, and
+  // each bank's op sequence keeps the same per-packet order either way.
+  // The plain per-packet path (network switches, CQE, fault re-runs) is a
+  // burst of one.  The only telemetry cost is one plain add — counts reach
+  // the registry when publish_telemetry() folds the delta in (window
+  // barriers, flushes).
   void process_burst(Phv* phvs, std::size_t n) {
     packets_seen_ += n;
     for (Stage& s : stages_) s.execute_burst(phvs, n);

@@ -1,7 +1,6 @@
 #include "net/net_controller.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -572,11 +571,6 @@ void NetworkController::on_link_failed(int a, int b) {
 
 void NetworkController::on_link_restored(int a, int b) {
   handle_link_event(a, b);
-}
-
-PlacementMode NetworkController::default_placement_mode() {
-  return std::getenv("NEWTON_NO_INC_PLACE") ? PlacementMode::Scratch
-                                            : PlacementMode::Incremental;
 }
 
 const NetworkController::Deployment* NetworkController::deployment(

@@ -35,8 +35,8 @@ namespace newton {
 //   Incremental — per-deployment IncrementalPlacer relaxes only the
 //     affected subtree (docs/fleet.md); the default.
 //   Scratch — full `place_resilient` recompute on every event; the
-//     recompute-everything baseline `bench_fleet` compares against, also
-//     selected by the NEWTON_NO_INC_PLACE kill switch.
+//     recompute-everything baseline `bench_fleet` compares against, and the
+//     oracle the difftest `place` axis and the fleet tests check against.
 // Both modes issue byte-identical install/withdraw deltas (proven by the
 // difftest `place` axis).
 enum class PlacementMode : uint8_t { Incremental, Scratch };
@@ -196,8 +196,7 @@ class NetworkController {
   void on_link_restored(int a, int b);
 
   // Must be chosen before the first deploy (a mode flip does not retrofit
-  // existing deployments).  Defaults to Incremental, or Scratch when the
-  // NEWTON_NO_INC_PLACE environment variable is set.
+  // existing deployments).  Defaults to Incremental.
   void set_placement_mode(PlacementMode m) { mode_ = m; }
   PlacementMode placement_mode() const { return mode_; }
   // Equivalence oracle: after every incremental re-placement, cross-check
@@ -250,8 +249,7 @@ class NetworkController {
   // only; queries slicing past IncrementalPlacer::kMaxSlices fall back to
   // scratch and have no entry here).
   std::map<std::string, IncrementalPlacer> placers_;
-  static PlacementMode default_placement_mode();  // env kill switch
-  PlacementMode mode_ = default_placement_mode();
+  PlacementMode mode_ = PlacementMode::Incremental;
   bool verify_placement_ = false;
   FaultStats fault_stats_;
   std::optional<InstallFailure> last_failure_;

@@ -53,14 +53,10 @@ ShardedRuntime::ShardedRuntime(NewtonSwitch& primary, RuntimeOptions opts,
         replicas_dirty_ = true;
       });
   if (opts_.burst == 0) opts_.burst = 1;
-  compile::ExecOptions exec_opts;
-  exec_opts.enabled = opts_.jit;
   workers_.reserve(opts_.num_shards);
-  for (std::size_t i = 0; i < opts_.num_shards; ++i) {
-    workers_.push_back(std::make_unique<ShardWorker>(i, opts_.queue_capacity,
-                                                     opts_.burst));
-    workers_.back()->set_exec_options(exec_opts);
-  }
+  for (std::size_t i = 0; i < opts_.num_shards; ++i)
+    workers_.push_back(std::make_unique<ShardWorker>(
+        i, opts_.queue_capacity, opts_.burst, opts_.jit));
   staging_.resize(opts_.num_shards);
   for (auto& s : staging_) s.reserve(opts_.burst);
   stats_.workers.resize(opts_.num_shards);
@@ -122,8 +118,8 @@ void ShardedRuntime::bind_telemetry() {
                    "window barrier (side-effect-free)");
   metrics_.jit_recompiles =
       &reg.counter("newton_jit_recompiles_total",
-                   "Chain-JIT rebuild events (back-to-back rule updates "
-                   "coalesce into one rebuild; see docs/admission.md)");
+                   "Replica loads that lowered the installed chains (the "
+                   "start plus every barrier that changed the rules)");
   metrics_.shard_packets.resize(workers_.size());
   metrics_.shard_occupancy.resize(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -443,11 +439,9 @@ void ShardedRuntime::barrier() {
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i]) workers_[i]->publish_telemetry();
   const auto merge_t0 = std::chrono::steady_clock::now();
-  const bool mutating = !pending_.empty();
   drain_and_merge();
   apply_mutations();
-  if (replicas_dirty_) reload_replicas(/*build_jit=*/false);
-  maybe_relower(mutating);
+  if (replicas_dirty_) reload_replicas();
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i]) workers_[i]->reset_banks();
   metrics_.merge_us->observe(
@@ -566,52 +560,12 @@ void ShardedRuntime::apply_mutations() {
   if (applied) replicas_dirty_ = true;
 }
 
-void ShardedRuntime::reload_replicas(bool build_jit) {
+void ShardedRuntime::reload_replicas() {
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i])
-      workers_[i]->load_replica(primary_.pipeline(), primary_.init_table(),
-                                build_jit);
+      workers_[i]->load_replica(primary_.pipeline(), primary_.init_table());
   replicas_dirty_ = false;
-  if (opts_.jit && build_jit) {
-    ++stats_.jit_recompiles;
-    jit_stale_ = false;
-    publish_jit_coverage();
-  } else if (opts_.jit) {
-    jit_stale_ = true;
-  }
-}
-
-void ShardedRuntime::maybe_relower(bool mutated_this_barrier) {
-  if (!opts_.jit || !jit_stale_ || mutated_this_barrier) return;
-  for (std::size_t i = 0; i < workers_.size(); ++i)
-    if (alive_[i]) workers_[i]->relower_chains();
-  ++stats_.jit_recompiles;
-  jit_stale_ = false;
-  publish_jit_coverage();
-}
-
-std::vector<compile::QueryCoverage> ShardedRuntime::jit_coverage() const {
-  for (std::size_t i = 0; i < workers_.size(); ++i)
-    if (alive_[i]) return workers_[i]->jit().coverage();
-  return {};
-}
-
-void ShardedRuntime::publish_jit_coverage() {
-  if (!opts_.jit) return;
-  telemetry::Registry& reg =
-      opts_.registry ? *opts_.registry : telemetry::Registry::global();
-  for (const compile::QueryCoverage& c : jit_coverage()) {
-    const auto it = qid_owner_.find(c.qid);
-    const telemetry::Labels labels{
-        {"query", it == qid_owner_.end() ? "?" : it->second.first},
-        {"branch",
-         std::to_string(it == qid_owner_.end() ? 0 : it->second.second)}};
-    reg.gauge("newton_jit_query_compiled",
-              "1 = the query branch's chain runs compiled, "
-              "0 = interpreter fallback",
-              labels)
-        .set(c.compiled ? 1 : 0);
-  }
+  if (opts_.jit) ++stats_.jit_recompiles;
 }
 
 }  // namespace newton

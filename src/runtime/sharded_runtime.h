@@ -66,12 +66,9 @@ struct RuntimeOptions {
   // detected via a closed ring).
   uint64_t watchdog_stall_ms = 2000;
   // Lower installed chains into compiled per-query executors in every
-  // worker (src/compile/, docs/compile.md); the interpreter remains the
-  // fallback for uncovered shapes.  Recompiles coalesce under churn
-  // (docs/admission.md): a barrier that applies rule mutations reloads the
-  // replicas with lowering deferred, the workers run the (byte-identical)
-  // interpreter, and the next mutation-free barrier does ONE rebuild for
-  // the whole batch of updates.
+  // worker (src/compile/, docs/compile.md) at every replica load, so every
+  // packet runs compiled; false runs every packet on the (byte-identical)
+  // interpreter.
   bool jit = true;
 };
 
@@ -88,7 +85,7 @@ struct RuntimeStats {
   uint64_t redistributed_packets = 0; // ring backlog moved to a successor
   uint64_t abandoned_packets = 0;     // backlog lost with a hung worker
   uint64_t installs_rejected = 0;     // queued installs admission rejected
-  uint64_t jit_recompiles = 0;        // chain-JIT rebuild events (coalesced)
+  uint64_t jit_recompiles = 0;        // replica loads that lowered chains
   std::size_t live_shards = 0;        // workers still processing
   std::vector<WorkerStats> workers;   // per shard, refreshed at barriers
 };
@@ -164,10 +161,6 @@ class ShardedRuntime {
 
   // Whether chain compilation is on for this runtime (RuntimeOptions::jit).
   bool jit_enabled() const { return opts_.jit; }
-  // Per-query compiled/interpreted coverage of the current replicas, read
-  // from the first live worker (all workers load identical replicas).
-  // Valid between start()/barriers; empty when jit is off.
-  std::vector<compile::QueryCoverage> jit_coverage() const;
 
   // Fault-injection seams: make shard `i` crash (close its ring and exit
   // without acking — detected at the demux's next push to it) or hang
@@ -180,17 +173,9 @@ class ShardedRuntime {
   void barrier();           // fence all workers, merge, drain, mutate, reset
   void drain_and_merge();   // reports -> sinks, banks -> primary, snapshot
   void apply_mutations();   // queued installs/withdrawals, under quiesce
-  // Re-clone the primary pipeline into every worker.  build_jit = false
-  // defers chain lowering (workers fall back to the interpreter) so
-  // back-to-back reloads coalesce into one rebuild later — see
-  // maybe_relower().
-  void reload_replicas(bool build_jit = true);
-  // Debounced chain-JIT rebuild: lowers deferred replicas at the first
-  // mutation-free barrier after the storm.
-  void maybe_relower(bool mutated_this_barrier);
-  // Mirror per-query compiled/interpreted coverage into the registry's
-  // newton_jit_query_compiled gauge (cold path: after replica reloads).
-  void publish_jit_coverage();
+  // Re-clone the primary pipeline into every live worker, lowering its
+  // chains when the jit is on.
+  void reload_replicas();
   void deliver(const ReportRecord& r);
   void bind_telemetry();    // resolve metric handles against the registry
   void flush_telemetry();   // mirror counters batched at each barrier
@@ -279,9 +264,6 @@ class ShardedRuntime {
   bool started_ = false;
   bool at_barrier_ = false;   // quiesce guard: controller mutation allowed
   bool replicas_dirty_ = true;
-  // Chain-JIT debounce state: replicas were reloaded with lowering deferred
-  // (workers interpret) and await one rebuild.
-  bool jit_stale_ = false;
 };
 
 }  // namespace newton

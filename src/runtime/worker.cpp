@@ -57,8 +57,11 @@ Pipeline copy_reusing_banks(const Pipeline& src, Pipeline& old) {
 }  // namespace
 
 ShardWorker::ShardWorker(std::size_t index, std::size_t queue_capacity,
-                         std::size_t burst)
-    : index_(index), burst_(burst == 0 ? 1 : burst), ring_(queue_capacity) {
+                         std::size_t burst, bool jit)
+    : index_(index),
+      burst_(burst == 0 ? 1 : burst),
+      ring_(queue_capacity),
+      exec_opts_{jit} {
   phvs_.resize(burst_);
 }
 
@@ -73,8 +76,7 @@ ShardWorker::~ShardWorker() {
   }
 }
 
-void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init,
-                               bool build_jit) {
+void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init) {
   pipeline_ = copy_reusing_banks(pipe, pipeline_);
   auto cloned = std::dynamic_pointer_cast<InitModule>(init.clone());
   if (!cloned)
@@ -94,16 +96,7 @@ void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init,
     }
   }
   // Lower the freshly-loaded chains AFTER the sink rebinding above: the
-  // compiled R ops capture the sink pointers as constants.  Under churn the
-  // runtime defers the lowering (build_jit = false): the replica runs the
-  // interpreter — byte-identical — until the install storm goes quiet, then
-  // one relower_chains() covers the whole batch of updates.
-  compile::ExecOptions opts = exec_opts_;
-  opts.enabled = exec_opts_.enabled && build_jit;
-  jit_.build(pipeline_, burst_, opts);
-}
-
-void ShardWorker::relower_chains() {
+  // compiled R ops capture the sink pointers as constants.
   jit_.build(pipeline_, burst_, exec_opts_);
 }
 
@@ -189,17 +182,12 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
     phv.pkt = items[i].pkt;
   }
   init_->execute_burst(phvs_.data(), n);
-  if (!jit_.enabled()) {
-    pipeline_.process_burst(phvs_.data(), n);
-    stats_.packets += n;
-    return;
-  }
   // Partition the burst into maximal runs the compiled executor can take
-  // whole — every active query compiled AND the same active set across the
-  // run (the merged op program is computed once per run) — and hand the
-  // rest to the interpreter.  Run boundaries preserve burst order, so
-  // per-register op order (hence all results) stays byte-identical to a
-  // pure interpreter burst.
+  // whole — the same active set across the run (the merged op program is
+  // computed once per run).  With the jit off nothing is covered, so the
+  // whole burst is one interpreter run.  Run boundaries preserve burst
+  // order, so per-register op order (hence all results) stays
+  // byte-identical to a pure interpreter burst.
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i + 1;

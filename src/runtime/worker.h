@@ -63,9 +63,10 @@ class ShardWorker {
   // `burst` is the drain batch size: the worker pulls up to this many ring
   // items per handshake and executes packet runs through the pipeline
   // stage-major (Pipeline::process_burst).  1 reproduces the item-at-a-time
-  // path exactly.
+  // path exactly.  `jit` (RuntimeOptions::jit) selects the one tier every
+  // packet runs on: the compiled chain executors, or the interpreter.
   ShardWorker(std::size_t index, std::size_t queue_capacity,
-              std::size_t burst = 64);
+              std::size_t burst = 64, bool jit = true);
   ~ShardWorker();
 
   ShardWorker(const ShardWorker&) = delete;
@@ -73,30 +74,12 @@ class ShardWorker {
 
   // Replace the replica with a fresh deep copy of `pipe` + `init` (the state
   // banks are copied into the outgoing replica's bank storage), bind
-  // the cloned R modules to this worker's private report buffer, and lower
-  // the installed chains into compiled executors (unless jit was turned
-  // off).  `build_jit` = false defers the lowering — the replica runs the
-  // interpreter until relower_chains() — so the runtime can coalesce
-  // recompiles across back-to-back rule updates (a stale CompiledPipeline
-  // must NEVER survive a reload: its ops hold pointers into the replaced
-  // replica's modules).  Demux thread only; worker must be quiesced (not
-  // yet started, or fenced).
-  void load_replica(const Pipeline& pipe, const InitModule& init,
-                    bool build_jit = true);
-
-  // Lower the current replica's chains into compiled executors (the
-  // deferred half of load_replica(..., false)).  Demux thread, quiesced.
-  void relower_chains();
-
-  // Executor options for subsequent replica loads: chain compilation
-  // on/off (RuntimeOptions::jit).
-  void set_exec_options(const compile::ExecOptions& opts) {
-    exec_opts_ = opts;
-  }
-
-  // Compiled-chain coverage of the current replica (demux thread, worker
-  // quiesced) — feeds the runtime's per-query compiled/interpreted gauge.
-  const compile::CompiledPipeline& jit() const { return jit_; }
+  // the cloned R modules to this worker's private report buffer, and, with
+  // the jit on, lower the installed chains into compiled executors (the
+  // old CompiledPipeline must never survive a reload: its ops hold
+  // pointers into the replaced replica's modules).  Demux thread only;
+  // worker must be quiesced (not yet started, or fenced).
+  void load_replica(const Pipeline& pipe, const InitModule& init);
 
   void start();  // spawn the thread (idempotent)
   void join();   // wait for the thread after a Stop token
@@ -151,7 +134,7 @@ class ShardWorker {
   SpscRing<WorkItem> ring_;
   Pipeline pipeline_{0};
   compile::CompiledPipeline jit_;
-  compile::ExecOptions exec_opts_;
+  compile::ExecOptions exec_opts_;  // fixed at construction
   std::shared_ptr<InitModule> init_;
   std::vector<SModule*> s_by_stage_;  // typed views into the replica
   std::vector<RModule*> r_mods_;

@@ -1,9 +1,9 @@
 // Multi-tenant churn robustness (docs/admission.md): rejected installs are
-// byte-identical no-ops (including racing a concurrent withdraw), JIT
-// recompiles coalesce under install storms, online compaction converts
-// fragmentation rejections into admissions, tenant quotas hold, and a
-// flapping switch ends in FAILED_PERMANENT with clean rollback — never a
-// wedged controller.  This suite runs under TSan in CI.
+// byte-identical no-ops (including racing a concurrent withdraw), a
+// mutation in every window still runs every packet compiled, online
+// compaction converts fragmentation rejections into admissions, tenant
+// quotas hold, and a flapping switch ends in FAILED_PERMANENT with clean
+// rollback — never a wedged controller.  This suite runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -204,15 +204,17 @@ TEST(RejectedInstall, RacingWithdrawMatchesWithdrawOnlyRun) {
 }
 
 // ---------------------------------------------------------------------------
-// JIT recompile coalescing
+// Lowering at every replica load
 // ---------------------------------------------------------------------------
 
-TEST(JitCoalescing, InstallStormTriggersFewRebuilds) {
-  const Trace t = port_trace(4, 8, 60);
-  constexpr std::size_t kStormInstalls = 12;
+// A mutation in every window: each barrier reloads the replicas, and with
+// the jit on every reload lowers the chains, so the whole stream runs
+// compiled and the reports match an interpreter-only run byte for byte.
+TEST(JitEveryReload, MutationEveryWindowRunsEveryPacketCompiled) {
+  const Trace t = port_trace(8, 8, 60);
 
   std::size_t mutation_barriers = 0;
-  auto run = [&](bool jit, std::vector<ReportRecord>& reports) -> uint64_t {
+  auto run = [&](bool jit, std::vector<ReportRecord>& reports) {
     telemetry::Registry::global().reset();
     Analyzer an;
     NewtonSwitch sw(1, 24, &an, 1 << 14);
@@ -226,46 +228,45 @@ TEST(JitCoalescing, InstallStormTriggersFewRebuilds) {
       rt.install(port_query("base" + std::to_string(i),
                             static_cast<uint16_t>(20'000 + i)));
     rt.start();
-    std::size_t queued = 0;
     mutation_barriers = 0;
-    uint64_t seen_epoch = ~0ull;
+    uint64_t seen_epoch = 0;
     for (const Packet& p : t.packets) {
       const uint64_t epoch = p.ts_ns / 100'000'000ull;
-      if (epoch != seen_epoch && epoch >= 1 && queued < kStormInstalls) {
+      if (epoch != seen_epoch) {
+        // Entering window `epoch`: its barrier installs one tenant query
+        // on a port the trace carries and withdraws the previous one.
         seen_epoch = epoch;
-        // Three installs per window: a storm of back-to-back mutation
-        // barriers.
         ++mutation_barriers;
-        for (int j = 0; j < 3 && queued < kStormInstalls; ++j, ++queued)
-          rt.install(port_query("storm" + std::to_string(queued),
-                                static_cast<uint16_t>(21'000 + queued)));
+        rt.install(port_query("storm" + std::to_string(epoch),
+                              static_cast<uint16_t>(20'004 + epoch % 4)));
+        if (epoch >= 2) rt.withdraw("storm" + std::to_string(epoch - 1));
       }
       rt.process(p);
     }
     rt.finish();
-    EXPECT_EQ(rt.stats().rule_updates_applied, kStormInstalls);
+    EXPECT_EQ(rt.stats().rule_updates_applied, 2 * mutation_barriers - 1);
     reports = buf.records();
-    return rt.stats().jit_recompiles;
+    return rt.stats();
   };
 
-  std::vector<ReportRecord> coalesced_reports, interp;
-  const uint64_t coalesced = run(/*jit=*/true, coalesced_reports);
-  (void)run(/*jit=*/false, interp);
+  std::vector<ReportRecord> compiled, interp;
+  const RuntimeStats on = run(/*jit=*/true, compiled);
+  const RuntimeStats off = run(/*jit=*/false, interp);
+  ASSERT_EQ(mutation_barriers, 7u);
 
-  // Rebuilding at every mutation barrier would cost one recompile per
-  // barrier (+1 initial); the debounce folds the back-to-back storm into
-  // far fewer.
-  ASSERT_GE(mutation_barriers, 3u);
-  EXPECT_LT(coalesced, kStormInstalls / 2);
-  EXPECT_GE(coalesced, 1u);
-  EXPECT_LT(coalesced, mutation_barriers + 1);
+  // No window runs interpreted: every demuxed packet took the compiled
+  // executors, and every mutation barrier lowered its reload once.
+  uint64_t jit_packets = 0;
+  for (const WorkerStats& w : on.workers) jit_packets += w.jit_packets;
+  EXPECT_GT(on.packets_in, 0u);
+  EXPECT_EQ(jit_packets, on.packets_in);
+  EXPECT_EQ(on.jit_recompiles, 1 + mutation_barriers);
+  EXPECT_EQ(off.jit_recompiles, 0u);
 
-  // Coalescing (and the interpreter windows it runs in the meantime) must
-  // not change a single output byte.
-  ASSERT_EQ(coalesced_reports.size(), interp.size());
-  for (std::size_t i = 0; i < coalesced_reports.size(); ++i)
-    EXPECT_TRUE(same_record(coalesced_reports[i], interp[i]))
-        << "record " << i;
+  ASSERT_GT(interp.size(), 0u);
+  ASSERT_EQ(compiled.size(), interp.size());
+  for (std::size_t i = 0; i < compiled.size(); ++i)
+    EXPECT_TRUE(same_record(compiled[i], interp[i])) << "record " << i;
 }
 
 // ---------------------------------------------------------------------------

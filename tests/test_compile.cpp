@@ -389,8 +389,7 @@ TEST(CompiledBatchedHashing, BurstSweepByteIdentical) {
   }
 }
 
-// The bench query set lowers fully: every branch chain compiled, and the
-// compiled executor carries the whole stream.
+// The compiled executor carries the bench query set's whole stream.
 TEST(CompiledCoverage, BenchQueriesCompile) {
   Analyzer an;
   NewtonSwitch sw(1, 24, nullptr);
@@ -401,10 +400,7 @@ TEST(CompiledCoverage, BenchQueriesCompile) {
   rt.install(make_q5(p));
   rt.start();
   ASSERT_TRUE(rt.jit_enabled());
-  const auto cov = rt.jit_coverage();
-  ASSERT_FALSE(cov.empty());
-  for (const compile::QueryCoverage& c : cov)
-    EXPECT_TRUE(c.compiled) << "qid " << c.qid << " fell back to interpreter";
+  EXPECT_EQ(rt.stats().jit_recompiles, 1u);
 
   const Trace t = bench_trace(31);
   for (const Packet& pk : t.packets) rt.process(pk);
@@ -429,7 +425,7 @@ TEST(CompiledCoverage, BenchQueriesCompile) {
 
 // All six detector-library chains lower to compiled executors (grouped by
 // shard-key family exactly as `newton_tool replay --detectors` installs
-// them).
+// them): one chain per installed qid.
 TEST(CompiledCoverage, DetectorChainsCompile) {
   const auto lib = detectors::detector_library();
   ASSERT_GE(lib.size(), 6u);
@@ -445,20 +441,26 @@ TEST(CompiledCoverage, DetectorChainsCompile) {
     ShardedRuntime rt(sw, ro, &an);
     for (const auto* d : g.members) rt.install(d->query);
     rt.start();
-    const auto cov = rt.jit_coverage();
-    ASSERT_FALSE(cov.empty());
-    for (const compile::QueryCoverage& c : cov)
-      EXPECT_TRUE(c.compiled) << "qid " << c.qid << " in group with "
-                              << g.members.front()->id;
-    chains += cov.size();
+    std::vector<uint16_t> qids;
+    for (const Controller::QueryInfo& info : rt.controller().list_queries())
+      qids.insert(qids.end(), info.qids.begin(), info.qids.end());
+    std::sort(qids.begin(), qids.end());
+    Pipeline replica = sw.pipeline().clone();
+    std::vector<uint16_t> lowered;
+    for (const compile::Chain& c : compile::lower(replica)) {
+      EXPECT_FALSE(c.ops.empty()) << "qid " << c.qid;
+      lowered.push_back(c.qid);
+    }
+    EXPECT_EQ(lowered, qids) << "group with " << g.members.front()->id;
+    chains += lowered.size();
     rt.finish();
   }
-  // Six detectors, some multi-branch: at least one coverage entry each.
+  // Six detectors, some multi-branch: at least one chain each.
   EXPECT_GE(chains, 6u);
 }
 
 // RuntimeOptions::jit = false: the interpreter handles everything and no
-// coverage is published.
+// replica load lowers.
 TEST(CompiledEscapeHatch, OptionDisablesJit) {
   Analyzer an;
   NewtonSwitch sw(1, 24, nullptr);
@@ -469,7 +471,6 @@ TEST(CompiledEscapeHatch, OptionDisablesJit) {
   rt.install(make_q1(p));
   rt.start();
   EXPECT_FALSE(rt.jit_enabled());
-  EXPECT_TRUE(rt.jit_coverage().empty());
   const Trace t = bench_trace(33);
   for (const Packet& pk : t.packets) rt.process(pk);
   rt.finish();
@@ -480,4 +481,5 @@ TEST(CompiledEscapeHatch, OptionDisablesJit) {
   }
   EXPECT_EQ(jit, 0u);
   EXPECT_GT(total, 0u);
+  EXPECT_EQ(rt.stats().jit_recompiles, 0u);
 }

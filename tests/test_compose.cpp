@@ -73,6 +73,15 @@ TEST(Decompose, TerminalReportIsFolded) {
   EXPECT_EQ(last_r->r.on_match, RAction::Report);
 }
 
+// A branch with no primitives has nothing to report; decomposition rejects
+// it instead of reading its (absent) last primitive.
+TEST(Decompose, EmptyBranchIsRejected) {
+  Query q;
+  q.name = "empty";
+  q.branches.push_back({"empty", {}});
+  EXPECT_THROW(decompose_branch(q, 0, true), std::invalid_argument);
+}
+
 TEST(InitEntry, OverlapDetection) {
   const Query tcp_syn = make_q1();   // proto=6, flags=SYN
   const Query tcp_scan = make_q4();  // proto=6, flags=SYN

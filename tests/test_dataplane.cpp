@@ -244,7 +244,7 @@ TEST(Pipeline, ProcessesStagesInOrder) {
   p.stage(1).add(std::make_shared<Tagger>(2));
   p.stage(2).add(std::make_shared<Tagger>(3));
   Phv phv;
-  p.process(phv);
+  p.process_burst(&phv, 1);
   EXPECT_EQ(phv.global_result, 123u);
 }
 

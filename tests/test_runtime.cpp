@@ -125,7 +125,7 @@ TEST(PipelineClone, SharesNoMutableState) {
     Phv phv;
     phv.pkt = make_packet(50 + i, 99, 1, 80, kProtoTcp, kTcpSyn, 64, 1000);
     init->execute(phv);
-    replica.process(phv);
+    replica.process_burst(&phv, 1);
   }
   uint64_t replica_sum = 0, original_sum = 0;
   for (std::size_t st = 0; st < replica.num_stages(); ++st) {
