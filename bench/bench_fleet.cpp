@@ -19,7 +19,9 @@
 //   phase C  report volume: stream an attack-mix trace through the fabric
 //            with the k-ary AggregationTree interposed as every switch's
 //            report sink, and report leaf-vs-root record volume, the
-//            per-edge merge compression, and the tree shape.
+//            per-edge merge compression, and the tree shape; plus the
+//            phase's wall-clock packet rate, ns per Network::send, and route
+//            distance tables built per 1k packets.
 //
 //   bench_fleet [--k 16[,24,32]]      fat-tree arities (default 16)
 //               [--fanin N]           aggregation-tree fan-in (default 16)
@@ -336,15 +338,23 @@ int main(int argc, char** argv) {
     for (int n : topo.switches())
       if (net.has_switch(n)) net.sw(n).set_sink(&tree);
     const std::vector<int> hosts = net.topo().hosts();
+    const uint64_t tables0 = net.route_stats().tables_built;
     const uint64_t c0 = wall_ns();
     for (std::size_t i = 0; i < trace.packets.size(); ++i)
       net.send(trace.packets[i],
                hosts[src_of(i, hosts.size())],
                hosts[dst_of(i, hosts.size())]);
+    const uint64_t c_sent = wall_ns();
     for (int n : net.topo().switches())
       if (net.has_switch(n)) net.sw(n).flush_telemetry();
     tree.flush();
     const uint64_t c1 = wall_ns();
+    const double n_pkts = static_cast<double>(trace.size());
+    const double send_ns = static_cast<double>(c_sent - c0) / n_pkts;
+    const double phase_c_pps = n_pkts * 1e9 / static_cast<double>(c1 - c0);
+    const double tables_per_kpkt =
+        1000.0 * static_cast<double>(net.route_stats().tables_built - tables0) /
+        n_pkts;
     const AggregationTree::Stats& ts = tree.stats();
     const double compression =
         ts.root_records ? static_cast<double>(ts.reports_in) /
@@ -362,6 +372,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ts.merged_away),
                 static_cast<unsigned long long>(ts.passthrough),
                 static_cast<double>(c1 - c0) / 1e6);
+    std::printf("  %.0f pkt/s wall, %.0f ns per Network::send, %.2f route "
+                "tables built per 1k packets\n",
+                phase_c_pps, send_ns, tables_per_kpkt);
 
     if (f)
       std::fprintf(
@@ -382,7 +395,9 @@ int main(int argc, char** argv) {
           "\"agg_nodes\": %zu,\n"
           "     \"reports_in\": %llu, \"root_records\": %llu, "
           "\"compression\": %.2f,\n"
-          "     \"packets\": %zu, \"verified\": %s}",
+          "     \"packets\": %zu, \"phase_c_pps\": %.0f, "
+          "\"send_ns\": %.0f,\n"
+          "     \"route_tables_per_kpkt\": %.2f, \"verified\": %s}",
           first_k ? "" : ",", k, S, H, L, n_queries, n_slices,
           placed_switches, ip50, ip99, mp50, mp99, inc.events,
           scr.scope_avg_frac, scr.wall_ms_avg, inc.scope_avg_frac,
@@ -390,7 +405,8 @@ int main(int argc, char** argv) {
           inc.wall_ms_avg, fanin, ts.depth, ts.nodes,
           static_cast<unsigned long long>(ts.reports_in),
           static_cast<unsigned long long>(ts.root_records), compression,
-          trace.size(), verify ? "true" : "false");
+          trace.size(), phase_c_pps, send_ns, tables_per_kpkt,
+          verify ? "true" : "false");
 
     // CI gates apply to the first (smallest) arity.
     if (first_k) {

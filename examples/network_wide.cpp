@@ -55,8 +55,7 @@ int main() {
   for (std::size_t i = 0; i < scan.size(); ++i) {
     if (i == failed_at) {
       // Fail the first inter-switch link of the current path.
-      const auto path = route(net.topo(), src, dst, 0);
-      const auto sws = switches_on(net.topo(), *path);
+      const auto sws = *net.path(src, dst, 0);
       net.topo().fail_link(sws[0], sws[1]);
       std::printf("\n!! link %s--%s failed mid-attack; traffic reroutes\n",
                   net.topo().nodes[sws[0]].name.c_str(),

@@ -1,6 +1,10 @@
 // Shortest-path routing with ECMP over the live topology.  Paths react to
 // link failures (failed links are invisible to the BFS), which drives the
 // reroute scenarios the resilient placement must survive (§5.2, Fig. 9).
+//
+// route() runs a fresh BFS per call and is the reference: `Network` answers
+// send() and path() from its own route tables (docs/fleet.md "Routing"),
+// and tests/test_net.cpp checks those tables against route() under churn.
 #pragma once
 
 #include <optional>

@@ -7,6 +7,7 @@ namespace newton {
 int Topology::add_node(NodeType type, std::string name) {
   nodes.push_back({type, std::move(name)});
   adj.emplace_back();
+  ++generation;
   return static_cast<int>(nodes.size()) - 1;
 }
 
@@ -14,14 +15,17 @@ void Topology::add_link(int a, int b) {
   if (a == b) throw std::invalid_argument("add_link: self loop");
   adj.at(a).insert(b);
   adj.at(b).insert(a);
+  ++generation;
 }
 
 void Topology::fail_link(int a, int b) {
   failed.insert({std::min(a, b), std::max(a, b)});
+  ++generation;
 }
 
 void Topology::restore_link(int a, int b) {
   failed.erase({std::min(a, b), std::max(a, b)});
+  ++generation;
 }
 
 bool Topology::link_up(int a, int b) const {
@@ -33,9 +37,13 @@ void Topology::fail_node(int n) {
   if (!is_switch(n))
     throw std::invalid_argument("fail_node: only switches can fail");
   failed_nodes.insert(n);
+  ++generation;
 }
 
-void Topology::restore_node(int n) { failed_nodes.erase(n); }
+void Topology::restore_node(int n) {
+  failed_nodes.erase(n);
+  ++generation;
+}
 
 std::vector<int> Topology::neighbors(int n) const {
   std::vector<int> out;

@@ -23,10 +23,15 @@ struct Topology {
   std::vector<std::set<int>> adj;           // undirected links
   std::set<std::pair<int, int>> failed;     // failed links (min,max) pairs
   std::set<int> failed_nodes;               // failed (dead) switch nodes
+  // Bumped by every mutator below, so a cache of the live graph (the route
+  // tables in `Network`) can tell it is stale with one compare.  Mutate
+  // only through these methods: direct writes to the fields above are not
+  // seen.
+  uint64_t generation = 0;
 
   int add_node(NodeType type, std::string name);
   void add_link(int a, int b);
-  // Fail / restore a link at runtime (triggers rerouting in `routing.h`).
+  // Fail / restore a link at runtime (later routes avoid a failed link).
   void fail_link(int a, int b);
   void restore_link(int a, int b);
   bool link_up(int a, int b) const;

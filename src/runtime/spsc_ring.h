@@ -184,6 +184,13 @@ class SpscRing {
     return n;
   }
 
+  // Parks (either side) that slept out their full timeout rather than
+  // being woken or finding the ring ready on the re-check.  A park that
+  // misses a published item shows up here, whatever the scheduler does.
+  uint64_t park_timeouts() const {
+    return park_timeouts_.load(std::memory_order_relaxed);
+  }
+
   // Test seam: invoked at the top of park(), i.e. exactly in the window
   // between the caller's last failed peek/try_push_bulk and the waiting-flag
   // publication.  Lets a regression test inject a push into that window
@@ -222,7 +229,9 @@ class SpscRing {
     // Holding mu_ from before the flag store to the wait means any wake()
     // that saw the flag blocks on mu_ until wait_for releases it — its
     // notify cannot slip into the gap.
-    cv_.wait_for(lk, std::chrono::milliseconds(1));
+    if (cv_.wait_for(lk, std::chrono::milliseconds(1)) ==
+        std::cv_status::timeout)
+      park_timeouts_.fetch_add(1, std::memory_order_relaxed);
     flag.store(false, std::memory_order_relaxed);
   }
 
@@ -246,6 +255,7 @@ class SpscRing {
   std::atomic<bool> closed_{false};
   std::atomic<bool> producer_waiting_{false};
   std::atomic<bool> consumer_waiting_{false};
+  std::atomic<uint64_t> park_timeouts_{0};
   std::function<void()> park_test_hook_;  // cold path only; see setter
 };
 

@@ -24,7 +24,6 @@
 #include "fault/injector.h"
 #include "fault/install_faults.h"
 #include "net/net_controller.h"
-#include "net/routing.h"
 #include "packet/flow_key.h"
 #include "runtime/sharded_runtime.h"
 #include "telemetry/telemetry.h"
@@ -286,9 +285,9 @@ TEST(RerouteEquivalence, NaivePathPlacementLosesDetectionUnderReroute) {
     const int src = hosts.front(), dst = hosts.back();
     const uint32_t fh =
         static_cast<uint32_t>(FiveTupleHash{}(FiveTuple::of(flow[0])));
-    const auto path = route(net.topo(), src, dst, fh);
+    const auto path = net.path(src, dst, fh);
     ASSERT_TRUE(path.has_value());
-    const std::vector<int> sw_path = switches_on(net.topo(), *path);
+    const std::vector<int> sw_path = *path;
     ASSERT_EQ(sw_path.size(), 5u);  // edge-agg-core-agg-edge
 
     if (path_arm) {

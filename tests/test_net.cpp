@@ -2,6 +2,8 @@
 // resilient end-to-end monitoring through reroutes.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "analyzer/analyzer.h"
 #include "core/queries.h"
 #include "net/net_controller.h"
@@ -84,6 +86,162 @@ TEST(Routing, FatTreeSurvivesSingleFailure) {
   const auto p2 = route(t, hosts[0], hosts[15], 3);
   ASSERT_TRUE(p2.has_value());
   EXPECT_NE(*p, *p2);
+}
+
+TEST(Topology, EveryMutatorBumpsGeneration) {
+  Topology t;
+  uint64_t gen = t.generation;
+  const auto bumped = [&] {
+    const bool moved = t.generation != gen;
+    gen = t.generation;
+    return moved;
+  };
+  const int a = t.add_node(NodeType::Switch, "a");
+  EXPECT_TRUE(bumped()) << "add_node";
+  const int b = t.add_node(NodeType::Switch, "b");
+  EXPECT_TRUE(bumped()) << "add_node";
+  t.add_link(a, b);
+  EXPECT_TRUE(bumped()) << "add_link";
+  t.fail_link(a, b);
+  EXPECT_TRUE(bumped()) << "fail_link";
+  t.restore_link(a, b);
+  EXPECT_TRUE(bumped()) << "restore_link";
+  t.fail_node(a);
+  EXPECT_TRUE(bumped()) << "fail_node";
+  t.restore_node(a);
+  EXPECT_TRUE(bumped()) << "restore_node";
+  // Queries leave it alone.
+  (void)t.link_up(a, b);
+  (void)t.neighbors(a);
+  (void)t.edge_switches();
+  EXPECT_FALSE(bumped());
+}
+
+TEST(RouteTable, MatchesBfsOracleUnderChurn) {
+  // Network answers routes from cached tables; route() is the reference.
+  // Random link/switch fail/restore churn, queries from any node (switch
+  // sources too) to any node, unreachable pairs included.  The multi-homed
+  // case gives hosts several uplinks (and one host-host link), so host
+  // endpoints need their own tables and a source host has a choice.
+  Topology multi_homed = make_fat_tree(4);
+  {
+    const std::vector<int> hosts = multi_homed.hosts();
+    const std::vector<int> edges = multi_homed.edge_switches();
+    for (std::size_t i = 0; i < hosts.size(); i += 2)
+      multi_homed.add_link(hosts[i], edges[(i / 2 + 3) % edges.size()]);
+    multi_homed.add_link(hosts[1], hosts[3]);
+  }
+  struct Case {
+    const char* name;
+    Topology topo;
+  };
+  Case cases[] = {{"fat-tree k=8", make_fat_tree(8)},
+                  {"isp backbone", make_isp_backbone()},
+                  {"line", make_line(3)},
+                  {"multi-homed fat-tree k=4", multi_homed}};
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Network net(c.topo, /*stages=*/2, nullptr, /*bank=*/256);
+    Topology& t = net.topo();
+    const std::vector<int> sws = t.switches();
+    std::vector<std::pair<int, int>> links;
+    for (std::size_t a = 0; a < t.adj.size(); ++a)
+      for (int b : t.adj[a])
+        if (static_cast<int>(a) < b) links.push_back({static_cast<int>(a), b});
+    const int n = static_cast<int>(t.nodes.size());
+    std::mt19937_64 rng(0x5eed + t.nodes.size());
+    std::size_t unreachable = 0, from_switch = 0, sent = 0, dropped = 0;
+    for (int m = 0; m < 300; ++m) {
+      switch (rng() % 4) {
+        case 0: {
+          const auto [a, b] = links[rng() % links.size()];
+          t.fail_link(a, b);
+          break;
+        }
+        case 1: {
+          const auto [a, b] = links[rng() % links.size()];
+          t.restore_link(a, b);
+          break;
+        }
+        case 2:
+          t.fail_node(sws[rng() % sws.size()]);
+          break;
+        default:
+          t.restore_node(sws[rng() % sws.size()]);
+          break;
+      }
+      for (int q = 0; q < 200; ++q) {
+        const int src = static_cast<int>(rng() % n);
+        const int dst = q % 16 == 0 ? src : static_cast<int>(rng() % n);
+        const auto fh = static_cast<uint32_t>(rng());
+        const auto oracle = route(t, src, dst, fh);
+        const auto got = net.path(src, dst, fh);
+        ASSERT_EQ(got.has_value(), oracle.has_value())
+            << "mutation " << m << ": " << src << "->" << dst;
+        if (oracle) {
+          ASSERT_EQ(*got, switches_on(t, *oracle))
+              << "mutation " << m << ": " << src << "->" << dst;
+        }
+        unreachable += !oracle;
+        from_switch += t.is_switch(src);
+      }
+      // send() routes the same way: its hop count and drop decision follow
+      // the oracle for the packet's own flow hash.
+      const std::vector<int> hosts = t.hosts();
+      const int h1 = hosts[rng() % hosts.size()];
+      const int h2 = hosts[rng() % hosts.size()];
+      const Packet pkt =
+          make_packet(static_cast<uint32_t>(rng()), static_cast<uint32_t>(rng()),
+                      1000 + m, 80, kProtoTcp, kTcpSyn, 64, 1000u * m);
+      const auto fh =
+          static_cast<uint32_t>(FiveTupleHash{}(FiveTuple::of(pkt)));
+      const auto oracle = route(t, h1, h2, fh);
+      const Network::SendStats st = net.send(pkt, h1, h2);
+      ++sent;
+      dropped += !oracle;
+      ASSERT_EQ(st.delivered, oracle.has_value()) << "mutation " << m;
+      if (oracle) {
+        EXPECT_EQ(st.hops, switches_on(t, *oracle).size());
+      }
+    }
+    EXPECT_GT(unreachable, 0u);
+    EXPECT_GT(from_switch, 0u);
+    EXPECT_EQ(net.packets_sent(), sent - dropped);
+    EXPECT_EQ(net.packets_dropped(), dropped);
+  }
+}
+
+TEST(Network, ReroutesAfterDirectTopologyMutation) {
+  // a--d direct, or the detour a--b--d.  A link failed straight through
+  // net.topo() must move the very next send onto the detour.
+  Topology t;
+  const int a = t.add_node(NodeType::Switch, "a");
+  const int b = t.add_node(NodeType::Switch, "b");
+  const int d = t.add_node(NodeType::Switch, "d");
+  const int h1 = t.add_node(NodeType::Host, "h1");
+  const int h2 = t.add_node(NodeType::Host, "h2");
+  t.add_link(a, d);
+  t.add_link(a, b);
+  t.add_link(b, d);
+  t.add_link(h1, a);
+  t.add_link(h2, d);
+  Network net(t, /*stages=*/2, nullptr, /*bank=*/256);
+  const Packet pkt = make_packet(ipv4(10, 0, 0, 1), ipv4(10, 0, 0, 2), 1234,
+                                 80, kProtoTcp, kTcpSyn, 64, 1000);
+
+  EXPECT_EQ(net.send(pkt, h1, h2).hops, 2u);
+  EXPECT_EQ(net.path(h1, h2, 0), (std::vector<int>{a, d}));
+  const uint64_t rebuilds = net.route_stats().rebuilds;
+  net.topo().fail_link(a, d);
+  const Network::SendStats st = net.send(pkt, h1, h2);
+  EXPECT_TRUE(st.delivered);
+  EXPECT_EQ(st.hops, 3u);
+  EXPECT_EQ(net.path(h1, h2, 0), (std::vector<int>{a, b, d}));
+  EXPECT_EQ(net.route_stats().rebuilds, rebuilds + 1);
+
+  net.topo().fail_node(b);
+  EXPECT_FALSE(net.send(pkt, h1, h2).delivered);
+  EXPECT_EQ(net.packets_dropped(), 1u);
 }
 
 TEST(Placement, SliceDepthsFollowDistance) {
@@ -285,9 +443,9 @@ TEST(NetworkResilience, RerouteStillMonitored) {
   // First half on the original path, then a failure forces the other path.
   for (std::size_t i = 0; i < flood.size(); ++i) {
     if (i == flood.size() / 2) {
-      const auto cur = route(net.topo(), h1, h2, 0);
+      const auto cur = net.path(h1, h2, 0);
       ASSERT_TRUE(cur.has_value());
-      net.topo().fail_link((*cur)[1], (*cur)[2]);
+      net.topo().fail_link((*cur)[0], (*cur)[1]);
     }
     net.send(flood.packets[i], h1, h2);
   }

@@ -10,6 +10,7 @@
 #include "core/queries.h"
 #include "core/scheduler.h"
 #include "net/net_controller.h"
+#include "net/routing.h"
 #include "trace/attacks.h"
 
 namespace newton {
