@@ -121,7 +121,7 @@ void BM_SwitchProcessConcurrentQueries(benchmark::State& state) {
   NewtonSwitch sw(1, 12, nullptr, 1 << 18);
   Controller ctl(sw);
   for (int i = 0; i < state.range(0); ++i) {
-    Query q = QueryBuilder("t" + std::to_string(i))
+    Query q = QueryBuilder(std::string("t").append(std::to_string(i)))
                   .sketch(2, 64)
                   .filter(Predicate{}
                               .where(Field::Proto, Cmp::Eq, kProtoTcp)

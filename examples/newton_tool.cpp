@@ -191,8 +191,10 @@ int cmd_queries(int argc, char** argv) {
               "jit", "rules", "regs", "init", "qids");
   for (const Controller::QueryInfo& info : rt.controller().list_queries()) {
     std::string qids;
-    for (uint16_t q : info.qids)
-      qids += (qids.empty() ? "" : ",") + std::to_string(q);
+    for (uint16_t q : info.qids) {
+      if (!qids.empty()) qids += ',';
+      qids += std::to_string(q);
+    }
     std::printf("%-18s %-10s %-8s %-6zu %-6zu %-6zu [%s]\n",
                 info.name.c_str(), info.tenant.c_str(),
                 tier, info.demand->total_rules,

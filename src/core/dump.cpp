@@ -148,11 +148,14 @@ std::string query_to_dsl(const Query& q) {
   os << " | window(" << q.window_ns / 1'000'000 << "ms)";
   if (q.row_partitions > 1) os << " | partitions(" << q.row_partitions << ")";
   for (std::size_t bi = 0; bi < q.branches.size(); ++bi) {
-    if (bi > 0)
-      os << " | branch("
-         << (q.branches[bi].name.empty() ? "b" + std::to_string(bi)
-                                         : q.branches[bi].name)
-         << ")";
+    if (bi > 0) {
+      os << " | branch(";
+      if (q.branches[bi].name.empty())
+        os << "b" << bi;
+      else
+        os << q.branches[bi].name;
+      os << ")";
+    }
     for (const Primitive& p : q.branches[bi].primitives) {
       os << " | ";
       emit_primitive(os, p);

@@ -160,30 +160,34 @@ telemetry::Counter* stage_rule_hits(const char* module_type,
 }
 
 void publish_hits(const char* module_type, const std::string& instance,
-                  uint64_t& hits, uint64_t& published) {
+                  uint64_t& hits, uint64_t& published,
+                  TableProgram::HitSeries& series) {
   if (hits == published) return;
-  rule_hits(module_type).add(hits - published);
-  if (telemetry::Counter* per_stage = stage_rule_hits(module_type, instance))
-    per_stage->add(hits - published);
+  if (series.type == nullptr) {
+    series.type = &rule_hits(module_type);
+    series.stage = stage_rule_hits(module_type, instance);
+  }
+  series.type->add(hits - published);
+  if (series.stage != nullptr) series.stage->add(hits - published);
   published = hits;
 }
 
 }  // namespace
 
 void KModule::publish_telemetry() {
-  publish_hits("K", name_, hits_, hits_published_);
+  publish_hits("K", name_, hits_, hits_published_, hit_series_);
 }
 void HModule::publish_telemetry() {
-  publish_hits("H", name_, hits_, hits_published_);
+  publish_hits("H", name_, hits_, hits_published_, hit_series_);
 }
 void SModule::publish_telemetry() {
-  publish_hits("S", name_, hits_, hits_published_);
+  publish_hits("S", name_, hits_, hits_published_, hit_series_);
 }
 void RModule::publish_telemetry() {
-  publish_hits("R", name_, hits_, hits_published_);
+  publish_hits("R", name_, hits_, hits_published_, hit_series_);
 }
 void InitModule::publish_telemetry() {
-  publish_hits("init", name_, hits_, hits_published_);
+  publish_hits("init", name_, hits_, hits_published_, hit_series_);
 }
 
 // ---------------------------------------------------------------------------

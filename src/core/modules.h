@@ -76,10 +76,18 @@ class SModule : public TableProgram {
   void publish_telemetry() override;
   ResourceVec resources() const override;
   std::string name() const override { return name_; }
-  // Clones duplicate the full register bank: each replica accumulates its
-  // shard's state privately and is merged at window boundaries.
+  // Clones duplicate the full register bank.
   std::shared_ptr<TableProgram> clone() const override {
     return std::make_shared<SModule>(*this);
+  }
+  // Take `o`'s name and rules, keeping this instance's bank storage and
+  // contents.  Sharded-runtime replicas load rules this way: each starts
+  // its window with a zeroed bank, accumulates its shard's state privately,
+  // and is merged back at the window boundary.
+  void assign_rules(const SModule& o) {
+    TableProgram::operator=(o);
+    name_ = o.name_;
+    table_ = o.table_;
   }
   ConfigTable<SConfig>& table() { return table_; }
   RegisterArray& registers() { return regs_; }

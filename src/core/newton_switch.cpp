@@ -87,8 +87,20 @@ NewtonSwitch::InstallResult NewtonSwitch::install_impl(
     // rule's local index_base.
     for (std::size_t bi = 0; bi < q.branches.size(); ++bi) {
       for (ModuleSpec& m : q.branches[bi].modules) {
-        if (m.type != ModuleType::S || m.s.bypass || m.alloc_width == 0)
-          continue;
+        if (m.type != ModuleType::S || m.s.bypass) continue;
+        // A stateful rule must own a range and stay inside it: its guard
+        // admits at most alloc_width hash values, each mapped into
+        // [alloc_offset, alloc_offset + alloc_width).  Anything else could
+        // write registers no segment covers, which reset_state() would then
+        // never clear.
+        const uint64_t span = m.s.guard_hi >= m.s.guard_lo
+                                  ? uint64_t{m.s.guard_hi} - m.s.guard_lo + 1
+                                  : 0;
+        if (m.rule_needed && (m.alloc_width == 0 || span > m.alloc_width))
+          throw std::invalid_argument(
+              "install: stateful S rule at stage " + std::to_string(m.stage) +
+              " is not guarded to a register allocation");
+        if (m.alloc_width == 0) continue;
         if (resolve_offsets) {
           auto off = bank_alloc_[m.stage].allocate(m.alloc_width);
           if (!off)
@@ -174,6 +186,7 @@ NewtonSwitch::InstallResult NewtonSwitch::install_impl(
   res.latency_ms = latency_.batch_ms(res.rule_ops);
   res.qids = rec.qids;
   next_free_stage_ = std::max(next_free_stage_, cq.max_stage() + 1);
+  segments_.insert(segments_.end(), rec.segments.begin(), rec.segments.end());
   installs_[handle] = std::move(rec);
   return res;
 }
@@ -195,11 +208,16 @@ double NewtonSwitch::remove(uint64_t handle) {
     }
   }
   for (uint64_t h : rec.init_handles) init_->table().remove(h);
+  // Sweep the freed ranges: reset_state() only visits allocated ones.
+  reset_segments(inst_.s, rec.segments);
   for (auto& [stage, off] : rec.allocs) bank_alloc_[stage].free(off);
   for (uint16_t q : rec.qids) free_qid(q);
   const std::size_t ops = rec.rule_slots.size() + rec.init_handles.size();
   if (rec.slice_rt_key) slices_.erase(*rec.slice_rt_key);
   installs_.erase(it);
+  segments_.clear();
+  for (const auto& [h, r] : installs_)
+    segments_.insert(segments_.end(), r.segments.begin(), r.segments.end());
   return latency_.batch_ms(ops);
 }
 
@@ -217,14 +235,33 @@ void NewtonSwitch::flush_telemetry() {
   if (init_) init_->publish_telemetry();
 }
 
-void NewtonSwitch::reset_state() {
-  for (SModule* s : inst_.s)
-    if (s) s->registers().reset();
+void NewtonSwitch::reset_state() { reset_segments(inst_.s, segments_); }
+
+void NewtonSwitch::reset_segments(const std::vector<SModule*>& s_by_stage,
+                                  const std::vector<StateSegment>& segs) {
+  for (const StateSegment& seg : segs)
+    s_by_stage[seg.stage]->registers().clear_range(seg.offset, seg.width);
+}
+
+std::size_t NewtonSwitch::stray_registers() const {
+  std::size_t n = 0;
+  for (std::size_t st = 0; st < inst_.s.size(); ++st) {
+    const RegisterArray& bank = inst_.s[st]->registers();
+    std::vector<bool> owned(bank.size(), false);
+    for (const StateSegment& seg : segments_)
+      if (seg.stage == st)
+        std::fill_n(owned.begin() + static_cast<long>(seg.offset), seg.width,
+                    true);
+    for (std::size_t i = 0; i < bank.size(); ++i)
+      n += !owned[i] && bank.read(i) != 0;
+  }
+  return n;
 }
 
 NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
                                            std::optional<SpHeader> sp_in,
-                                           bool at_ingress_edge) {
+                                           bool at_ingress_edge,
+                                           bool dispatch_init) {
   maybe_roll_epoch(pkt.ts_ns);
   ++packets_forwarded_;
 
@@ -254,7 +291,7 @@ NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
     }
   }
 
-  init_->execute(phv);
+  if (dispatch_init) init_->execute(phv);
   pipeline_.process_burst(&phv, 1);
 
   // CQE egress: snapshot results toward the next hop for every non-final
@@ -298,13 +335,6 @@ NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
     else
       out.extra_sp_outs.push_back(sp);
   }
-  return out;
-}
-
-std::vector<NewtonSwitch::StateSegment> NewtonSwitch::state_segments() const {
-  std::vector<StateSegment> out;
-  for (const auto& [h, rec] : installs_)
-    out.insert(out.end(), rec.segments.begin(), rec.segments.end());
   return out;
 }
 

@@ -65,12 +65,19 @@ class NewtonSwitch {
   // Run one packet through newton_init and the pipeline.  `sp_in` is the
   // result-snapshot header decoded from the wire (CQE); `at_ingress_edge`
   // says whether the packet entered the network at this switch (arrived on
-  // a host-facing port) — CQE first slices only dispatch there.
+  // a host-facing port) — CQE first slices only dispatch there.  A hop that
+  // resumes several carried SP headers runs one pass per header, but the
+  // packet is dispatched by newton_init only once: every pass after the
+  // first sets `dispatch_init` false and runs only the resumed slice.
   Output process(const Packet& pkt, std::optional<SpHeader> sp_in = {},
-                 bool at_ingress_edge = true);
+                 bool at_ingress_edge = true, bool dispatch_init = true);
 
   // --- epoch management (stateful primitives reset every window, §6) ---
   void set_window_ns(uint64_t w) { window_ns_ = w; }
+  // Zero every allocated register slice.  Registers outside the allocated
+  // slices are always zero (install sweeps a range it allocates, remove()
+  // sweeps the range it frees, and every installed S rule is guarded to its
+  // allocation), so this zeroes the whole bank set in O(allocated state).
   void reset_state();
 
   // One allocated stateful register slice of an installed query: where it
@@ -85,7 +92,19 @@ class NewtonSwitch {
     SaluOp op = SaluOp::Add;
     uint16_t qid = 0;
   };
-  std::vector<StateSegment> state_segments() const;
+  // In install order.
+  const std::vector<StateSegment>& state_segments() const {
+    return segments_;
+  }
+  // The one bank reset: zero `segs` in the banks `s_by_stage` (indexed by
+  // stage; nullptr where a stage has no S module).  The switch, the sharded
+  // runtime's primary and every worker replica reset through it.
+  static void reset_segments(const std::vector<SModule*>& s_by_stage,
+                             const std::vector<StateSegment>& segs);
+  // Non-zero registers that no allocated segment covers: always 0, the
+  // invariant reset_state() relies on (the difftest churn axis and the
+  // bank-hygiene tests check it).
+  std::size_t stray_registers() const;
 
   // --- introspection ---
   uint32_t id() const { return id_; }
@@ -162,6 +181,7 @@ class NewtonSwitch {
   std::vector<bool> qid_used_;
   std::map<uint64_t, InstallRecord> installs_;
   std::map<uint64_t, SliceRt> slices_;  // keyed by same handle
+  std::vector<StateSegment> segments_;  // every record's segments, in order
   uint64_t next_handle_ = 1;
   std::size_t next_free_stage_ = 0;
   uint64_t window_ns_ = 100'000'000;

@@ -7,19 +7,24 @@
 namespace newton {
 
 void Pipeline::publish_telemetry() {
-  auto& reg = telemetry::Registry::global();
   const uint64_t delta = packets_seen_ - packets_published_;
   if (delta != 0) {
-    reg.counter("newton_pipeline_packets_total",
-                "Packets run through a pipeline (all replicas)")
-        .add(delta);
+    if (packets_series_ == nullptr) {
+      auto& reg = telemetry::Registry::global();
+      packets_series_ =
+          &reg.counter("newton_pipeline_packets_total",
+                       "Packets run through a pipeline (all replicas)");
+      stage_series_.clear();
+      for (std::size_t i = 0; i < stages_.size(); ++i)
+        stage_series_.push_back(
+            &reg.counter("newton_pipeline_stage_packets_total",
+                         "Packets traversing a pipeline stage (all replicas)",
+                         {{"stage", std::to_string(i)}}));
+    }
+    packets_series_->add(delta);
     // Every packet traverses every stage (stages predicate internally), so
     // each per-stage series advances by the same delta.
-    for (std::size_t i = 0; i < stages_.size(); ++i)
-      reg.counter("newton_pipeline_stage_packets_total",
-                  "Packets traversing a pipeline stage (all replicas)",
-                  {{"stage", std::to_string(i)}})
-          .add(delta);
+    for (telemetry::Counter* c : stage_series_) c->add(delta);
     packets_published_ = packets_seen_;
   }
   for (Stage& s : stages_)

@@ -16,6 +16,10 @@
 
 namespace newton {
 
+namespace telemetry {
+class Counter;
+}  // namespace telemetry
+
 class Stage {
  public:
   Stage() = default;
@@ -92,6 +96,10 @@ class Pipeline {
   std::vector<Stage> stages_;
   uint64_t packets_seen_ = 0;       // plain: one executing thread at a time
   uint64_t packets_published_ = 0;  // high-water mark of published packets
+  // The series publish_telemetry() feeds, resolved at its first non-empty
+  // publish (resolving earlier would export series that never moved).
+  telemetry::Counter* packets_series_ = nullptr;
+  std::vector<telemetry::Counter*> stage_series_;
 };
 
 }  // namespace newton

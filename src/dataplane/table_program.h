@@ -12,6 +12,10 @@
 
 namespace newton {
 
+namespace telemetry {
+class Counter;
+}  // namespace telemetry
+
 class TableProgram {
  public:
   virtual ~TableProgram() = default;
@@ -58,9 +62,18 @@ class TableProgram {
   // identical either way.  Same single-writer contract as execute().
   uint64_t* hits_cell() { return &hits_; }
 
+  // The registry series publish_telemetry() folds hits into: one per
+  // module type, and one per type and stage where the instance name
+  // carries a stage.  Resolved at the first publish that has hits.
+  struct HitSeries {
+    telemetry::Counter* type = nullptr;
+    telemetry::Counter* stage = nullptr;
+  };
+
  protected:
   uint64_t hits_ = 0;            // rule lookups that matched, this instance
   uint64_t hits_published_ = 0;  // high-water mark of published hits
+  HitSeries hit_series_;
 };
 
 }  // namespace newton

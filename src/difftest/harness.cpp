@@ -74,7 +74,7 @@ ExecResult collect(const Analyzer& an, const Scenario& s, uint64_t max_w,
   ExecResult r;
   for (std::size_t qi = 0; qi < s.queries.size(); ++qi) {
     if (only_query && qi != *only_query) continue;
-    const std::string name = "q" + std::to_string(qi);
+    const std::string name = query_name(qi);
     for (std::size_t bi = 0; bi < s.queries[qi].branches.size(); ++bi)
       for (uint64_t w = 0; w <= max_w; ++w) {
         KeySet ks = an.detected_in_window(name, bi, w, s.window_ns());
@@ -111,7 +111,7 @@ ExecResult run_single(const Scenario& s, const Trace& t, int opt) {
         for (std::size_t bi = 0; bi < st.qids.size(); ++bi)
           an.register_qid_any(st.qids[bi], op.def.name, bi);
       } else {
-        ctl.remove("q" + std::to_string(op.query));
+        ctl.remove(query_name(op.query));
       }
     }
   };
@@ -168,7 +168,7 @@ std::vector<ChurnEvent> make_churn_plan(const Scenario& s,
 // mistakenly active churn query emits nothing), and for doomed events a
 // sketch width larger than the whole state bank.
 Query churn_query(const Scenario& s, const ChurnEvent& ev) {
-  QueryBuilder b("c" + std::to_string(ev.idx));
+  QueryBuilder b(std::string("c").append(std::to_string(ev.idx)));
   b.sketch(2, ev.doomed ? (std::size_t{1} << 21) : 2048);
   b.filter(Predicate{}.where(Field::DstPort, Cmp::Eq,
                              40000 + static_cast<uint32_t>(ev.idx % 1024)))
@@ -210,7 +210,7 @@ ExecResult run_runtime(const Scenario& s, const Trace& t,
     if (op.kind == ResolvedOp::Kind::Install)
       rt.install(op.def, level(s.opt_level));
     else
-      rt.withdraw("q" + std::to_string(op.query));
+      rt.withdraw(query_name(op.query));
   };
   for (; next < ops.size() && ops[next].at_packet == 0; ++next)
     apply(ops[next]);
@@ -533,6 +533,11 @@ ExecResult run_churn(const Scenario& s, const Trace& t,
     const std::string err = oracle.check(sw);
     if (!err.empty())
       out.push_back({"churn-invariant", std::string(at) + ": " + err});
+    if (const std::size_t n = sw.stray_registers())
+      out.push_back(
+          {"churn-invariant",
+           std::string(at).append(": ").append(std::to_string(n)).append(
+               " registers outside every allocated segment are non-zero")});
   };
 
   const std::vector<ResolvedOp> ops = resolve_ops(s);
@@ -540,7 +545,7 @@ ExecResult run_churn(const Scenario& s, const Trace& t,
   const auto apply_scenario_due = [&](uint64_t upto) {
     for (; next < ops.size() && ops[next].at_packet <= upto; ++next) {
       const ResolvedOp& op = ops[next];
-      const std::string name = "q" + std::to_string(op.query);
+      const std::string name = query_name(op.query);
       if (op.kind == ResolvedOp::Kind::Install) {
         const auto st = ctl.install(op.def, level(s.opt_level));
         for (std::size_t bi = 0; bi < st.qids.size(); ++bi)
@@ -550,6 +555,7 @@ ExecResult run_churn(const Scenario& s, const Trace& t,
         ctl.remove(name);
         oracle.on_remove(name);
       }
+      conserve("after scenario op");
     }
   };
   const auto apply_churn_due = [&](uint64_t upto) {

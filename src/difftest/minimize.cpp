@@ -21,7 +21,7 @@ bool still_fails(const FailPredicate& fails, const Scenario& c,
 
 void rename_queries(Scenario& s) {
   for (std::size_t i = 0; i < s.queries.size(); ++i)
-    s.queries[i].name = "q" + std::to_string(i);
+    s.queries[i].name = query_name(i);
 }
 
 // Drop query `qi`, remapping op indices; ops on the dropped query go away.

@@ -43,6 +43,12 @@ bool is_stateful(const Query& q) {
 
 }  // namespace
 
+std::string query_name(std::size_t index) {
+  // Appended, not `"q" + std::to_string(...)`: gcc 12 reports a false
+  // -Wrestrict inside libstdc++ for that form in optimized builds.
+  return std::string("q").append(std::to_string(index));
+}
+
 std::optional<ShardKey> affine_shard_key(const std::vector<Query>& qs) {
   bool any_stateful = false;
   std::array<bool, kNumFields> common{};
@@ -242,8 +248,7 @@ Scenario Scenario::parse(const std::string& text) {
       s.trace.injections.push_back(i);
     } else if (word == "query") {
       const std::string dsl = line.substr(line.find("query") + 6);
-      const std::string name = "q" + std::to_string(s.queries.size());
-      s.queries.push_back(parse_query(name, dsl));
+      s.queries.push_back(parse_query(query_name(s.queries.size()), dsl));
     } else if (word == "op") {
       OpEvent op;
       const std::string& k = toks.at(1);
@@ -388,7 +393,7 @@ std::vector<KeySel> gen_stateful_keys(std::mt19937_64& rng, bool wide) {
 }
 
 Query gen_query(std::mt19937_64& rng, std::size_t idx, bool wide) {
-  QueryBuilder b("q" + std::to_string(idx));
+  QueryBuilder b(query_name(idx));
   if (wide)
     b.sketch(kWideDepth, kWideWidth);
   else if (rng() % 5 == 0)  // stress regime: small sketches, shards==1 only
@@ -552,7 +557,7 @@ void normalize(Scenario& s) {
 
   for (std::size_t i = 0; i < s.queries.size(); ++i) {
     Query& q = s.queries[i];
-    q.name = "q" + std::to_string(i);
+    q.name = query_name(i);
     q.window_ns = s.window_ns();
     q.row_partitions = 1;
     q.sketch_depth = std::clamp<std::size_t>(q.sketch_depth, 2, 4);

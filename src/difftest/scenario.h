@@ -66,10 +66,13 @@ struct OpEvent {
   uint32_t new_when = 0;   // Update: replacement when-threshold
 };
 
+// The name scenario query `index` carries: q0, q1, ...
+std::string query_name(std::size_t index);
+
 struct Scenario {
   uint64_t id = 0;  // generation seed (file naming, replay printing)
   TraceSpec trace;
-  std::vector<Query> queries;  // named q0, q1, ... by index
+  std::vector<Query> queries;  // named query_name(index)
   std::vector<OpEvent> ops;    // applied in at_packet order (stable)
 
   // Execution axes.

@@ -18,7 +18,9 @@ std::string FaultPlan::describe(const Topology& t) const {
   auto name = [&](int n) { return t.nodes.at(static_cast<std::size_t>(n)).name; };
   std::string out;
   for (const FaultEvent& e : events) {
-    out += "@" + std::to_string(e.at_packet) + " ";
+    out += '@';
+    out += std::to_string(e.at_packet);
+    out += ' ';
     switch (e.kind) {
       case FaultEvent::Kind::LinkDown:
         out += "link-down " + name(e.a) + "--" + name(e.b);

@@ -91,7 +91,9 @@ PumpStats IngestPump::run(Source& src) {
       // reports.
       const uint64_t bound = opts_.max_wait_us * 1'000;
       const uint64_t hint = src.ns_until_ready();
-      sleep_ns(hint == 0 ? bound : std::min(hint, bound));
+      const uint64_t wait = hint == 0 ? bound : std::min(hint, bound);
+      ps.wait_ns += wait;
+      sleep_ns(wait);
       continue;
     }
     ++ps.batches;

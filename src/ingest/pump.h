@@ -50,6 +50,7 @@ struct PumpStats {
   uint64_t bytes = 0;
   uint64_t batches = 0;      // non-empty pulls
   uint64_t would_block = 0;  // empty pulls on a live (not-done) source
+  uint64_t wait_ns = 0;      // sleep requested across those pulls
   SourceStats source;        // the source's own accounting at finish
 };
 

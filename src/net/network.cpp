@@ -215,19 +215,24 @@ Network::SendStats Network::send_along(const Packet& pkt,
       // Downstream hop: resume each carried execution independently — the
       // PHV has only two metadata sets, so concurrent resumptions cannot
       // share a pipeline pass.  Headers this switch hosts no slice for are
-      // carried through untouched.
+      // carried through untouched.  The packet itself is dispatched by
+      // newton_init once per hop, on the first pass; the other passes only
+      // resume their header's slice.
       if (sps.empty()) {
         // No executions in flight: an empty pass still advances the
         // switch's window epoch off the packet timestamp.
         sw.process(pkt, std::nullopt, /*at_ingress_edge=*/false);
       }
       std::vector<SpHeader> carried;
+      bool dispatch_init = true;
       for (const SpHeader& sp : sps) {
         // The snapshot crosses the link as 12 wire bytes; encode/decode at
         // each hop exercises the real SP codec end to end.
         const auto wire = sp_encode(sp);
         const auto sp_in = sp_decode(wire.data(), wire.size());
-        const auto out = sw.process(pkt, sp_in, /*at_ingress_edge=*/false);
+        const auto out = sw.process(pkt, sp_in, /*at_ingress_edge=*/false,
+                                    dispatch_init);
+        dispatch_init = false;
         if (out.sp_consumed) {
           // This hop hosted and ran the slice the header addressed.
           slice_traversals(sp_in->next_slice).add();

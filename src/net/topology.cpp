@@ -103,11 +103,15 @@ Topology make_fat_tree(int k) {
     for (int a = 0; a < half; ++a)
       for (int c = 0; c < half; ++c) t.add_link(aggs[a], core[a * half + c]);
     for (int e = 0; e < half; ++e)
-      for (int h = 0; h < half; ++h)
-        t.add_link(edges[e],
-                   t.add_node(NodeType::Host, "h" + std::to_string(p) + "_" +
-                                                  std::to_string(e) + "_" +
-                                                  std::to_string(h)));
+      for (int h = 0; h < half; ++h) {
+        std::string host = "h";
+        host += std::to_string(p);
+        host += '_';
+        host += std::to_string(e);
+        host += '_';
+        host += std::to_string(h);
+        t.add_link(edges[e], t.add_node(NodeType::Host, host));
+      }
   }
   return t;
 }
@@ -148,7 +152,8 @@ Topology make_line(int n_switches) {
   Topology t;
   std::vector<int> sw;
   for (int i = 0; i < n_switches; ++i)
-    sw.push_back(t.add_node(NodeType::Switch, "s" + std::to_string(i)));
+    sw.push_back(t.add_node(NodeType::Switch,
+                            std::string("s").append(std::to_string(i))));
   for (int i = 0; i + 1 < n_switches; ++i) t.add_link(sw[i], sw[i + 1]);
   const int h1 = t.add_node(NodeType::Host, "h1");
   const int h2 = t.add_node(NodeType::Host, "h2");

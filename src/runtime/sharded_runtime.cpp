@@ -214,10 +214,7 @@ void ShardedRuntime::withdraw(const std::string& name) {
 void ShardedRuntime::start() {
   if (started_) return;
   reload_replicas();
-  for (auto& w : workers_) {
-    w->reset_banks();
-    w->start();
-  }
+  for (auto& w : workers_) w->start();
   started_ = true;
 }
 
@@ -346,7 +343,7 @@ void ShardedRuntime::failover(std::size_t wi) {
 
   // Fold the dead replica's window-partial state into the successor before
   // any moved packet executes there.
-  const auto segs = primary_.state_segments();
+  const auto& segs = primary_.state_segments();
   for (const auto& seg : segs) {
     if (!dead.has_bank(seg.stage) || !workers_[succ]->has_bank(seg.stage))
       continue;
@@ -441,9 +438,12 @@ void ShardedRuntime::barrier() {
   const auto merge_t0 = std::chrono::steady_clock::now();
   drain_and_merge();
   apply_mutations();
-  if (replicas_dirty_) reload_replicas();
-  for (std::size_t i = 0; i < workers_.size(); ++i)
-    if (alive_[i]) workers_[i]->reset_banks();
+  if (replicas_dirty_) {
+    reload_replicas();  // reloaded replicas start with zeroed banks
+  } else {
+    for (std::size_t i = 0; i < workers_.size(); ++i)
+      if (alive_[i]) workers_[i]->reset_banks();
+  }
   metrics_.merge_us->observe(
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - merge_t0)
@@ -480,7 +480,7 @@ void ShardedRuntime::drain_and_merge() {
   // allocated slice, so the merged end-of-window state is introspectable on
   // the primary exactly as if it had executed the whole window itself.
   primary_.reset_state();
-  const auto segs = primary_.state_segments();
+  const auto& segs = primary_.state_segments();
   for (const auto& seg : segs) {
     const MergeOp op = merge_op_for(seg.op);
     for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -563,7 +563,7 @@ void ShardedRuntime::apply_mutations() {
 void ShardedRuntime::reload_replicas() {
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i])
-      workers_[i]->load_replica(primary_.pipeline(), primary_.init_table());
+      workers_[i]->load_replica(primary_);
   replicas_dirty_ = false;
   if (opts_.jit) ++stats_.jit_recompiles;
 }

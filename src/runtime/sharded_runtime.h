@@ -168,6 +168,11 @@ class ShardedRuntime {
   // deadline) at exactly this point in its item stream.
   void kill_shard_for_test(std::size_t i);
   void stall_shard_for_test(std::size_t i);
+  // Read access to shard `i`'s replica; only while no worker runs (before
+  // the first packet, or after finish()).
+  const ShardWorker& worker_for_test(std::size_t i) const {
+    return *workers_.at(i);
+  }
 
  private:
   void barrier();           // fence all workers, merge, drain, mutate, reset

@@ -21,14 +21,17 @@ uint64_t thread_cpu_ns() {
   return 0;
 }
 
-// A deep copy of `src` like Pipeline::clone(), except that each state bank
-// is copied into the bank `old` holds at the same stage and slot, when the
-// sizes match, instead of into fresh memory.  A replica reload then keeps
-// its banks (192 KB each, one per stage) instead of freeing and allocating
-// them again at every mutation barrier; how much of that memory the
-// allocator hands back to the kernel, only to fault it in again, otherwise
-// depends on whatever else happens to sit in the heap.
-Pipeline copy_reusing_banks(const Pipeline& src, Pipeline& old) {
+// A replica of `src` for one shard: a deep copy like Pipeline::clone(),
+// except that every state bank starts zeroed rather than holding the
+// primary's registers (a replica accumulates only its own shard's window;
+// the barrier folds it back segment by segment).  Where `old` holds an S
+// module at the same stage and slot with a bank of the same size, that
+// module takes the new rules and keeps its storage, which must already be
+// all-zero.  A reload then neither copies nor reallocates 192 KB per stage
+// at every mutation barrier; how much of freed memory the allocator hands
+// back to the kernel, only to fault it in again, depends on whatever else
+// happens to sit in the heap.
+Pipeline zeroed_replica(const Pipeline& src, Pipeline& old) {
   Pipeline out(src.num_stages());
   for (std::size_t i = 0; i < src.num_stages(); ++i) {
     const auto& from = src.stage(i).tables();
@@ -40,10 +43,16 @@ Pipeline copy_reusing_banks(const Pipeline& src, Pipeline& old) {
       auto* into = prev != nullptr && j < prev->size()
                        ? dynamic_cast<SModule*>((*prev)[j].get())
                        : nullptr;
-      if (s != nullptr && into != nullptr &&
-          s->registers().size() == into->registers().size()) {
-        *into = *s;  // copy-assignment keeps the bank's storage
-        t = (*prev)[j];
+      if (s != nullptr) {
+        const std::size_t regs = s->registers().size();
+        if (into != nullptr && into->registers().size() == regs) {
+          t = (*prev)[j];
+        } else {
+          auto fresh = std::make_shared<SModule>(s->name(), regs);
+          into = fresh.get();
+          t = std::move(fresh);
+        }
+        into->assign_rules(*s);
       } else {
         t = from[j]->clone();
       }
@@ -76,9 +85,12 @@ ShardWorker::~ShardWorker() {
   }
 }
 
-void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init) {
-  pipeline_ = copy_reusing_banks(pipe, pipeline_);
-  auto cloned = std::dynamic_pointer_cast<InitModule>(init.clone());
+void ShardWorker::load_replica(const NewtonSwitch& primary) {
+  reset_banks();  // the outgoing banks become all-zero, ready for reuse
+  pipeline_ = zeroed_replica(primary.pipeline(), pipeline_);
+  segments_ = primary.state_segments();
+  auto cloned =
+      std::dynamic_pointer_cast<InitModule>(primary.init_table().clone());
   if (!cloned)
     throw std::logic_error("ShardWorker: init clone has unexpected type");
   cloned->reset_telemetry();  // this replica publishes only its own hits
@@ -161,13 +173,16 @@ RegisterArray& ShardWorker::bank(std::size_t stage) {
   return s->registers();
 }
 
+const RegisterArray& ShardWorker::bank(std::size_t stage) const {
+  return const_cast<ShardWorker&>(*this).bank(stage);
+}
+
 bool ShardWorker::has_bank(std::size_t stage) const {
   return stage < s_by_stage_.size() && s_by_stage_[stage] != nullptr;
 }
 
 void ShardWorker::reset_banks() {
-  for (SModule* s : s_by_stage_)
-    if (s) s->registers().reset();
+  NewtonSwitch::reset_segments(s_by_stage_, segments_);
 }
 
 void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {

@@ -19,6 +19,7 @@
 
 #include "compile/executor.h"
 #include "core/modules.h"
+#include "core/newton_switch.h"
 #include "core/report.h"
 #include "dataplane/pipeline.h"
 #include "runtime/spsc_ring.h"
@@ -72,14 +73,15 @@ class ShardWorker {
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  // Replace the replica with a fresh deep copy of `pipe` + `init` (the state
-  // banks are copied into the outgoing replica's bank storage), bind
-  // the cloned R modules to this worker's private report buffer, and, with
+  // Replace the replica with a deep copy of `primary`'s pipeline and init
+  // table over zeroed state banks (the outgoing replica's bank storage is
+  // reused), capture the primary's allocated state segments, bind the
+  // cloned R modules to this worker's private report buffer, and, with
   // the jit on, lower the installed chains into compiled executors (the
   // old CompiledPipeline must never survive a reload: its ops hold
   // pointers into the replaced replica's modules).  Demux thread only;
   // worker must be quiesced (not yet started, or fenced).
-  void load_replica(const Pipeline& pipe, const InitModule& init);
+  void load_replica(const NewtonSwitch& primary);
 
   void start();  // spawn the thread (idempotent)
   void join();   // wait for the thread after a Stop token
@@ -112,8 +114,15 @@ class ShardWorker {
   // --- quiesced access (demux thread, after wait_fence) ---
   ReportBuffer& reports() { return reports_; }
   RegisterArray& bank(std::size_t stage);
+  const RegisterArray& bank(std::size_t stage) const;
   bool has_bank(std::size_t stage) const;
-  void reset_banks();  // zero every replica register bank (window rollover)
+  // The primary's allocated segments as of the last load_replica.
+  const std::vector<NewtonSwitch::StateSegment>& segments() const {
+    return segments_;
+  }
+  // Window rollover: zero the segments captured at load, which leaves every
+  // replica bank all-zero (nothing outside them is ever written).
+  void reset_banks();
   // Fold the replica's packet/stage/rule-hit deltas into the global
   // registry (the runtime calls this at every window barrier).
   void publish_telemetry() {
@@ -137,6 +146,7 @@ class ShardWorker {
   compile::ExecOptions exec_opts_;  // fixed at construction
   std::shared_ptr<InitModule> init_;
   std::vector<SModule*> s_by_stage_;  // typed views into the replica
+  std::vector<NewtonSwitch::StateSegment> segments_;  // captured at load
   std::vector<RModule*> r_mods_;
   // Reusable PHV buffer, sized to burst_ once at construction; bursts are
   // read in place from the ring, so the steady-state loop allocates

@@ -103,8 +103,11 @@ std::string to_json(const Snapshot& s, int indent) {
       out += ", \"labels\": {";
       for (std::size_t j = 0; j < m.labels.size(); ++j) {
         if (j) out += ", ";
-        out += "\"" + escape(m.labels[j].first) + "\": \"" +
-               escape(m.labels[j].second) + "\"";
+        out += '"';
+        out += escape(m.labels[j].first);
+        out += "\": \"";
+        out += escape(m.labels[j].second);
+        out += '"';
       }
       out += "}";
     }

@@ -166,7 +166,7 @@ TEST(RejectedInstall, RacingWithdrawMatchesWithdrawOnlyRun) {
     ReportBuffer buf;
     rt.set_report_sink(&buf);
     for (int i = 0; i < 6; ++i)
-      rt.install(port_query("q" + std::to_string(i),
+      rt.install(port_query(std::string("q").append(std::to_string(i)),
                             static_cast<uint16_t>(20'000 + i)));
     rt.start();
     bool queued = false;

@@ -118,7 +118,7 @@ RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
     if (op.kind == difftest::ResolvedOp::Kind::Install)
       rt.install(op.def, level(s.opt_level));
     else
-      rt.withdraw("q" + std::to_string(op.query));
+      rt.withdraw(difftest::query_name(op.query));
   };
   for (; next < ops.size() && ops[next].at_packet == 0; ++next)
     apply(ops[next]);

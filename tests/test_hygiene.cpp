@@ -3,9 +3,18 @@
 // behaviour under churn.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "analyzer/analyzer.h"
 #include "core/controller.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
+#include "net/net_controller.h"
+#include "net/network.h"
+#include "runtime/sharded_runtime.h"
 #include "trace/attacks.h"
 
 namespace newton {
@@ -108,7 +117,7 @@ TEST(Capacity, ModuleRuleCapacityBindsConcurrency) {
   std::size_t installed = 0;
   try {
     for (std::size_t i = 0; i < kRulesPerModule + 10; ++i) {
-      Query q = QueryBuilder("m" + std::to_string(i))
+      Query q = QueryBuilder(std::string("m").append(std::to_string(i)))
                     .filter(Predicate{}.where(Field::DstPort, Cmp::Eq,
                                               static_cast<uint32_t>(i)))
                     .map({Field::DstIp})
@@ -166,6 +175,244 @@ TEST(Epoch, WindowBoundaryResetsAllBanks) {
     sw.process(make_packet(50 + i, 5, 1, 80, kProtoTcp, kTcpSyn, 64,
                            1'050'000 + 1000ull * i));
   EXPECT_EQ(sink.size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Bank hygiene: a window roll zeroes only the allocated segments, which is
+// exact only while every register outside them is zero.  These drive random
+// install / withdraw / traffic / roll sequences and check that invariant
+// after every step, plus an all-zero bank set right after every roll.
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kHygieneWindowNs = 100'000'000;
+
+std::size_t nonzero_registers(const RegisterArray& bank) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < bank.size(); ++i) n += bank.read(i) != 0;
+  return n;
+}
+
+std::size_t nonzero_registers(const NewtonSwitch& sw) {
+  std::size_t n = 0;
+  for (std::size_t st = 0; st < sw.num_stages(); ++st)
+    n += nonzero_registers(sw.modules().s[st]->registers());
+  return n;
+}
+
+std::string hygiene_name(int port_index) {
+  return std::string("hq").append(std::to_string(port_index));
+}
+
+// A counting query on its own dst port; `width` varies so withdrawn ranges
+// get reused by differently sized allocations.
+Query hygiene_query(int port_index, std::size_t width, std::size_t depth) {
+  QueryBuilder b(hygiene_name(port_index));
+  b.sketch(depth, width);
+  b.filter(Predicate{}.where(Field::DstPort, Cmp::Eq,
+                             static_cast<uint32_t>(20'000 + port_index)))
+      .map({Field::SrcIp})
+      .reduce({Field::SrcIp}, Agg::Sum)
+      .when(Cmp::Ge, 1'000'000);
+  Query q = b.build();
+  q.window_ns = kHygieneWindowNs;
+  q.row_partitions = 1;
+  return q;
+}
+
+// Traffic on the pool's ports (installed or not) inside window `w`.
+std::vector<Packet> hygiene_traffic(std::mt19937& rng, int ports, uint64_t w,
+                                    std::size_t n) {
+  std::vector<Packet> out;
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(make_packet(
+        ipv4(10, 0, static_cast<uint8_t>(rng() % 4),
+             static_cast<uint8_t>(rng() % 256)),
+        ipv4(172, 16, 0, 1), 1234,
+        static_cast<uint32_t>(20'000 + rng() % ports), kProtoTcp, 0, 64,
+        w * kHygieneWindowNs + 1'000 * (i + 1)));
+  return out;
+}
+
+// A packet no query watches, at the start of window `w`: it rolls the
+// window and writes nothing, so the banks right after it are the banks
+// right after the roll.
+Packet roll_packet(uint64_t w) {
+  return make_packet(ipv4(10, 9, 9, 9), ipv4(172, 16, 0, 2), 53, 9, kProtoUdp,
+                     0, 64, w * kHygieneWindowNs);
+}
+
+enum class Step { Install, Withdraw, Traffic, Roll };
+
+Step random_step(std::mt19937& rng) {
+  return static_cast<Step>(rng() % 4);
+}
+
+TEST(BankHygiene, SwitchKeepsUnallocatedRegistersZero) {
+  constexpr int kPorts = 8;
+  std::mt19937 rng(17);
+  NewtonSwitch sw(1, 12, nullptr, /*bank=*/1 << 11);
+  sw.set_window_ns(kHygieneWindowNs);
+  Controller ctl(sw);
+  std::set<int> installed;
+  uint64_t w = 0;
+  std::size_t rolls = 0, withdrawals = 0, live = 0;
+  for (int step = 0; step < 400; ++step) {
+    const int port = static_cast<int>(rng() % kPorts);
+    switch (random_step(rng)) {
+      case Step::Install:
+        if (installed.contains(port)) break;
+        try {
+          ctl.install(hygiene_query(port, 64u << (rng() % 4), 1 + rng() % 2));
+          installed.insert(port);
+        } catch (const std::exception&) {
+          // Bank or table full: a rejected install must leave no residue
+          // either, which the check below covers.
+        }
+        break;
+      case Step::Withdraw:
+        if (!installed.contains(port)) break;
+        ctl.remove(hygiene_name(port));
+        installed.erase(port);
+        ++withdrawals;
+        break;
+      case Step::Traffic:
+        for (const Packet& p : hygiene_traffic(rng, kPorts, w, 40))
+          sw.process(p);
+        break;
+      case Step::Roll:
+        live += nonzero_registers(sw);
+        sw.process(roll_packet(++w));
+        ++rolls;
+        ASSERT_EQ(nonzero_registers(sw), 0u)
+            << "after the roll at step " << step;
+        break;
+    }
+    ASSERT_EQ(sw.stray_registers(), 0u) << "step " << step;
+  }
+  EXPECT_GT(rolls, 50u);
+  EXPECT_GT(withdrawals, 20u);
+  EXPECT_GT(live, 0u);
+}
+
+TEST(BankHygiene, ShardedRuntimePrimaryAndReplicas) {
+  constexpr int kPorts = 6;
+  std::mt19937 rng(23);
+  NewtonSwitch primary(1, 12, nullptr, /*bank=*/1 << 13);
+  primary.set_window_ns(kHygieneWindowNs);
+  RuntimeOptions opts;
+  opts.num_shards = 2;
+  ShardedRuntime rt(primary, opts);
+  std::set<int> installed;
+  uint64_t w = 0;
+  std::size_t live = 0;
+  // Every step is one window with one install or withdraw, queued while
+  // the runtime runs and applied (with a replica reload) at the barrier
+  // that closes the window.  Every third step finishes the run instead:
+  // the workers are then quiesced right after a barrier, so their replicas
+  // must read all-zero; the next packet restarts the runtime.
+  for (int step = 0; step < 60; ++step) {
+    const int port = static_cast<int>(rng() % kPorts);
+    if (installed.contains(port)) {
+      rt.withdraw(hygiene_name(port));
+      installed.erase(port);
+    } else {
+      rt.install(hygiene_query(port, 64u << (rng() % 4), 1 + rng() % 2));
+      installed.insert(port);
+    }
+    for (const Packet& p : hygiene_traffic(rng, kPorts, ++w, 200))
+      rt.process(p);
+    if (step % 3 != 2) continue;
+    rt.finish();
+    ASSERT_EQ(primary.stray_registers(), 0u) << "primary, step " << step;
+    live += nonzero_registers(primary);  // the last window's merged state
+    for (std::size_t i = 0; i < rt.num_shards(); ++i) {
+      const ShardWorker& wk = rt.worker_for_test(i);
+      ASSERT_EQ(wk.segments().size(), primary.state_segments().size());
+      for (std::size_t st = 0; st < primary.num_stages(); ++st)
+        ASSERT_EQ(nonzero_registers(wk.bank(st)), 0u)
+            << "replica " << i << " stage " << st << ", step " << step;
+    }
+  }
+  EXPECT_GT(rt.stats().rule_updates_applied, 30u);
+  EXPECT_EQ(rt.stats().installs_rejected, 0u);
+  EXPECT_GT(live, 0u);
+}
+
+TEST(BankHygiene, NetworkSwitchesUnderDeployChurn) {
+  constexpr int kPorts = 6;
+  std::mt19937 rng(29);
+  Analyzer an;
+  Network net(make_line(3), /*stages=*/5, &an, /*bank=*/1 << 11);
+  net.set_window_ns(kHygieneWindowNs);
+  NetworkController ctl(net, &an, 1 << 11);
+  const auto hosts = net.topo().hosts();
+  const std::vector<int> sws = net.topo().switches();
+  std::set<int> deployed;
+  uint64_t w = 0;
+  std::size_t rolls = 0, withdrawals = 0, live = 0;
+  for (int step = 0; step < 300; ++step) {
+    const int port = static_cast<int>(rng() % kPorts);
+    switch (random_step(rng)) {
+      case Step::Install:
+        if (deployed.contains(port)) break;
+        try {
+          ctl.deploy(hygiene_query(port, 64u << (rng() % 4), 1 + rng() % 2));
+          deployed.insert(port);
+        } catch (const std::exception&) {
+        }
+        break;
+      case Step::Withdraw:
+        if (!deployed.contains(port)) break;
+        ctl.withdraw(hygiene_name(port));
+        deployed.erase(port);
+        ++withdrawals;
+        break;
+      case Step::Traffic:
+        for (const Packet& p : hygiene_traffic(rng, kPorts, w, 40))
+          net.send(p, hosts[0], hosts[1]);
+        break;
+      case Step::Roll:
+        for (int s : sws) live += nonzero_registers(net.sw(s));
+        net.send(roll_packet(++w), hosts[0], hosts[1]);
+        ++rolls;
+        for (int s : sws)
+          ASSERT_EQ(nonzero_registers(net.sw(s)), 0u)
+              << "switch " << s << " after the roll at step " << step;
+        break;
+    }
+    for (int s : sws)
+      ASSERT_EQ(net.sw(s).stray_registers(), 0u)
+          << "switch " << s << ", step " << step;
+  }
+  EXPECT_GT(rolls, 40u);
+  EXPECT_GT(withdrawals, 15u);
+  EXPECT_GT(live, 0u);
+}
+
+TEST(BankHygiene, UnguardedStatefulRuleIsRejected) {
+  NewtonSwitch sw(1, 12, nullptr, /*bank=*/1 << 11);
+  const CompiledQuery good = compile_query(hygiene_query(0, 128, 1));
+  const std::size_t free_qids = sw.free_qids();
+  const auto mutate_s = [&](auto&& edit) {
+    CompiledQuery cq = good;
+    for (auto& b : cq.branches)
+      for (ModuleSpec& m : b.modules)
+        if (m.type == ModuleType::S && !m.s.bypass && m.rule_needed) edit(m);
+    return cq;
+  };
+  // No allocation: the index would address the bank unguarded.
+  EXPECT_THROW(sw.install(mutate_s([](ModuleSpec& m) { m.alloc_width = 0; })),
+               std::invalid_argument);
+  // A guard wider than the allocation would write past its segment.
+  EXPECT_THROW(sw.install(mutate_s([](ModuleSpec& m) {
+                 m.s.guard_lo = 0;
+                 m.s.guard_hi = 0xffffffffu;
+               })),
+               std::invalid_argument);
+  EXPECT_EQ(sw.num_installs(), 0u);
+  EXPECT_EQ(sw.free_qids(), free_qids);
+  EXPECT_TRUE(sw.state_segments().empty());
+  EXPECT_NO_THROW(sw.install(good));
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // resilient end-to-end monitoring through reroutes.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
+#include <set>
 
 #include "analyzer/analyzer.h"
 #include "core/queries.h"
@@ -407,6 +409,59 @@ TEST_F(LineNetwork, SoleModelReportsPerHop) {
 
   // Every switch on the 3-hop path reports independently: ~3x the reports.
   EXPECT_GE(analyzer_.reports_for("q1_new_tcp"), 3u);
+}
+
+// State mass of the queries installed on `sw` since `before` (the qids
+// present then): the sum of their allocated registers.
+uint64_t mass_of_new_qids(const NewtonSwitch& sw,
+                          const std::set<uint16_t>& before) {
+  uint64_t mass = 0;
+  for (const auto& seg : sw.state_segments()) {
+    if (before.contains(seg.qid)) continue;
+    const RegisterArray& bank = sw.modules().s[seg.stage]->registers();
+    for (std::size_t i = 0; i < seg.width; ++i)
+      mass += bank.read(seg.offset + i);
+  }
+  return mass;
+}
+
+TEST(TransitInit, SoleQueryCountsEachPacketOncePerHop) {
+  // Two CQE-sliced queries make a SYN carry two SP headers past the
+  // ingress switch, so each downstream hop runs two resume passes.  A
+  // whole-query (sole) install must still see the packet exactly once per
+  // hop: newton_init dispatches once, not once per carried header.
+  Analyzer an;
+  Network net(make_line(3), /*stages=*/5, &an, /*bank=*/1 << 14);
+  NetworkController ctl(net, &an, 1 << 14);
+  QueryParams params;
+  params.sketch_width = 256;
+  Query q1b = make_q1(params);
+  q1b.name = "q1_new_tcp_b";
+  ctl.deploy(make_q1(params));
+  ctl.deploy(q1b);
+
+  const std::vector<int> sws = net.topo().switches();
+  std::map<int, std::set<uint16_t>> sliced_qids;
+  for (int s : sws)
+    for (const auto& seg : net.sw(s).state_segments())
+      sliced_qids[s].insert(seg.qid);
+
+  QueryBuilder b("sole_count");
+  b.sketch(1, 32);
+  b.map({Field::DstIp}).reduce({Field::DstIp}, Agg::Sum).when(Cmp::Ge, 1000);
+  Query sole = b.build();
+  sole.row_partitions = 1;
+  ctl.deploy_sole(sole);
+
+  const auto hosts = net.topo().hosts();
+  const auto st = net.send(make_packet(ipv4(10, 0, 0, 1), ipv4(172, 16, 0, 1),
+                                       1234, 80, kProtoTcp, kTcpSyn, 64, 1000),
+                           hosts[0], hosts[1]);
+  ASSERT_EQ(st.hops, 3u);
+  ASSERT_GE(st.sp_link_bytes, 2 * kSpHeaderBytes);  // two headers leave s0
+  for (int s : sws)
+    EXPECT_EQ(mass_of_new_qids(net.sw(s), sliced_qids[s]), 1u)
+        << "switch " << s;
 }
 
 TEST(NetworkResilience, RerouteStillMonitored) {
