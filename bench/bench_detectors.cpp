@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -45,45 +44,34 @@ std::vector<Row> run_once(const std::string& pcap_path, std::size_t shards,
   telemetry::Registry::global().reset();
   const Trace t = load_pcap(pcap_path);
 
-  std::vector<const detectors::Detector*> all;
-  for (const auto& d : lib) all.push_back(&d);
-  // One runtime pass per sharding-compatible group: exact semantics need
-  // the shard key to be affine for every installed stateful key, and the
-  // sip-keyed / dip-keyed / dport-keyed families have no common key.
-  std::map<std::string, Row> by_id;
-  for (const auto& g : detectors::group_by_shard_key(all)) {
-    Analyzer an;
-    detectors::ValueSink values(g.members.front()->query.window_ns);
-    // Concurrent chains stack up the pipeline: give the primary switch a
-    // deep stage budget (install places overlapping queries into later
-    // stages).
-    NewtonSwitch sw(1, 64, nullptr);
-    RuntimeOptions ro;
-    ro.num_shards = shards;
-    ro.shard_key = g.key;
-    ro.record_snapshots = false;
-    ShardedRuntime rt(sw, ro, &an);
-    rt.set_report_sink(&values);
-    for (const auto* d : g.members) rt.install(d->query);
+  Analyzer an;
+  detectors::ValueSink values(lib.front().query.window_ns);
+  // Concurrent chains stack up the pipeline: give the primary switch a deep
+  // stage budget (install places overlapping queries into later stages).
+  // The runtime derives the key groups (sip/8, dip, dport) itself.
+  NewtonSwitch sw(1, 64, nullptr);
+  RuntimeOptions ro;
+  ro.num_shards = shards;
+  ro.record_snapshots = false;
+  ShardedRuntime rt(sw, ro, &an);
+  rt.set_report_sink(&values);
+  for (const auto& d : lib) rt.install(d.query);
 
-    ingest::PcapFileSource src(pcap_path);
-    ingest::IngestPump pump(rt);
-    pump.run(src);
-    rt.finish();
+  ingest::PcapFileSource src(pcap_path);
+  ingest::IngestPump pump(rt);
+  pump.run(src);
+  rt.finish();
 
-    const detectors::EvalInput in{t, an, values};
-    for (const auto* d : g.members) {
-      Row r;
-      r.id = d->id;
-      r.ev = d->evaluate(in);
-      r.ok = r.ev.acc.precision() >= d->min_precision &&
-             r.ev.acc.recall() >= d->min_recall;
-      by_id[r.id] = std::move(r);
-    }
-  }
-  // Report in library order regardless of group order.
+  const detectors::EvalInput in{t, an, values};
   std::vector<Row> rows;
-  for (const auto& d : lib) rows.push_back(by_id[d.id]);
+  for (const auto& d : lib) {
+    Row r;
+    r.id = d.id;
+    r.ev = d.evaluate(in);
+    r.ok = r.ev.acc.precision() >= d.min_precision &&
+           r.ev.acc.recall() >= d.min_recall;
+    rows.push_back(std::move(r));
+  }
   return rows;
 }
 

@@ -1,5 +1,14 @@
 // Sharded-runtime throughput: packets/sec vs. shard count on a ~1M-packet
-// trace, with q1/q3/q5 installed and 5-tuple flow sharding.
+// trace, with q1/q3/q5 installed and the runtime's derived key groups (dip
+// for q1 and q5, sip for q3: up to two visits per packet).
+//
+// Before any throughput is printed, the report set of every run — which
+// keys each query reported in which window — must equal the 1-shard set;
+// otherwise the bench exits 1 (a faster wrong answer is not a result).
+// Records are not compared byte for byte: with 30k flows per window the
+// sketches still collide, and each shard's bloom suppresses only its own
+// keys' false positives, so a threshold can be crossed a few packets
+// earlier at N shards (docs/runtime.md "Sharding by key group").
 //
 // Two metrics per shard count:
 //   wall_pps   packets / wall-clock ns of the run.  On a single-core host
@@ -34,7 +43,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
@@ -97,6 +108,10 @@ struct Sample {
   std::size_t live_shards = 0;
   double wall_pps = 0.0;
   double model_pps = 0.0;
+  std::size_t groups = 0;   // key groups the demux hashed by
+  uint64_t visits = 0;      // ring items: packets x distinct shards
+  // (qid, window, key) of every report: the run's answer.
+  std::set<std::tuple<uint16_t, uint64_t, KeyArray>> report_set;
 };
 
 Sample run_one(const Trace& t, std::size_t shards, std::size_t burst,
@@ -104,15 +119,23 @@ Sample run_one(const Trace& t, std::size_t shards, std::size_t burst,
   // One run at a time in the global registry, so the exported metrics
   // block describes exactly the metrics-target run.
   telemetry::Registry::global().reset();
-  NewtonSwitch sw(1, 24, nullptr);
+  // Sketches sized for the trace's ~30k flows per window.  At the library
+  // default width (4096) q3's bloom saturates: even the 1-shard run misses
+  // 3 of the 9 exact superspreader reports, and the report-set check below
+  // would compare bloom saturation, not sharding.  At 32768 every shard
+  // count reports exactly the trace's exact answers.
+  NewtonSwitch sw(1, 24, nullptr, /*bank_registers=*/1 << 16);
   RuntimeOptions o;
   o.num_shards = shards;
   o.queue_capacity = 8192;
   o.burst = burst;
   o.record_snapshots = false;  // measuring the data path, not the observer
   o.jit = jit;
+  ReportBuffer buf;
   ShardedRuntime rt(sw, o);
+  rt.set_report_sink(&buf);
   QueryParams p;
+  p.sketch_width = 1 << 15;
   rt.install(make_q1(p));
   rt.install(make_q3(p));
   rt.install(make_q5(p));
@@ -143,6 +166,10 @@ Sample run_one(const Trace& t, std::size_t shards, std::size_t burst,
   s.redistributed = st.redistributed_packets;
   s.abandoned = st.abandoned_packets;
   s.live_shards = st.live_shards;
+  s.groups = rt.shard_groups().size();
+  s.visits = st.shard_visits;
+  for (const ReportRecord& r : buf.records())
+    s.report_set.emplace(r.qid, r.ts_ns / sw.window_ns(), r.oper_keys);
   const double n = static_cast<double>(t.size());
   s.wall_pps = n * 1e9 / static_cast<double>(s.wall);
   const uint64_t crit = std::max(s.demux_cpu, s.max_worker_cpu);
@@ -228,40 +255,60 @@ int main(int argc, char** argv) {
               static_cast<double>(t.duration_ns()) / 1e9,
               std::thread::hardware_concurrency());
 
-  const auto print_sample = [](const Sample& s) {
+  const double npkts = static_cast<double>(t.size());
+  const auto print_sample = [npkts](const Sample& s) {
     std::printf(
         "shards=%zu  burst=%3zu  jit=%s  wall=%7.1f ms  wall_pps=%9.0f  "
-        "model_pps=%9.0f  demux_cpu=%6.1f ms  max_worker_cpu=%6.1f ms  "
-        "stalls=%llu\n",
-        s.shards, s.burst, s.jit ? "on " : "off",
-        s.wall / 1e6, s.wall_pps,
-        s.model_pps, s.demux_cpu / 1e6, s.max_worker_cpu / 1e6,
-        static_cast<unsigned long long>(s.stalls));
+        "model_pps=%9.0f  demux_cpu=%6.1f ms (%5.1f ns/pkt)  "
+        "max_worker_cpu=%6.1f ms  visits/pkt=%.3f  stalls=%llu  "
+        "reports=%llu\n",
+        s.shards, s.burst, s.jit ? "on " : "off", s.wall / 1e6, s.wall_pps,
+        s.model_pps, s.demux_cpu / 1e6, s.demux_cpu / npkts,
+        s.max_worker_cpu / 1e6, s.visits / npkts,
+        static_cast<unsigned long long>(s.stalls),
+        static_cast<unsigned long long>(s.reports));
   };
 
   std::vector<Sample> samples;
   std::string metrics_json;
   for (std::size_t n : shard_counts) {
-    Sample s = run_one(t, n, kDefaultBurst);
+    samples.push_back(run_one(t, n, kDefaultBurst));
     if (n == metrics_shards || metrics_json.empty())
       metrics_json =
           telemetry::to_json(telemetry::Registry::global().snapshot(), 2);
-    print_sample(s);
-    samples.push_back(std::move(s));
   }
 
   // Burst sweep at the metrics shard count: how much of the throughput is
   // bought by batching alone (burst 1 = the pre-batching handoff).
   std::vector<Sample> burst_samples;
-  for (std::size_t b : burst_sweep) {
-    Sample s = run_one(t, metrics_shards, b);
-    print_sample(s);
-    burst_samples.push_back(std::move(s));
-  }
+  for (std::size_t b : burst_sweep)
+    burst_samples.push_back(run_one(t, metrics_shards, b));
   // Compiled-vs-interpreted executors (src/compile/): re-run the
   // single-shard workload with the chain JIT off.  model_pps at n=1 is
   // pure executor cost, so the ratio is the compiled-path speedup.
   const Sample sji = run_one(t, 1, kDefaultBurst, /*jit=*/false);
+
+  // Every run must have given the 1-shard answer before any speed counts.
+  bool exact = true;
+  const auto check = [&](const Sample& s) {
+    if (s.report_set == samples[0].report_set) return;
+    exact = false;
+    std::fprintf(stderr,
+                 "FAIL: shards=%zu burst=%zu jit=%s reported %zu "
+                 "(query, window, key) triples, not the 1-shard set of %zu\n",
+                 s.shards, s.burst, s.jit ? "on" : "off", s.report_set.size(),
+                 samples[0].report_set.size());
+  };
+  for (const Sample& s : samples) check(s);
+  for (const Sample& s : burst_samples) check(s);
+  check(sji);
+  if (!exact) return 1;
+  std::printf("report sets identical across every run: %zu (query, window, "
+              "key) triples\n",
+              samples[0].report_set.size());
+
+  for (const Sample& s : samples) print_sample(s);
+  for (const Sample& s : burst_samples) print_sample(s);
   print_sample(sji);
   bench::row_sep();
 
@@ -291,20 +338,23 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"packets\": %zu,\n", t.size());
   std::fprintf(f, "  \"queries\": [\"q1_new_tcp\", \"q3_super_spreader\", "
                   "\"q5_udp_ddos\"],\n");
-  std::fprintf(f, "  \"shard_key\": \"five_tuple\",\n");
+  std::fprintf(f, "  \"shard_groups\": %zu,\n", samples[0].groups);
   std::fprintf(f, "  \"host_cores\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"metric_note\": \"model_pps = packets / "
                   "max(demux_cpu, busiest worker_cpu); equals wall-clock "
                   "throughput when each thread has its own core\",\n");
-  const auto write_sample = [f](const Sample& s, bool last) {
+  const auto write_sample = [f, npkts](const Sample& s, bool last) {
     std::fprintf(f,
                  "    {\"n\": %zu, \"burst\": %zu, \"wall_ns\": %llu, "
                  "\"wall_pps\": %.0f, \"model_pps\": %.0f, "
-                 "\"demux_cpu_ns\": %llu, \"worker_cpu_ns\": [",
+                 "\"demux_cpu_ns\": %llu, \"demux_ns_per_pkt\": %.1f, "
+                 "\"visits_per_pkt\": %.3f, \"worker_cpu_ns\": [",
                  s.shards, s.burst, static_cast<unsigned long long>(s.wall),
                  s.wall_pps, s.model_pps,
-                 static_cast<unsigned long long>(s.demux_cpu));
+                 static_cast<unsigned long long>(s.demux_cpu),
+                 static_cast<double>(s.demux_cpu) / npkts,
+                 static_cast<double>(s.visits) / npkts);
     for (std::size_t j = 0; j < s.worker_cpu.size(); ++j)
       std::fprintf(f, "%s%llu", j ? ", " : "",
                    static_cast<unsigned long long>(s.worker_cpu[j]));
@@ -346,22 +396,6 @@ int main(int argc, char** argv) {
                speedup_model);
   std::fprintf(f, "  \"speedup_wall_%zushard\": %.3f,\n", sN.shards,
                speedup_wall);
-  // Wall-clock trajectory across the repo's own history, for the perf PR's
-  // before/after record (same 1M-packet workload, single-core CI host).
-  // "seed" is the pre-batching runtime: item-at-a-time ring handoff,
-  // per-packet heap allocation in the match path, linear table scans.
-  std::fprintf(f, "  \"baseline_trajectory\": {\n");
-  std::fprintf(f, "    \"seed\": {\"wall_pps_1shard\": 1283796, "
-                  "\"wall_pps_4shard\": 1195747, "
-                  "\"speedup_wall_4shard\": 0.931, "
-                  "\"speedup_model_4shard\": 3.707},\n");
-  std::fprintf(f, "    \"current\": {\"wall_pps_1shard\": %.0f, "
-                  "\"wall_pps_%zushard\": %.0f, "
-                  "\"speedup_wall_%zushard\": %.3f, "
-                  "\"speedup_model_%zushard\": %.3f}\n",
-               s1.wall_pps, sN.shards, sN.wall_pps, sN.shards, speedup_wall,
-               sN.shards, speedup_model);
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"metrics_shards\": %zu,\n", metrics_shards);
   std::fprintf(f, "  \"metrics\": %s\n", metrics_json.c_str());
   std::fprintf(f, "}\n");

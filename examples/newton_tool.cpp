@@ -7,7 +7,7 @@
 //   newton_tool queries                                      list Q1-Q9
 //   newton_tool queries --installed [qN[@tenant] ...]        install through
 //     the runtime and print the operator view: tenant, per-stage resource
-//     usage and JIT coverage state per installed query
+//     usage, JIT coverage state and each branch's shard key group
 //   newton_tool compile <q1..q9>                             show the schedule
 //   newton_tool run <q1..q9> <trace.{ntrc,csv}>              execute + report
 //   newton_tool p4 [stages]                                  emit the layout P4
@@ -142,10 +142,11 @@ int cmd_csv(int argc, char** argv) {
 
 // Bare `queries` lists the Q1-Q9 library.  `queries --installed [qN[@tenant]
 // ...]` installs the named queries (default: all nine) through the sharded
-// runtime and prints the operator view of the installed set: tenant, qids,
-// per-stage resource usage (core/admission.h demand vectors) and the tier
-// its chains run on: `compiled` when the runtime's jit is on (every
-// installed branch lowers at every replica load), else `interp`.
+// runtime and prints the operator view of the installed set: tenant, qids
+// with each branch's shard key group (docs/runtime.md), per-stage resource
+// usage (core/admission.h demand vectors) and the tier its chains run on:
+// `compiled` when the runtime's jit is on (every installed branch lowers at
+// every replica load), else `interp`.
 int cmd_queries(int argc, char** argv) {
   if (argc < 3) {
     for (std::size_t i = 1; i <= 9; ++i)
@@ -187,13 +188,19 @@ int cmd_queries(int argc, char** argv) {
   rt.start();  // clones replicas and lowers the installed chains
   const char* tier = rt.jit_enabled() ? "compiled" : "interp";
 
+  // Each branch's shard key group, as "qid:key".
+  std::map<uint16_t, std::string> key_of;
+  for (const ShardGroup& g : rt.shard_groups())
+    for (uint16_t q : g.qids) key_of[q] = describe(g.key);
   std::printf("%-18s %-10s %-8s %-6s %-6s %-6s %s\n", "query", "tenant",
-              "jit", "rules", "regs", "init", "qids");
+              "jit", "rules", "regs", "init", "qid:shard key");
   for (const Controller::QueryInfo& info : rt.controller().list_queries()) {
     std::string qids;
     for (uint16_t q : info.qids) {
-      if (!qids.empty()) qids += ',';
+      if (!qids.empty()) qids += ' ';
       qids += std::to_string(q);
+      qids += ':';
+      qids += key_of[q];
     }
     std::printf("%-18s %-10s %-8s %-6zu %-6zu %-6zu [%s]\n",
                 info.name.c_str(), info.tenant.c_str(),
@@ -383,73 +390,63 @@ int cmd_replay(int argc, char** argv) {
   }
   if (selected.empty()) return usage();
 
-  // One pass per sharding-compatible group: the runtime's exact semantics
-  // need the shard key to be affine for every installed stateful key, and
-  // sip-keyed / dip-keyed / dport-keyed detectors have no common key.
-  const auto groups = detectors::group_by_shard_key(selected);
   // Ground truth comes from the same capture, materialized once.
   const Trace t = load_pcap(pcap_path);
+  Analyzer an;
+  detectors::ValueSink values(selected.front()->query.window_ns);
+  // Deep stage budget: every selected detector installs concurrently.  The
+  // runtime derives the key groups (sip/8, dip, dport) itself.
+  NewtonSwitch sw(1, 64, nullptr);
+  RuntimeOptions ro;
+  ro.num_shards = shards;
+  ro.record_snapshots = false;
+  ShardedRuntime rt(sw, ro, &an);
+  rt.set_report_sink(&values);
+  for (const auto* d : selected) rt.install(d->query);
+
+  ingest::PcapFileSource file(pcap_path);
+  ingest::ReplaySource src(file, {.rate = rate});
+  ingest::IngestPump pump(rt);
+  const ingest::PumpStats ps = pump.run(src);
+  rt.finish();
+
+  const ingest::SourceStats& ss = ps.source;
+  std::printf(
+      "%llu frame(s) -> %llu packet(s), %.2f MB, %llu window(s), "
+      "%zu shard key group(s)\n"
+      "  skipped: %llu vlan, %llu ipv6, %llu other; dropped %llu; "
+      "%llu batch(es), %llu would-block\n",
+      static_cast<unsigned long long>(ss.frames),
+      static_cast<unsigned long long>(ss.packets),
+      static_cast<double>(ss.bytes) / 1e6,
+      static_cast<unsigned long long>(rt.stats().windows),
+      rt.shard_groups().size(),
+      static_cast<unsigned long long>(ss.skipped_vlan),
+      static_cast<unsigned long long>(ss.skipped_ipv6),
+      static_cast<unsigned long long>(ss.skipped_other),
+      static_cast<unsigned long long>(ss.dropped),
+      static_cast<unsigned long long>(ps.batches),
+      static_cast<unsigned long long>(ps.would_block));
+  if (ss.paced_packets > 0)
+    std::printf("  pacing (%.2fx): lag avg %.1f us, max %.1f us over %llu "
+                "packet(s)\n",
+                rate, static_cast<double>(ss.pacing_lag_ns_total) / 1e3 /
+                          static_cast<double>(ss.paced_packets),
+                static_cast<double>(ss.pacing_lag_ns_max) / 1e3,
+                static_cast<unsigned long long>(ss.paced_packets));
+
   int rc = 0;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const detectors::DetectorGroup& g = groups[gi];
-    Analyzer an;
-    detectors::ValueSink values(g.members.front()->query.window_ns);
-    // Deep stage budget: the whole group installs concurrently.
-    NewtonSwitch sw(1, 64, nullptr);
-    RuntimeOptions ro;
-    ro.num_shards = shards;
-    ro.shard_key = g.key;
-    ro.record_snapshots = false;
-    ShardedRuntime rt(sw, ro, &an);
-    rt.set_report_sink(&values);
-    for (const auto* d : g.members) rt.install(d->query);
-
-    ingest::PcapFileSource file(pcap_path);
-    ingest::ReplaySource src(file, {.rate = rate});
-    ingest::IngestPump pump(rt);
-    const ingest::PumpStats ps = pump.run(src);
-    rt.finish();
-
-    const ingest::SourceStats& ss = ps.source;
+  const detectors::EvalInput in{t, an, values};
+  for (const auto* d : selected) {
+    const detectors::Evaluation e = d->evaluate(in);
+    const bool ok = e.acc.precision() >= d->min_precision &&
+                    e.acc.recall() >= d->min_recall;
+    if (!ok) rc = 1;
     std::printf(
-        "pass %zu/%zu (shard key %s%s): %llu frame(s) -> %llu packet(s), "
-        "%.2f MB, %llu window(s)\n"
-        "  skipped: %llu vlan, %llu ipv6, %llu other; dropped %llu; "
-        "%llu batch(es), %llu would-block\n",
-        gi + 1, groups.size(),
-        std::string(field_name(g.key.fields.front())).c_str(),
-        g.key.masks.empty() || g.key.masks.front() == 0xffffffffu ? ""
-                                                                  : "/masked",
-        static_cast<unsigned long long>(ss.frames),
-        static_cast<unsigned long long>(ss.packets),
-        static_cast<double>(ss.bytes) / 1e6,
-        static_cast<unsigned long long>(rt.stats().windows),
-        static_cast<unsigned long long>(ss.skipped_vlan),
-        static_cast<unsigned long long>(ss.skipped_ipv6),
-        static_cast<unsigned long long>(ss.skipped_other),
-        static_cast<unsigned long long>(ss.dropped),
-        static_cast<unsigned long long>(ps.batches),
-        static_cast<unsigned long long>(ps.would_block));
-    if (ss.paced_packets > 0)
-      std::printf("  pacing (%.2fx): lag avg %.1f us, max %.1f us over %llu "
-                  "packet(s)\n",
-                  rate, static_cast<double>(ss.pacing_lag_ns_total) / 1e3 /
-                            static_cast<double>(ss.paced_packets),
-                  static_cast<double>(ss.pacing_lag_ns_max) / 1e3,
-                  static_cast<unsigned long long>(ss.paced_packets));
-
-    const detectors::EvalInput in{t, an, values};
-    for (const auto* d : g.members) {
-      const detectors::Evaluation e = d->evaluate(in);
-      const bool ok = e.acc.precision() >= d->min_precision &&
-                      e.acc.recall() >= d->min_recall;
-      if (!ok) rc = 1;
-      std::printf(
-          "  %-14s %zu detected / %zu truth  precision %.3f recall %.3f "
-          "f1 %.3f  [%s]\n",
-          d->id.c_str(), e.detected_keys, e.truth_keys, e.acc.precision(),
-          e.acc.recall(), e.acc.f1(), ok ? "ok" : "MISS");
-    }
+        "  %-14s %zu detected / %zu truth  precision %.3f recall %.3f "
+        "f1 %.3f  [%s]\n",
+        d->id.c_str(), e.detected_keys, e.truth_keys, e.acc.precision(),
+        e.acc.recall(), e.acc.f1(), ok ? "ok" : "MISS");
   }
   return rc;
 }

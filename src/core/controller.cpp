@@ -335,7 +335,7 @@ std::vector<Controller::QueryInfo> Controller::list_queries() const {
   std::vector<QueryInfo> out;
   out.reserve(queries_.size());
   for (const auto& [name, e] : queries_)
-    out.push_back({name, e.tenant, e.qids, &e.demand});
+    out.push_back({name, e.tenant, e.qids, &e.demand, e.handle});
   return out;
 }
 

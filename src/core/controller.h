@@ -117,6 +117,7 @@ class Controller {
     std::string tenant;
     std::vector<uint16_t> qids;
     const QueryDemand* demand = nullptr;
+    uint64_t handle = 0;  // switch install handle: ascends in install order
   };
   std::vector<QueryInfo> list_queries() const;
 

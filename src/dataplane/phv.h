@@ -33,6 +33,14 @@ class InlineVec {
   T operator[](std::size_t i) const { return items_[i]; }
   const T* begin() const { return items_.data(); }
   const T* end() const { return items_.data() + n_; }
+  // Drop the items `drop` selects, keeping the rest in order.
+  template <class Pred>
+  void erase_if(Pred drop) {
+    std::uint16_t w = 0;
+    for (std::uint16_t i = 0; i < n_; ++i)
+      if (!drop(items_[i])) items_[w++] = items_[i];
+    n_ = w;
+  }
 
  private:
   // Deliberately not value-initialized: only [0, n_) is ever exposed, and
@@ -77,6 +85,12 @@ struct Phv {
 
   bool query_active(uint16_t qid) const { return active.test(qid); }
   void stop_query(uint16_t qid) { active.reset(qid); }
+  // Keep only the queries in `keep`, in activation order: a sharded-runtime
+  // shard runs just the key groups that routed this packet to it.
+  void restrict_to(const std::bitset<kMaxQueries>& keep) {
+    active &= keep;
+    active_list.erase_if([&](uint16_t q) { return !keep.test(q); });
+  }
   void activate_query(uint16_t qid) {
     if (!active.test(qid)) {
       active.set(qid);

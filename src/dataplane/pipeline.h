@@ -77,6 +77,9 @@ class Pipeline {
   // pipeline's behalf, so newton_pipeline_*_packets_total advances
   // identically whether a burst executed interpreted or compiled.
   void note_compiled_packets(std::size_t n) { packets_seen_ += n; }
+  // Take back `n` packets another replica counts: the sharded runtime runs
+  // a packet on one shard per key group, and only one visit counts.
+  void uncount_packets(std::size_t n) { packets_seen_ -= n; }
 
   // Publish packet/stage traversal counts and every table's rule hits into
   // the global registry (replicas of the same stage — sharded-runtime

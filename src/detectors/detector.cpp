@@ -31,33 +31,6 @@ const Detector* find_detector(const std::vector<Detector>& lib,
   return nullptr;
 }
 
-std::vector<DetectorGroup> group_by_shard_key(
-    const std::vector<const Detector*>& selected) {
-  std::vector<DetectorGroup> groups;
-  for (const Detector* d : selected) {
-    DetectorGroup* g = nullptr;
-    for (DetectorGroup& cand : groups)
-      if (cand.key.fields == d->shard_key.fields) {
-        g = &cand;
-        break;
-      }
-    if (g == nullptr) {
-      groups.push_back({d->shard_key, {}});
-      g = &groups.back();
-    }
-    // Coarsest common mask per field: AND of the members' masks.
-    std::vector<uint32_t>& gm = g->key.masks;
-    const std::vector<uint32_t>& dm = d->shard_key.masks;
-    if (!dm.empty() || !gm.empty()) {
-      gm.resize(g->key.fields.size(), 0xffffffffu);
-      for (std::size_t i = 0; i < gm.size(); ++i)
-        gm[i] &= i < dm.size() ? dm[i] : 0xffffffffu;
-    }
-    g->members.push_back(d);
-  }
-  return groups;
-}
-
 namespace {
 
 KeyArray key1(Field f, uint32_t v) {
@@ -234,7 +207,6 @@ std::vector<Detector> detector_library(const DetectorParams& p) {
     Detector d;
     d.id = "port_scan";
     d.intent = "sources probing many distinct destination ports";
-    d.shard_key = ShardKey::on({Field::SrcIp});
     d.query = b.build();
     d.evaluate = [q = d.query](const EvalInput& in) {
       return eval_branch(in, q, 0);
@@ -253,7 +225,6 @@ std::vector<Detector> detector_library(const DetectorParams& p) {
     Detector d;
     d.id = "superspreader";
     d.intent = "sources fanning out to many distinct destinations";
-    d.shard_key = ShardKey::on({Field::SrcIp});
     d.query = b.build();
     d.evaluate = [q = d.query](const EvalInput& in) {
       return eval_branch(in, q, 0);
@@ -278,7 +249,6 @@ std::vector<Detector> detector_library(const DetectorParams& p) {
     Detector d;
     d.id = "syn_flood";
     d.intent = "destinations with SYN volume not matched by ACK volume";
-    d.shard_key = ShardKey::on({Field::DstIp});
     d.query = b.build();
     d.evaluate = [q = d.query](const EvalInput& in) {
       const QueryTruth gt = exact_truth(q, in.trace);
@@ -307,7 +277,6 @@ std::vector<Detector> detector_library(const DetectorParams& p) {
     Detector d;
     d.id = "ewma_volume";
     d.intent = "destinations whose packet volume spikes vs EWMA history";
-    d.shard_key = ShardKey::on({Field::DstIp});
     d.query = b.build();
     d.evaluate = [q = d.query, p](const EvalInput& in) {
       const auto [w_lo, w_hi] = trace_window_range(in.trace, q.window_ns);
@@ -338,7 +307,6 @@ std::vector<Detector> detector_library(const DetectorParams& p) {
     Detector d;
     d.id = "topk_ports";
     d.intent = "the K heaviest destination ports";
-    d.shard_key = ShardKey::on({Field::DstPort});
     d.query = b.build();
     d.evaluate = [q = d.query, p](const EvalInput& in) {
       const KeySet detected =
@@ -381,8 +349,6 @@ std::vector<Detector> detector_library(const DetectorParams& p) {
     Detector d;
     d.id = "prefix_hh";
     d.intent = "byte-heavy source prefixes at /8, /16 and /24";
-    // Coarsest level: /8 sharding keeps every finer prefix key affine.
-    d.shard_key = ShardKey::on_masked({Field::SrcIp}, {0xff000000u});
     d.query = b.build();
     d.evaluate = [q = d.query](const EvalInput& in) {
       Evaluation sum;

@@ -32,7 +32,6 @@
 #include "analyzer/metrics.h"
 #include "core/query.h"
 #include "core/report.h"
-#include "runtime/shard_hash.h"
 #include "trace/trace_gen.h"
 
 namespace newton::detectors {
@@ -81,10 +80,6 @@ struct Detector {
   std::string intent;  // one-line operator intent
   std::string chain;   // rendered query chain (docs / `newton_tool detectors`)
   Query query;
-  // The coarsest flow key that keeps this chain's stateful primitives
-  // key-affine under the sharded runtime (docs/runtime.md): all packets of
-  // one aggregation key must land on one shard.
-  ShardKey shard_key;
   double min_precision = 0.9;  // acceptance bounds on the labeled fixture
   double min_recall = 0.9;
   std::function<Evaluation(const EvalInput&)> evaluate;
@@ -117,18 +112,5 @@ std::vector<Detector> detector_library(const DetectorParams& p = {});
 // nullptr when no detector has this id.
 const Detector* find_detector(const std::vector<Detector>& lib,
                               const std::string& id);
-
-// Partition detectors into sharding-compatible groups: same shard fields,
-// with each group adopting the coarsest (AND-ed) mask of its members — a
-// coarsening of every member's key is affine for all of them.  Each group
-// installs into one sharded runtime; incompatible families (sip-keyed vs
-// dip-keyed vs dport-keyed) need separate passes when num_shards > 1.
-struct DetectorGroup {
-  ShardKey key;
-  std::vector<const Detector*> members;
-};
-
-std::vector<DetectorGroup> group_by_shard_key(
-    const std::vector<const Detector*>& selected);
 
 }  // namespace newton::detectors

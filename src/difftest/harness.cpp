@@ -201,8 +201,6 @@ ExecResult run_runtime(const Scenario& s, const Trace& t,
   ro.burst = s.burst;
   ro.record_snapshots = true;
   ro.jit = jit;
-  const auto key = affine_shard_key(s.queries);
-  ro.shard_key = key ? *key : ShardKey::five_tuple();
   ShardedRuntime rt(primary, ro, &an);
   const std::vector<ResolvedOp> ops = resolve_ops(s);
   std::size_t next = 0;
@@ -679,30 +677,6 @@ void diff_exact(const ExecResult& a, const ExecResult& b, const char* axis,
   }
 }
 
-// One-sided report check for non-affine sharding: a worker's partial count
-// never exceeds the single worker's total and window state clears at every
-// barrier, so shard N may miss a threshold crossing rt1 saw (no worker's
-// partial reached it) but can never report a key rt1 did not.
-void diff_subset(const ExecResult& a, const ExecResult& b, const char* axis,
-                 std::vector<Divergence>& out) {
-  for (const auto& [qb, wa] : a.detected) {
-    static const std::map<uint64_t, KeySet> kEmpty;
-    const auto itb = b.detected.find(qb);
-    const auto& wb = itb == b.detected.end() ? kEmpty : itb->second;
-    for (const auto& [w, ka] : wa) {
-      static const KeySet kNone;
-      const KeySet over = minus(ka, wb.count(w) ? wb.at(w) : kNone);
-      if (over.empty()) continue;
-      std::ostringstream os;
-      os << "q" << qb.first << " branch " << qb.second << " window " << w
-         << ": " << over.size() << " key(s) reported only at N shards; e.g. "
-         << render_key(*over.begin());
-      out.push_back({axis, os.str()});
-      break;
-    }
-  }
-}
-
 // Merged end-of-window register state must agree bit for bit between shard
 // counts — this is the check that exercises the window merge itself (sums
 // re-added, bloom bits or-ed), independent of report timing.
@@ -809,26 +783,10 @@ CheckOutcome check_scenario(const Scenario& s) {
   o.axes.push_back({"jit-vs-rt1", true, ""});
 
   if (s.shards > 1) {
-    bool any_distinct = false;
-    for (const Query& q : s.queries)
-      for (const BranchDef& b : q.branches)
-        any_distinct |= branch_has(b, PrimitiveKind::Distinct);
-    const bool refined = affine_shard_key(s.queries).has_value();
-    if (!refined && any_distinct) {
-      // Per-worker bloom suppression diverges by design when one distinct
-      // key's packets straddle shards; normalize() never generates this,
-      // but a hand-written scenario can.
-      o.axes.push_back({"rtN-vs-rt1", false,
-                        "shard key does not refine the distinct keys"});
-    } else {
-      const ExecResult rtN = run_runtime(s, t, s.shards);
-      if (refined)
-        diff_exact(rtN, rt1, "rtN-vs-rt1", std::nullopt, o.divergences);
-      else
-        diff_subset(rtN, rt1, "rtN-vs-rt1", o.divergences);
-      diff_state(rtN, rt1, "rtN-vs-rt1", o.divergences);
-      o.axes.push_back({"rtN-vs-rt1", true, ""});
-    }
+    const ExecResult rtN = run_runtime(s, t, s.shards);
+    diff_exact(rtN, rt1, "rtN-vs-rt1", std::nullopt, o.divergences);
+    diff_state(rtN, rt1, "rtN-vs-rt1", o.divergences);
+    o.axes.push_back({"rtN-vs-rt1", true, ""});
   }
 
   if (s.churn_ops > 0) {

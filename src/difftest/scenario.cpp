@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -47,44 +46,6 @@ std::string query_name(std::size_t index) {
   // Appended, not `"q" + std::to_string(...)`: gcc 12 reports a false
   // -Wrestrict inside libstdc++ for that form in optimized builds.
   return std::string("q").append(std::to_string(index));
-}
-
-std::optional<ShardKey> affine_shard_key(const std::vector<Query>& qs) {
-  bool any_stateful = false;
-  std::array<bool, kNumFields> common{};
-  std::array<uint32_t, kNumFields> mask{};
-  common.fill(true);
-  mask.fill(0xffffffffu);
-  for (const Query& q : qs)
-    for (const BranchDef& b : q.branches)
-      for (const Primitive& p : b.primitives) {
-        if (p.kind != PrimitiveKind::Distinct &&
-            p.kind != PrimitiveKind::Reduce)
-          continue;
-        any_stateful = true;
-        std::array<bool, kNumFields> here{};
-        for (const KeySel& k : p.keys) {
-          here[index(k.field)] = true;
-          // Sharding on the AND of every key's mask is a coarsening of each
-          // key (equal key value => equal masked value), hence affine for
-          // all of them — this is what keeps prefix-masked queries (e.g.
-          // /8-/16-/24 heavy-hitter branches) shardable.
-          mask[index(k.field)] &= k.mask;
-        }
-        for (std::size_t f = 0; f < kNumFields; ++f) common[f] &= here[f];
-      }
-  if (!any_stateful) return ShardKey::five_tuple();
-  for (Field f : {Field::SrcIp, Field::DstIp, Field::SrcPort, Field::DstPort,
-                  Field::PktLen, Field::TcpFlags, Field::Ttl, Field::IpId,
-                  Field::Proto}) {
-    if (!common[index(f)]) continue;
-    const uint32_t m = mask[index(f)] & field_full_mask(f);
-    if (m == field_full_mask(f)) return ShardKey::on({f});
-    if (m != 0) return ShardKey::on_masked({f}, {mask[index(f)]});
-    // Disjoint masks AND to zero: a constant shard key is technically
-    // affine but degenerate; try the next field instead.
-  }
-  return std::nullopt;
 }
 
 Trace TraceSpec::build() const {
@@ -381,14 +342,13 @@ Predicate gen_filter(std::mt19937_64& rng) {
   }
 }
 
-std::vector<KeySel> gen_stateful_keys(std::mt19937_64& rng, bool wide) {
+std::vector<KeySel> gen_stateful_keys(std::mt19937_64& rng) {
   const uint64_t r = rng() % 10;
   if (r < 6) return {Field::DstIp};
   if (r < 8) return {Field::SrcIp};
   if (r < 9) return {{Field::DstIp}, {Field::DstPort}};
-  // Prefix-masked key: breaks shard-key affinity, so normalize() will clamp
-  // such scenarios to 1 shard.  The wide regime avoids it.
-  if (wide) return {Field::DstIp};
+  // Prefix-masked key: the runtime's key groups shard it on the coarsest
+  // mask of the branches that share its field.
   return {{Field::SrcIp, 0xffffff00u}};
 }
 
@@ -402,7 +362,7 @@ Query gen_query(std::mt19937_64& rng, std::size_t idx, bool wide) {
     b.sketch(rnd(rng, 2, 3), kCalibratedWidth);
 
   if (rng() % 10 < 7) b.filter(gen_filter(rng));
-  const std::vector<KeySel> keys = gen_stateful_keys(rng, wide);
+  const std::vector<KeySel> keys = gen_stateful_keys(rng);
   const uint32_t count_th =
       static_cast<uint32_t>(wide ? rnd(rng, 4, 16) : rnd(rng, 8, 48));
   const Cmp when_op = rng() % 7 == 0 ? Cmp::Gt : Cmp::Ge;
@@ -501,8 +461,8 @@ void gen_ops(Scenario& s, std::mt19937_64& rng) {
 }
 
 // Enforce the cross-cutting invariants after generation or mutation: query
-// naming, window agreement, shard-affinity clamping, wide-regime sizing,
-// fault-axis restrictions and op validity.
+// naming, window agreement, wide-regime sizing, fault-axis restrictions
+// and op validity.
 Query fallback_query() {
   return QueryBuilder("q0")
       .sketch(2, kCalibratedWidth)
@@ -562,19 +522,6 @@ void normalize(Scenario& s) {
     q.row_partitions = 1;
     q.sketch_depth = std::clamp<std::size_t>(q.sketch_depth, 2, 4);
     q.sketch_width = std::clamp<std::size_t>(q.sketch_width, 2048, kWideWidth);
-  }
-
-  // Distinct suppression is per-worker, so a bloom's key values must not
-  // straddle shards: distinct queries need a common fully-masked stateful
-  // field to shard on.  Reduce-only chains stay exact under any shard key
-  // (sums re-add at the window merge), so keep those sharded even without
-  // affinity — they are the only scenarios that write one stateful row
-  // from several workers, i.e. the ones that test the merge itself.
-  if (s.shards > 1 && !affine_shard_key(s.queries)) {
-    bool any_distinct = false;
-    for (const Query& q : s.queries)
-      any_distinct |= has_kind(q, PrimitiveKind::Distinct);
-    if (any_distinct) s.shards = 1;
   }
 
   std::erase_if(s.ops,

@@ -10,13 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/query.h"
-#include "runtime/shard_hash.h"
 #include "trace/trace_gen.h"
 
 namespace newton::difftest {
@@ -124,20 +122,10 @@ struct ResolvedOp {
 
 std::vector<ResolvedOp> resolve_ops(const Scenario& s);
 
-// A shard key that preserves exact sharded-runtime semantics for this query
-// set: a single field selected by EVERY stateful (distinct/reduce)
-// primitive, hashed under the AND of all key masks — a coarsening of every
-// aggregation key, so all packets contributing to one key land on one shard
-// (prefix-masked heavy-hitter chains shard on their widest prefix).
-// Returns the 5-tuple key when no query is stateful, and nullopt when no
-// common field exists (the scenario must then run with 1 shard).
-std::optional<ShardKey> affine_shard_key(const std::vector<Query>& qs);
-
 // Deterministic scenario generation and mutation (the fuzzer's input
-// model).  Both return scenarios already normalized: shard counts clamped
-// to the queries' common stateful key, wide-sketch sizing applied to the
-// regimes that need collision-free sketches, op indices clamped to the
-// trace length (docs/difftest.md, "Scenario regimes").
+// model).  Both return scenarios already normalized: wide-sketch sizing
+// applied to the regimes that need collision-free sketches, op indices
+// clamped to the trace length (docs/difftest.md, "Scenario regimes").
 Scenario generate_scenario(uint64_t seed);
 Scenario mutate_scenario(const Scenario& base, std::mt19937_64& rng);
 

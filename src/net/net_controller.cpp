@@ -146,6 +146,16 @@ void NetworkController::remove_slice_handle(Deployment& d, int sw_node,
   if (hv.empty()) d.handles.erase(sw_node);
 }
 
+void NetworkController::record_central(
+    Deployment& d, const std::vector<QuerySlice>& slices) {
+  for (const QuerySlice& sl : slices)
+    for (const auto& b : sl.part.branches)
+      for (const ModuleSpec& m : b.modules)
+        if (m.type == ModuleType::S && !m.s.bypass && m.alloc_width > 0)
+          d.central_allocs.push_back(
+              {static_cast<std::size_t>(m.stage), m.alloc_offset});
+}
+
 void NetworkController::free_central(Deployment& d) {
   for (const auto& [stage, offset] : d.central_allocs)
     central_alloc_.at(stage).free(offset);
@@ -199,12 +209,7 @@ const NetworkController::Deployment& NetworkController::deploy(
   d.slices = std::move(slices);
   d.placement = placement;
   d.ingress_edges = std::move(ingress_edges);
-  for (const QuerySlice& sl : d.slices)
-    for (const auto& b : sl.part.branches)
-      for (const ModuleSpec& m : b.modules)
-        if (m.type == ModuleType::S && !m.s.bypass && m.alloc_width > 0)
-          d.central_allocs.push_back(
-              {static_cast<std::size_t>(m.stage), m.alloc_offset});
+  record_central(d, d.slices);
 
   // Phase 1 (prepare): install every slice, retrying transient flakes.  Any
   // permanent failure aborts the whole placement.
@@ -238,12 +243,7 @@ const NetworkController::Deployment& NetworkController::deploy_path(
   d.uid = next_uid_++;
   d.slices = std::move(slices);
   d.resilient = false;
-  for (const QuerySlice& sl : d.slices)
-    for (const auto& b : sl.part.branches)
-      for (const ModuleSpec& m : b.modules)
-        if (m.type == ModuleType::S && !m.s.bypass && m.alloc_width > 0)
-          d.central_allocs.push_back(
-              {static_cast<std::size_t>(m.stage), m.alloc_offset});
+  record_central(d, d.slices);
 
   try {
     d.placement = place_on_path(sw_path, d.slices.size());
@@ -260,12 +260,19 @@ const NetworkController::Deployment& NetworkController::deploy_sole(
     const Query& q, CompileOptions opts) {
   if (deployments_.contains(q.name))
     throw std::invalid_argument("deploy_sole: already deployed: " + q.name);
-  CompiledQuery cq = compile_query(q, opts);
+  // Every switch runs the whole query at the same offsets, resolved against
+  // the central allocator as deploy and deploy_path resolve theirs, so a
+  // later deployment never picks a range this one holds.
+  std::vector<QuerySlice> whole(1);
+  whole[0].part = compile_query(q, opts);
+  resolve_slice_offsets(whole, central_alloc_);
+  const CompiledQuery& cq = whole[0].part;
 
   Deployment d;
   d.query = q.name;
   d.uid = next_uid_++;
   d.resilient = false;
+  record_central(d, whole);
   try {
     for (int sw_node : net_.topo().switches()) {
       if (!net_.topo().node_up(sw_node)) continue;
@@ -273,7 +280,8 @@ const NetworkController::Deployment& NetworkController::deploy_sole(
         throw std::runtime_error("install: switch " +
                                  std::to_string(sw_node) +
                                  " rejected the rule batch");
-      const auto res = net_.sw(sw_node).install(cq);
+      const auto res =
+          net_.sw(sw_node).install(cq, /*resolve_offsets=*/false);
       d.handles[sw_node].push_back(res.handle);
       d.total_latency_ms = std::max(d.total_latency_ms, res.latency_ms);
       d.total_rule_ops += res.rule_ops;

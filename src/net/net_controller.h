@@ -237,6 +237,10 @@ class NetworkController {
   void verify_placer(const Deployment& d, const IncrementalPlacer& p) const;
   void note_replacement(std::size_t scope, std::size_t changed);
   void refresh_degraded(Deployment& d);
+  // Record the centrally resolved register ranges of `slices` in
+  // d.central_allocs, which withdraw and rollback free.
+  static void record_central(Deployment& d,
+                             const std::vector<QuerySlice>& slices);
   void free_central(Deployment& d);
 
   Network& net_;

@@ -1,6 +1,8 @@
 #include "runtime/sharded_runtime.h"
 
 #include <algorithm>
+#include <array>
+#include <bitset>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -15,8 +17,8 @@ MergeOp merge_op_for(SaluOp op) {
     case SaluOp::Or: return MergeOp::Or;     // bloom rows: membership unions
     case SaluOp::Write:
     case SaluOp::Read:
-      // Key-affine sharding means at most one worker ever wrote a given
-      // register, so max picks that worker's value (zeros elsewhere).
+      // Key-group sharding sends every packet of one key to one worker, so
+      // max picks the value of the worker that wrote it (zeros elsewhere).
       return MergeOp::Max;
   }
   return MergeOp::Max;
@@ -43,14 +45,7 @@ ShardedRuntime::ShardedRuntime(NewtonSwitch& primary, RuntimeOptions opts,
   // the workers pick up the migrated layout.
   controller_.set_rebind_hook(
       [this](const std::string& name, const std::vector<uint16_t>& qids) {
-        for (auto it = qid_owner_.begin(); it != qid_owner_.end();)
-          it = it->second.first == name ? qid_owner_.erase(it)
-                                        : std::next(it);
-        for (std::size_t bi = 0; bi < qids.size(); ++bi) {
-          qid_owner_[qids[bi]] = {name, bi};
-          if (analyzer_) analyzer_->register_qid_any(qids[bi], name, bi);
-        }
-        replicas_dirty_ = true;
+        own(name, qids);
       });
   if (opts_.burst == 0) opts_.burst = 1;
   workers_.reserve(opts_.num_shards);
@@ -120,6 +115,14 @@ void ShardedRuntime::bind_telemetry() {
       &reg.counter("newton_jit_recompiles_total",
                    "Replica loads that lowered the installed chains (the "
                    "start plus every barrier that changed the rules)");
+  metrics_.shard_groups =
+      &reg.gauge("newton_runtime_shard_groups",
+                 "Key groups the demux hashes each packet by (derived from "
+                 "the installed queries at every replica load)");
+  metrics_.shard_visits =
+      &reg.counter("newton_runtime_shard_visits_total",
+                   "Packet visits pushed to shard rings: one per packet per "
+                   "distinct shard its key groups chose");
   metrics_.shard_packets.resize(workers_.size());
   metrics_.shard_occupancy.resize(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -136,6 +139,7 @@ void ShardedRuntime::bind_telemetry() {
 
 void ShardedRuntime::flush_telemetry() {
   metrics_.packets_in->add(stats_.packets_in - flushed_.packets_in);
+  metrics_.shard_visits->add(stats_.shard_visits - flushed_.shard_visits);
   metrics_.windows->add(stats_.windows - flushed_.windows);
   metrics_.ring_stalls->add(stats_.backpressure_stalls -
                             flushed_.backpressure_stalls);
@@ -183,15 +187,11 @@ void ShardedRuntime::install(const Query& q, CompileOptions opts,
     try {
       const auto st = controller_.install(q, opts, tenant);
       at_barrier_ = false;
-      for (std::size_t bi = 0; bi < st.qids.size(); ++bi) {
-        qid_owner_[st.qids[bi]] = {q.name, bi};
-        if (analyzer_) analyzer_->register_qid_any(st.qids[bi], q.name, bi);
-      }
+      own(q.name, st.qids);
     } catch (...) {
       at_barrier_ = false;
       throw;
     }
-    replicas_dirty_ = true;
     return;
   }
   pending_.push_back({PendingMutation::Kind::Install, q, opts, q.name,
@@ -203,9 +203,7 @@ void ShardedRuntime::withdraw(const std::string& name) {
     at_barrier_ = true;
     controller_.remove(name);
     at_barrier_ = false;
-    for (auto it = qid_owner_.begin(); it != qid_owner_.end();)
-      it = it->second.first == name ? qid_owner_.erase(it) : std::next(it);
-    replicas_dirty_ = true;
+    own(name, {});
     return;
   }
   pending_.push_back({PendingMutation::Kind::Withdraw, {}, {}, name, {}});
@@ -235,10 +233,38 @@ void ShardedRuntime::process(const Packet& pkt) {
   // Hashes address the fixed bucket set; the map redirects buckets whose
   // owner failed over.  Packets stage per bucket and move to the owner's
   // ring in bursts — one index handshake per burst instead of per packet.
-  const std::size_t bucket = opts_.shard_key.shard_of(pkt, shard_map_.size());
-  staging_[bucket].push_back({WorkItem::Kind::Packet, pkt});
-  if (staging_[bucket].size() >= opts_.burst) flush_bucket(bucket);
+  const std::size_t nb = shard_map_.size();
+  if (groups_.size() == 1 || nb == 1) {
+    const std::size_t bucket = groups_[0].key.shard_of(pkt, nb);
+    staging_[bucket].push_back({WorkItem::Kind::Packet, all_groups_, pkt});
+    if (staging_[bucket].size() >= opts_.burst) flush_bucket(bucket);
+    ++stats_.shard_visits;
+  } else {
+    demux_groups(pkt);
+  }
   ++stats_.packets_in;
+}
+
+void ShardedRuntime::demux_groups(const Packet& pkt) {
+  // One visit per distinct bucket, carrying the groups that chose it.
+  std::array<std::size_t, kMaxShardGroups> bucket;
+  std::array<uint32_t, kMaxShardGroups> mask;
+  std::size_t visits = 0;
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const std::size_t b = groups_[g].key.shard_of(pkt, shard_map_.size());
+    std::size_t v = 0;
+    while (v < visits && bucket[v] != b) ++v;
+    if (v == visits) {
+      bucket[visits] = b;
+      mask[visits++] = 0;
+    }
+    mask[v] |= 1u << g;
+  }
+  for (std::size_t v = 0; v < visits; ++v) {
+    staging_[bucket[v]].push_back({WorkItem::Kind::Packet, mask[v], pkt});
+    if (staging_[bucket[v]].size() >= opts_.burst) flush_bucket(bucket[v]);
+  }
+  stats_.shard_visits += visits;
 }
 
 void ShardedRuntime::flush_bucket(std::size_t bucket) {
@@ -267,7 +293,7 @@ void ShardedRuntime::push_to_bucket(std::size_t bucket, const WorkItem* items,
 }
 
 bool ShardedRuntime::post_control(std::size_t wi, WorkItem::Kind kind) {
-  const WorkItem item{kind, {}};
+  const WorkItem item{kind, 0, {}};
   return workers_.at(wi)->post(&item, 1, opts_.watchdog_stall_ms,
                                stats_.backpressure_stalls) == 1;
 }
@@ -536,19 +562,14 @@ void ShardedRuntime::apply_mutations() {
             {m.q.name, m.tenant, std::move(out.decision), cur_epoch_});
         continue;
       }
-      for (std::size_t bi = 0; bi < out.stats.qids.size(); ++bi) {
-        qid_owner_[out.stats.qids[bi]] = {m.q.name, bi};
-        if (analyzer_)
-          analyzer_->register_qid_any(out.stats.qids[bi], m.q.name, bi);
-      }
+      own(m.q.name, out.stats.qids);
     } else {
       // A withdraw whose target is absent at apply time (its install was
       // rejected in this same batch, or it raced an earlier withdraw) is a
       // no-op, not an error.
       if (!controller_.installed(m.name)) continue;
       controller_.remove(m.name);
-      for (auto it = qid_owner_.begin(); it != qid_owner_.end();)
-        it = it->second.first == m.name ? qid_owner_.erase(it) : std::next(it);
+      own(m.name, {});
     }
     applied = true;
     ++stats_.rule_updates_applied;
@@ -560,12 +581,66 @@ void ShardedRuntime::apply_mutations() {
   if (applied) replicas_dirty_ = true;
 }
 
+void ShardedRuntime::own(const std::string& name,
+                         const std::vector<uint16_t>& qids) {
+  for (auto it = qid_owner_.begin(); it != qid_owner_.end();)
+    it = it->second.first == name ? qid_owner_.erase(it) : std::next(it);
+  for (std::size_t bi = 0; bi < qids.size(); ++bi) {
+    qid_owner_[qids[bi]] = {name, bi};
+    if (analyzer_) analyzer_->register_qid_any(qids[bi], name, bi);
+  }
+  replicas_dirty_ = true;
+}
+
 void ShardedRuntime::reload_replicas() {
+  derive_groups();
+  // At one shard every visit carries every group: the worker filters none.
+  std::vector<std::bitset<kMaxQueries>> group_qids(
+      shard_map_.size() > 1 ? groups_.size() : 0);
+  for (std::size_t g = 0; g < group_qids.size(); ++g)
+    for (uint16_t q : groups_[g].qids) group_qids[g].set(q);
   for (std::size_t i = 0; i < workers_.size(); ++i)
-    if (alive_[i])
-      workers_[i]->load_replica(primary_);
+    if (alive_[i]) workers_[i]->load_replica(primary_, group_qids);
   replicas_dirty_ = false;
   if (opts_.jit) ++stats_.jit_recompiles;
+}
+
+void ShardedRuntime::derive_groups() {
+  // Installed branches in install order (a compaction move reinstalls).
+  // State is zero at every window start, so a branch may change group at
+  // any barrier.
+  std::vector<Controller::QueryInfo> infos = controller_.list_queries();
+  std::sort(infos.begin(), infos.end(), [](const auto& a, const auto& b) {
+    return a.handle < b.handle;
+  });
+  std::vector<ShardBranch> branches;
+  for (const Controller::QueryInfo& info : infos) {
+    const CompiledQuery* cq = controller_.compiled(info.name);
+    for (std::size_t bi = 0; bi < info.qids.size(); ++bi)
+      branches.push_back(
+          {info.qids[bi],
+           &cq->source.branches.at(cq->branches.at(bi).branch_index)});
+  }
+  groups_ = derive_shard_groups(branches, opts_.shard_key);
+  all_groups_ = groups_.size() >= 32 ? ~0u : (1u << groups_.size()) - 1u;
+  metrics_.shard_groups->set(static_cast<int64_t>(groups_.size()));
+  for (auto& [name, gauge] : metrics_.shard_pinned) gauge->set(0);
+  telemetry::Registry& reg =
+      opts_.registry ? *opts_.registry : telemetry::Registry::global();
+  for (const ShardGroup& g : groups_) {
+    if (!g.pinned) continue;
+    for (uint16_t q : g.qids) {
+      const auto it = qid_owner_.find(q);
+      const std::string name = it == qid_owner_.end() ? "?" : it->second.first;
+      auto& gauge = metrics_.shard_pinned[name];
+      if (gauge == nullptr)
+        gauge = &reg.gauge("newton_runtime_shard_pinned",
+                           "Branches of a query with no field common to its "
+                           "stateful keys, run on one shard",
+                           {{"query", name}});
+      gauge->add(1);
+    }
+  }
 }
 
 }  // namespace newton

@@ -2,11 +2,16 @@
 //
 // Partitions a time-sorted packet stream across N worker threads — each
 // owning a private deep clone of the primary switch's pipeline (tables +
-// register banks) — by a configurable flow-key hash, while preserving exact
-// single-threaded query semantics (docs/runtime.md):
+// register banks) — by flow-key hashes derived from the installed queries,
+// while preserving exact single-threaded query semantics (docs/runtime.md):
 //
-//   * demux thread:  shard = hash(flow key) % N, push into the worker's
-//     bounded SPSC ring (backpressure counted, never dropped);
+//   * key groups: the installed branches are partitioned into groups that
+//     each share an affine shard key (derive_shard_groups), re-derived at
+//     every replica load;
+//   * demux thread:  one shard = hash(group key) % N per group, the packet
+//     pushed once per distinct shard into the worker's bounded SPSC ring
+//     (backpressure counted, never dropped), carrying the groups that
+//     chose that shard — the worker runs only their branches;
 //   * windows are the synchronization unit: on each epoch boundary the
 //     demux fences every worker, merges the per-worker state banks
 //     (count-min rows by element-wise add, bloom rows by or) back into the
@@ -28,6 +33,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,7 +57,11 @@ struct RuntimeOptions {
   // item-at-a-time handoff exactly; results are byte-identical at any
   // value — only the synchronization amortization changes.
   std::size_t burst = 64;
-  ShardKey shard_key = ShardKey::five_tuple();
+  // Unset (the default): the runtime derives the key groups from the
+  // installed queries, exact at any shard count.  Set: group 0's key; the
+  // branches it is affine for join group 0 and the rest are grouped as when
+  // unset, so an explicit key can cost balance but never correctness.
+  std::optional<ShardKey> shard_key;
   // Keep per-window merged result snapshots (tests compare them across
   // shard counts; benches turn this off).
   bool record_snapshots = true;
@@ -77,6 +87,8 @@ struct RuntimeOptions {
 // numbers without diffing registry snapshots).
 struct RuntimeStats {
   uint64_t packets_in = 0;            // packets demuxed into the shards
+  uint64_t shard_visits = 0;          // ring items: one per packet per
+                                      // distinct shard its groups chose
   uint64_t windows = 0;               // window barriers completed
   uint64_t backpressure_stalls = 0;   // failed ring pushes (queue full)
   uint64_t rule_updates_applied = 0;  // quiesced mutations applied
@@ -157,6 +169,9 @@ class ShardedRuntime {
   const RuntimeStats& stats() const { return stats_; }
   const std::vector<WindowSnapshot>& snapshots() const { return snapshots_; }
   std::size_t num_shards() const { return workers_.size(); }
+  // The key groups of the last replica load (start, or a barrier that
+  // changed the installed set).
+  const std::vector<ShardGroup>& shard_groups() const { return groups_; }
   std::size_t live_shards() const { return live_count_; }
 
   // Whether chain compilation is on for this runtime (RuntimeOptions::jit).
@@ -178,9 +193,15 @@ class ShardedRuntime {
   void barrier();           // fence all workers, merge, drain, mutate, reset
   void drain_and_merge();   // reports -> sinks, banks -> primary, snapshot
   void apply_mutations();   // queued installs/withdrawals, under quiesce
-  // Re-clone the primary pipeline into every live worker, lowering its
-  // chains when the jit is on.
+  // Re-derive the key groups, then re-clone the primary pipeline into every
+  // live worker, lowering its chains when the jit is on.
   void reload_replicas();
+  void derive_groups();  // groups_ from the installed branches
+  // Record an installed query's qids (none: withdrawn) for snapshot
+  // attribution and analyzer routing, and force a replica reload.
+  void own(const std::string& name, const std::vector<uint16_t>& qids);
+  // Several key groups: stage `pkt` once per distinct bucket of its groups.
+  void demux_groups(const Packet& pkt);
   void deliver(const ReportRecord& r);
   void bind_telemetry();    // resolve metric handles against the registry
   void flush_telemetry();   // mirror counters batched at each barrier
@@ -225,6 +246,8 @@ class ShardedRuntime {
   std::vector<RejectedInstall> rejections_;
   // qid -> (query name, branch), for snapshot attribution.
   std::map<uint16_t, std::pair<std::string, std::size_t>> qid_owner_;
+  std::vector<ShardGroup> groups_;
+  uint32_t all_groups_ = 1;  // mask with one bit per group
 
   RuntimeStats stats_;
   std::vector<WindowSnapshot> snapshots_;
@@ -248,6 +271,10 @@ class ShardedRuntime {
     telemetry::Counter* jit_hash_lanes = nullptr;  // batched digest lanes
     telemetry::Counter* installs_rejected = nullptr;
     telemetry::Counter* jit_recompiles = nullptr;
+    telemetry::Gauge* shard_groups = nullptr;
+    telemetry::Counter* shard_visits = nullptr;
+    // Per query with a pinned branch (set 0 again once none is pinned).
+    std::map<std::string, telemetry::Gauge*> shard_pinned;
     std::vector<telemetry::Counter*> shard_packets;
     std::vector<telemetry::Gauge*> shard_occupancy;  // ring depth at barrier
   };

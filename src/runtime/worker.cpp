@@ -1,5 +1,6 @@
 #include "runtime/worker.h"
 
+#include <bit>
 #include <chrono>
 #include <ctime>
 #include <stdexcept>
@@ -79,14 +80,20 @@ ShardWorker::~ShardWorker() {
     // Release a Stall'd thread first; the Stop push fails harmlessly on a
     // closed ring (dead worker), whose thread has already returned.
     stall_release_.store(true, std::memory_order_release);
-    const WorkItem stop{WorkItem::Kind::Stop, {}};
+    const WorkItem stop{WorkItem::Kind::Stop, 0, {}};
     ring_.push_bulk_for(&stop, 1, /*timeout_ms=*/0, nullptr);
     thread_.join();
   }
 }
 
-void ShardWorker::load_replica(const NewtonSwitch& primary) {
+void ShardWorker::load_replica(
+    const NewtonSwitch& primary,
+    std::vector<std::bitset<kMaxQueries>> group_qids) {
   reset_banks();  // the outgoing banks become all-zero, ready for reuse
+  group_qids_ = std::move(group_qids);
+  all_groups_ = group_qids_.size() >= 32
+                    ? ~0u
+                    : (1u << group_qids_.size()) - 1u;
   pipeline_ = zeroed_replica(primary.pipeline(), pipeline_);
   segments_ = primary.state_segments();
   auto cloned =
@@ -196,7 +203,11 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
     phv.reset();
     phv.pkt = items[i].pkt;
   }
-  init_->execute_burst(phvs_.data(), n);
+  std::size_t uncounted = 0;
+  if (group_qids_.size() > 1)
+    uncounted = activate_groups(items, n);
+  else
+    init_->execute_burst(phvs_.data(), n);
   // Partition the burst into maximal runs the compiled executor can take
   // whole — the same active set across the run (the merged op program is
   // computed once per run).  With the jit off nothing is covered, so the
@@ -220,7 +231,29 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
     }
     i = j;
   }
+  if (uncounted != 0) pipeline_.uncount_packets(uncounted);
   stats_.packets += n;
+}
+
+std::size_t ShardWorker::activate_groups(const WorkItem* items,
+                                         std::size_t n) {
+  std::size_t uncounted = 0;
+  uint64_t& init_hits = *init_->hits_cell();
+  for (std::size_t i = 0; i < n; ++i) {
+    const uint32_t g = items[i].groups;
+    const uint64_t hits = init_hits;
+    init_->execute(phvs_[i]);
+    if ((g & 1u) == 0) {
+      init_hits = hits;  // the visit carrying group 0 counts this packet
+      ++uncounted;
+    }
+    if (g == all_groups_) continue;
+    std::bitset<kMaxQueries> keep;
+    for (uint32_t m = g; m != 0; m &= m - 1)
+      keep |= group_qids_[static_cast<std::size_t>(std::countr_zero(m))];
+    phvs_[i].restrict_to(keep);
+  }
+  return uncounted;
 }
 
 void ShardWorker::run() {

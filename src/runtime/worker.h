@@ -12,6 +12,7 @@
 #pragma once
 
 #include <atomic>
+#include <bitset>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -29,7 +30,7 @@ namespace newton {
 // Per-shard execution totals, refreshed at window barriers (and exported
 // through telemetry as the newton_runtime_shard_* series).
 struct WorkerStats {
-  uint64_t packets = 0;   // packets this worker executed
+  uint64_t packets = 0;   // packet visits this worker executed
   uint64_t reports = 0;   // reports it emitted (drained at barriers)
   uint64_t busy_ns = 0;   // thread CPU time consumed so far
   // Of `packets`, how many ran through the compiled chain executor
@@ -56,6 +57,10 @@ struct WorkerStats {
 struct WorkItem {
   enum class Kind : uint8_t { Packet, Fence, Stop, Kill, Stall };
   Kind kind = Kind::Packet;
+  // Packet: the key groups (bit g = group g) that routed this visit here;
+  // the worker runs only their branches, and only the visit carrying group
+  // 0 counts the packet in telemetry.  Sits in the padding before `pkt`.
+  uint32_t groups = 0;
   Packet pkt;
 };
 
@@ -79,9 +84,12 @@ class ShardWorker {
   // cloned R modules to this worker's private report buffer, and, with
   // the jit on, lower the installed chains into compiled executors (the
   // old CompiledPipeline must never survive a reload: its ops hold
-  // pointers into the replaced replica's modules).  Demux thread only;
-  // worker must be quiesced (not yet started, or fenced).
-  void load_replica(const NewtonSwitch& primary);
+  // pointers into the replaced replica's modules).  `group_qids[g]` is key
+  // group g's qid set: a visit runs the union over its WorkItem::groups.
+  // Demux thread only; worker must be quiesced (not yet started, or
+  // fenced).
+  void load_replica(const NewtonSwitch& primary,
+                    std::vector<std::bitset<kMaxQueries>> group_qids);
 
   void start();  // spawn the thread (idempotent)
   void join();   // wait for the thread after a Stop token
@@ -136,6 +144,10 @@ class ShardWorker {
  private:
   void run();
   void process_batch(const WorkItem* items, std::size_t n);
+  // Several key groups: newton_init for each visit, then only the branches
+  // of the groups that routed it here stay active; the visit carrying
+  // group 0 counts the packet.  Returns the visits that did not count.
+  std::size_t activate_groups(const WorkItem* items, std::size_t n);
   void sync_jit_stats();  // mirror executor counters (fence/exit path)
 
   std::size_t index_;
@@ -157,6 +169,8 @@ class ShardWorker {
   std::atomic<uint64_t> fences_seen_{0};
   std::atomic<uint64_t> heartbeat_{0};
   std::atomic<bool> stall_release_{false};  // lets a Stall'd thread exit
+  std::vector<std::bitset<kMaxQueries>> group_qids_;  // set at load
+  uint32_t all_groups_ = 1;  // a visit with every group runs unfiltered
   std::thread thread_;
   bool started_ = false;
 };

@@ -94,7 +94,7 @@ struct RunOut {
 };
 
 // Mirror of the difftest harness's sharded-runtime execution (op schedule,
-// affine shard key, window snapshots), but collecting the raw report
+// derived key groups, window snapshots), but collecting the raw report
 // stream so the jit-on/off comparison is byte-level, not keyset-level.
 // `burst` = 0 keeps the scenario's burst size.
 RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
@@ -108,8 +108,6 @@ RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
   ro.burst = burst == 0 ? s.burst : burst;
   ro.record_snapshots = true;
   ro.jit = jit;
-  const auto key = difftest::affine_shard_key(s.queries);
-  ro.shard_key = key ? *key : ShardKey::five_tuple();
   ShardedRuntime rt(primary, ro, nullptr);
   rt.set_report_sink(&buf);
   const std::vector<difftest::ResolvedOp> ops = difftest::resolve_ops(s);
@@ -423,40 +421,33 @@ TEST(CompiledCoverage, BenchQueriesCompile) {
   EXPECT_GE(lanes, 2 * jit);
 }
 
-// All six detector-library chains lower to compiled executors (grouped by
-// shard-key family exactly as `newton_tool replay --detectors` installs
-// them): one chain per installed qid.
+// All six detector-library chains lower to compiled executors, installed
+// together as `newton_tool replay --detectors` installs them: one chain per
+// installed qid.
 TEST(CompiledCoverage, DetectorChainsCompile) {
   const auto lib = detectors::detector_library();
   ASSERT_GE(lib.size(), 6u);
-  std::vector<const detectors::Detector*> all;
-  for (const auto& d : lib) all.push_back(&d);
-  std::size_t chains = 0;
-  for (const auto& g : detectors::group_by_shard_key(all)) {
-    Analyzer an;
-    NewtonSwitch sw(1, 64, nullptr);  // deep budget: concurrent chains
-    RuntimeOptions ro;
-    ro.shard_key = g.key;
-    ro.record_snapshots = false;
-    ShardedRuntime rt(sw, ro, &an);
-    for (const auto* d : g.members) rt.install(d->query);
-    rt.start();
-    std::vector<uint16_t> qids;
-    for (const Controller::QueryInfo& info : rt.controller().list_queries())
-      qids.insert(qids.end(), info.qids.begin(), info.qids.end());
-    std::sort(qids.begin(), qids.end());
-    Pipeline replica = sw.pipeline().clone();
-    std::vector<uint16_t> lowered;
-    for (const compile::Chain& c : compile::lower(replica)) {
-      EXPECT_FALSE(c.ops.empty()) << "qid " << c.qid;
-      lowered.push_back(c.qid);
-    }
-    EXPECT_EQ(lowered, qids) << "group with " << g.members.front()->id;
-    chains += lowered.size();
-    rt.finish();
+  Analyzer an;
+  NewtonSwitch sw(1, 64, nullptr);  // deep budget: concurrent chains
+  RuntimeOptions ro;
+  ro.record_snapshots = false;
+  ShardedRuntime rt(sw, ro, &an);
+  for (const auto& d : lib) rt.install(d.query);
+  rt.start();
+  std::vector<uint16_t> qids;
+  for (const Controller::QueryInfo& info : rt.controller().list_queries())
+    qids.insert(qids.end(), info.qids.begin(), info.qids.end());
+  std::sort(qids.begin(), qids.end());
+  Pipeline replica = sw.pipeline().clone();
+  std::vector<uint16_t> lowered;
+  for (const compile::Chain& c : compile::lower(replica)) {
+    EXPECT_FALSE(c.ops.empty()) << "qid " << c.qid;
+    lowered.push_back(c.qid);
   }
+  EXPECT_EQ(lowered, qids);
   // Six detectors, some multi-branch: at least one chain each.
-  EXPECT_GE(chains, 6u);
+  EXPECT_GE(lowered.size(), 6u);
+  rt.finish();
 }
 
 // RuntimeOptions::jit = false: the interpreter handles everything and no

@@ -794,7 +794,7 @@ std::optional<RuntimeStats> run_hung_shard_probe(std::size_t queue_capacity,
   for (uint32_t dip = 1; pkts.size() < to_stalled; ++dip) {
     const Packet p = make_packet(ipv4(10, 0, 0, 1), dip, 1234, 80, kProtoTcp,
                                  kTcpSyn, 64, 1'000 * pkts.size());
-    if (o.shard_key.shard_of(p, o.num_shards) == 1) pkts.push_back(p);
+    if (o.shard_key->shard_of(p, o.num_shards) == 1) pkts.push_back(p);
   }
   pkts.push_back(make_packet(ipv4(10, 0, 0, 1), 1, 1234, 80, kProtoTcp,
                              kTcpSyn, 64, 150'000'000));  // next window

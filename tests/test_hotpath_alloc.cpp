@@ -164,7 +164,7 @@ TEST(HotPathAlloc, SteadyStateBurstLoopAllocatesNothing) {
     // Demux side: stage a burst, one bulk push.
     std::size_t n = 0;
     while (n < kBurst && done + n < kPackets) {
-      staged[n] = {WorkItem::Kind::Packet, pkts[done + n]};
+      staged[n] = {WorkItem::Kind::Packet, 1, pkts[done + n]};
       ++n;
     }
     ASSERT_EQ(ring.try_push_bulk(staged.data(), n), n);

@@ -464,6 +464,30 @@ TEST(TransitInit, SoleQueryCountsEachPacketOncePerHop) {
         << "switch " << s;
 }
 
+TEST(TransitInit, SlicedDeployAfterSoleQuery) {
+  // The other deploy order: a sole query first, then a CQE-sliced one.
+  // The sole query's register ranges come from the central allocator, so
+  // the sliced deployment's pre-resolved ranges never collide with them.
+  Analyzer an;
+  Network net(make_line(3), /*stages=*/5, &an, /*bank=*/1 << 14);
+  NetworkController ctl(net, &an, 1 << 14);
+  QueryBuilder b("sole_count");
+  b.sketch(1, 32);
+  b.map({Field::DstIp}).reduce({Field::DstIp}, Agg::Sum).when(Cmp::Ge, 1000);
+  Query sole = b.build();
+  sole.row_partitions = 1;
+  ctl.deploy_sole(sole);
+  QueryParams params;
+  params.sketch_width = 256;
+  EXPECT_NO_THROW(ctl.deploy(make_q1(params)));
+  // Withdrawing both returns every central range: the same pair deploys
+  // again.
+  ctl.withdraw("q1_new_tcp");
+  ctl.withdraw("sole_count");
+  EXPECT_NO_THROW(ctl.deploy_sole(sole));
+  EXPECT_NO_THROW(ctl.deploy(make_q1(params)));
+}
+
 TEST(NetworkResilience, RerouteStillMonitored) {
   // Square of switches: two disjoint paths between the hosts.  Fail one
   // path mid-trace; the resiliently-placed query keeps monitoring.

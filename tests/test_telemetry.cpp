@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -149,24 +150,25 @@ Trace attack_trace() {
   return t;
 }
 
-// Run q1 over the trace with `shards` workers and dip-affine sharding (the
-// configuration test_runtime.cpp proves produces a byte-identical report
-// stream at any shard count); return (global-registry snapshot of the
+// Run `queries` (default q1) over the trace with `shards` workers and the
+// given shard key (default dip-affine; unset derives the key groups) — the
+// configurations test_runtime.cpp proves produce a byte-identical report
+// stream at any shard count; return (global-registry snapshot of the
 // pipeline/module series, private-registry runtime snapshot).
-std::pair<Snapshot, Snapshot> run_with_shards(const Trace& t,
-                                              std::size_t shards) {
+std::pair<Snapshot, Snapshot> run_with_shards(
+    const Trace& t, std::size_t shards,
+    std::optional<ShardKey> key = ShardKey::on({Field::DstIp}),
+    const std::vector<Query>& queries = {make_q1(QueryParams{})}) {
   Registry::global().reset();
   Registry runtime_reg;
   Analyzer an;
   NewtonSwitch sw(1, 24, nullptr);
   RuntimeOptions o;
   o.num_shards = shards;
-  o.shard_key = ShardKey::on({Field::DstIp});
+  o.shard_key = std::move(key);
   o.registry = &runtime_reg;
   ShardedRuntime rt(sw, o, &an);
-  QueryParams p;
-  p.sketch_width = 4096;
-  rt.install(make_q1(p));
+  for (const Query& q : queries) rt.install(q);
   rt.run(t);
   rt.finish();
   return {Registry::global().snapshot(), runtime_reg.snapshot()};
@@ -179,13 +181,9 @@ double series(const Snapshot& s, const std::string& name,
   return m ? m->value : -1.0;
 }
 
-TEST(Telemetry, ScrapeDeterministicOneVsManyShards) {
-  const Trace t = attack_trace();
-  const auto [g1, r1] = run_with_shards(t, 1);
-  const auto [g4, r4] = run_with_shards(t, 4);
-
-  // Pipeline and module series are workload-derived: identical totals.
-  const std::vector<std::pair<std::string, Labels>> deterministic = {
+// Pipeline and module series are workload-derived: identical totals at any
+// shard count.
+const std::vector<std::pair<std::string, Labels>> kDeterministic = {
       {"newton_pipeline_packets_total", {}},
       {"newton_pipeline_stage_packets_total", {{"stage", "0"}}},
       {"newton_pipeline_stage_packets_total", {{"stage", "23"}}},
@@ -194,8 +192,14 @@ TEST(Telemetry, ScrapeDeterministicOneVsManyShards) {
       {"newton_module_rule_hits_total", {{"module", "S"}}},
       {"newton_module_rule_hits_total", {{"module", "R"}}},
       {"newton_module_rule_hits_total", {{"module", "init"}}},
-  };
-  for (const auto& [name, labels] : deterministic)
+};
+
+TEST(Telemetry, ScrapeDeterministicOneVsManyShards) {
+  const Trace t = attack_trace();
+  const auto [g1, r1] = run_with_shards(t, 1);
+  const auto [g4, r4] = run_with_shards(t, 4);
+
+  for (const auto& [name, labels] : kDeterministic)
     EXPECT_EQ(series(g1, name, labels), series(g4, name, labels))
         << name << " diverged between 1 and 4 shards";
   EXPECT_GT(series(g1, "newton_pipeline_packets_total"), 0.0);
@@ -222,6 +226,37 @@ TEST(Telemetry, ScrapeDeterministicOneVsManyShards) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(static_cast<double>(h->count),
             series(r4, "newton_runtime_windows_total"));
+}
+
+TEST(Telemetry, ScrapeDeterministicOneVsManyShardsWithKeyGroups) {
+  // q1 and q6's syn/ack branches (dip) and q6's synack branch (sip): two
+  // key groups, so a packet visits up to two shards; only the visit
+  // carrying group 0 counts it, and each branch runs on one visit only.
+  // Reduce-only chains: behind a distinct, how far a packet runs depends on
+  // its shard's bloom false positives (docs/runtime.md).
+  const Trace t = attack_trace();
+  const QueryParams p;
+  const std::vector<Query> queries = {make_q1(p), make_q6(p)};
+  const auto [g1, r1] = run_with_shards(t, 1, std::nullopt, queries);
+  const auto [g4, r4] = run_with_shards(t, 4, std::nullopt, queries);
+
+  for (const auto& [name, labels] : kDeterministic)
+    EXPECT_EQ(series(g1, name, labels), series(g4, name, labels))
+        << name << " diverged between 1 and 4 shards";
+  EXPECT_EQ(series(g1, "newton_pipeline_packets_total"),
+            static_cast<double>(t.size()));
+
+  EXPECT_EQ(series(r1, "newton_runtime_shard_groups"), 2.0);
+  EXPECT_EQ(series(r4, "newton_runtime_shard_groups"), 2.0);
+  const double in = series(r4, "newton_runtime_packets_in_total");
+  EXPECT_EQ(series(r1, "newton_runtime_shard_visits_total"), in);
+  const double visits = series(r4, "newton_runtime_shard_visits_total");
+  EXPECT_GT(visits, in);
+  EXPECT_LE(visits, 2 * in);
+  double shard_sum = 0;
+  for (const Sample& m : r4.samples)
+    if (m.name == "newton_runtime_shard_packets_total") shard_sum += m.value;
+  EXPECT_EQ(shard_sum, visits);
 }
 
 }  // namespace
