@@ -1,18 +1,27 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and the compiler: hashing, sketch updates, table lookups, per-packet
-// pipeline cost, and query compilation.
+// pipeline cost, the compiled executor, and query compilation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <memory>
+#include <random>
+#include <vector>
+
+#include "compile/executor.h"
 #include "core/compose.h"
 #include "core/controller.h"
 #include "core/cqe.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
 #include "dataplane/forwarding.h"
+#include "detectors/detector.h"
 #include "packet/wire.h"
 #include "sketch/bloom.h"
 #include "sketch/count_min.h"
 #include "sketch/hash.h"
+#include "trace/attacks.h"
 #include "trace/trace_gen.h"
 
 namespace newton {
@@ -138,6 +147,87 @@ void BM_SwitchProcessConcurrentQueries(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SwitchProcessConcurrentQueries)->Arg(1)->Arg(16)->Arg(64);
+
+// Interquartile range of the repetitions (reported next to the median).
+double iqr(const std::vector<double>& v) {
+  std::vector<double> s = v;
+  std::sort(s.begin(), s.end());
+  const auto at = [&](double q) {
+    const double x = q * static_cast<double>(s.size() - 1);
+    const auto lo = static_cast<std::size_t>(x);
+    const std::size_t hi = std::min(lo + 1, s.size() - 1);
+    return s[lo] + (s[hi] - s[lo]) * (x - static_cast<double>(lo));
+  };
+  return s.empty() ? 0.0 : at(0.75) - at(0.25);
+}
+
+// The compiled executor alone (src/compile/): CompiledPipeline::execute_run
+// over a fixed input of post-newton_init PHVs, single thread, cut into
+// runs as the worker cuts them (compile::run_length).  Arg 0 picks the
+// query set: 0 = q1/q3/q5 over the CAIDA-like trace with a SYN and a UDP
+// flood, 1 = the six detectors over the labeled attack trace.  Arg 1 is
+// the burst: 64 as in the runtime, or 1, where every packet is its own run
+// and the per-run cost (load phase, plan lookup or merge) dominates.  The
+// input keeps the first 8192 packets that activate a query.
+void BM_CompiledRun(benchmark::State& state) {
+  const bool detectors = state.range(0) == 1;
+  const auto burst = static_cast<std::size_t>(state.range(1));
+  NewtonSwitch sw(1, detectors ? 64 : 24, nullptr);
+  Controller ctl(sw);
+  Trace t;
+  if (detectors) {
+    for (const auto& d : detectors::detector_library()) ctl.install(d.query);
+    t = make_labeled_attack_trace(1).trace;
+  } else {
+    QueryParams p;
+    ctl.install(make_q1(p));
+    ctl.install(make_q3(p));
+    ctl.install(make_q5(p));
+    TraceProfile prof = caida_like(1);
+    prof.num_flows = 2000;
+    t = generate_trace(prof);
+    std::mt19937 rng(8);
+    inject_syn_flood(t, ipv4(172, 16, 7, 7), 400, 1, 150'000'000, rng);
+    inject_udp_flood(t, ipv4(172, 16, 9, 9), 300, 2, 450'000'000, rng);
+    t.sort_by_time();
+  }
+  Pipeline pipe = sw.pipeline().clone();
+  const auto init =
+      std::dynamic_pointer_cast<InitModule>(sw.init_table().clone());
+  compile::CompiledPipeline exec;
+  exec.build(pipe, burst, {});
+  std::vector<Phv> phvs;
+  for (const Packet& pk : t.packets) {
+    Phv phv;
+    phv.pkt = pk;
+    init->execute(phv);
+    if (!phv.active_list.empty()) phvs.push_back(phv);
+    if (phvs.size() == 8192) break;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    for (std::size_t base = 0; base < phvs.size(); base += burst) {
+      const std::size_t m = std::min(burst, phvs.size() - base);
+      for (std::size_t i = 0; i < m;) {
+        Phv* run = phvs.data() + base + i;
+        const std::size_t len = compile::run_length(run, m - i);
+        benchmark::DoNotOptimize(exec.execute_run(run, len));
+        i += len;
+      }
+    }
+  }
+  const std::chrono::duration<double, std::nano> ns =
+      std::chrono::steady_clock::now() - t0;
+  const auto pkts = static_cast<double>(state.iterations()) *
+                    static_cast<double>(phvs.size());
+  state.SetItemsProcessed(static_cast<int64_t>(pkts));
+  state.counters["ns_per_pkt"] = ns.count() / pkts;
+}
+BENCHMARK(BM_CompiledRun)
+    ->ArgNames({"detectors", "burst"})
+    ->ArgsProduct({{0, 1}, {64, 1}})
+    ->ComputeStatistics("iqr", iqr)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace newton

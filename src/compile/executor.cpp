@@ -189,6 +189,9 @@ void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
   by_qid_.fill(nullptr);
   needs_zero_.reset();
   compiled_.reset();
+  plans_.clear();
+  plan_lists_.clear();
+  plan_ops_.clear();
   merged_.clear();
   if (!opts.enabled) return;
   chains_ = lower(pipe);
@@ -199,6 +202,9 @@ void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
     needs_zero_.set(c.qid, lanes_need_zero(c));
     total_ops += c.ops.size();
   }
+  plans_.reserve(kPlanCapacity);
+  plan_lists_.reserve(kPlanCapacity * chains_.size());
+  plan_ops_.reserve(kPlanCapacity * total_ops);
   merged_.resize(total_ops);
   buffers_.resize(burst_capacity == 0 ? 1 : burst_capacity, chains_.size());
   enabled_ = true;
@@ -231,11 +237,45 @@ bool CompiledPipeline::execute_run(Phv* phvs, std::size_t n) {
     for (const ChainOp& op : by_qid_[list[0]]->ops) run_op(op, b, phvs, n);
     return true;
   }
-  // k-way merge of the active chains into interpreter visit order:
-  // ascending (stage, slot), ties broken by activation-list position —
-  // exactly the order the per-table active-list loops produce.  The
-  // cursor arrays live on the stack and merged_ was sized at build, so
-  // nothing allocates.
+  // Execute this activation list's plan, or, with the plan table full, a
+  // scratch merge of the same op order.
+  const ChainOp* const* prog = merged_.data();
+  std::size_t m = 0;
+  if (const Plan* p = plan_for(list.begin(), k)) {
+    prog = plan_ops_.data() + p->ops_at;
+    m = p->m;
+  } else {
+    ++fallback_runs_;
+    m = merge(list.begin(), k, merged_.data());
+  }
+  for (std::size_t j = 0; j < m; ++j) run_op(*prog[j], b, phvs, n);
+  return false;
+}
+
+const CompiledPipeline::Plan* CompiledPipeline::plan_for(const uint16_t* list,
+                                                         std::size_t k) {
+  for (const Plan& p : plans_)
+    if (p.k == k && std::equal(list, list + k, plan_lists_.data() + p.list_at))
+      return &p;
+  if (plans_.size() == kPlanCapacity) return nullptr;
+  // Every arena was reserved at build for kPlanCapacity plans: nothing
+  // below reallocates.
+  const std::size_t m = merge(list, k, merged_.data());
+  Plan& p = plans_.emplace_back();
+  p.list_at = static_cast<uint32_t>(plan_lists_.size());
+  p.k = static_cast<uint32_t>(k);
+  p.ops_at = static_cast<uint32_t>(plan_ops_.size());
+  p.m = static_cast<uint32_t>(m);
+  plan_lists_.insert(plan_lists_.end(), list, list + k);
+  plan_ops_.insert(plan_ops_.end(), merged_.begin(), merged_.begin() + m);
+  return &p;
+}
+
+std::size_t CompiledPipeline::merge(const uint16_t* list, std::size_t k,
+                                    const ChainOp** out) const {
+  // Interpreter visit order: ascending (stage, slot), ties broken by
+  // activation-list position — exactly the order the per-table
+  // active-list loops produce.  The cursor arrays live on the stack.
   const ChainOp* cur[kMaxQueries];
   const ChainOp* end[kMaxQueries];
   for (std::size_t q = 0; q < k; ++q) {
@@ -250,10 +290,9 @@ bool CompiledPipeline::execute_run(Phv* phvs, std::size_t n) {
       if (cur[q] != end[q] && cur[q]->order < best) best = cur[q]->order;
     if (best == UINT32_MAX) break;
     for (std::size_t q = 0; q < k; ++q)
-      if (cur[q] != end[q] && cur[q]->order == best) merged_[m++] = cur[q]++;
+      if (cur[q] != end[q] && cur[q]->order == best) out[m++] = cur[q]++;
   }
-  for (std::size_t j = 0; j < m; ++j) run_op(*merged_[j], b, phvs, n);
-  return false;
+  return m;
 }
 
 }  // namespace newton::compile

@@ -3,11 +3,21 @@
 // A worker builds one CompiledPipeline at every replica load, so every
 // installed chain is lowered before the replica runs a packet.  At run
 // time the worker partitions each burst into maximal runs of packets whose
-// active query sets are identical, and hands each run here.  The run's k
-// active chains are merged by interpreter visit order (with k = 1 that is
-// just the chain's own op array) and executed op-major over
-// structure-of-arrays burst buffers, so field masking and hashing touch
-// contiguous lanes.
+// ordered activation lists (Phv::active_list) are identical, and hands
+// each run here.  The run's k active chains are merged by interpreter
+// visit order (with k = 1 that is just the chain's own op array) and
+// executed op-major over structure-of-arrays burst buffers, so field
+// masking and hashing touch contiguous lanes.
+//
+// Plans: the merged op order of a k >= 2 run depends only on its ordered
+// activation list (merge ties break by list position), so the first run
+// with a given list merges into a plan and every later run with that list
+// executes the plan directly.  The plan table holds kPlanCapacity lists;
+// once it is full, a run with an unseen list merges into scratch again
+// (the same merge routine, so the result is the same op order) and
+// plan_fallback_runs() counts it.  build() drops every plan, so no plan
+// outlives the ChainOps it points at, and allocates the table's storage,
+// so filling it never allocates on the packet path.
 //
 // Each active query owns an alive row: R's Stop clears that query's lane,
 // and every later op of the query skips it.  So a stopped query never
@@ -69,6 +79,16 @@ struct BurstBuffers {
   void resize(std::size_t capacity, std::size_t queries);
 };
 
+// Length of the run that starts at phvs[0]: every packet up to the first
+// whose ordered activation list differs (at most n).  That list fixes a
+// multi-query run's op interleaving and keys its plan, so the runtime cuts
+// runs here before handing them to CompiledPipeline::execute_run.
+inline std::size_t run_length(const Phv* phvs, std::size_t n) {
+  std::size_t j = n == 0 ? 0 : 1;
+  while (j < n && phvs[j].active_list == phvs[0].active_list) ++j;
+  return j;
+}
+
 class CompiledPipeline {
  public:
   // Lower every installed chain of `pipe` (after report sinks are rebound)
@@ -85,15 +105,43 @@ class CompiledPipeline {
     return enabled_ && (phv.active & ~compiled_).none();
   }
 
-  // Execute a run of packets with identical active sets (the first packet's
-  // set stands for all).  Requires covers(phvs[0]).  Returns true when the
-  // run had exactly one active query.
+  // Execute a run of packets with identical ordered activation lists (the
+  // first packet's list stands for all).  Requires covers(phvs[0]).
+  // Returns true when the run had exactly one active query.
   bool execute_run(Phv* phvs, std::size_t n);
 
   // Digest lanes batch-hashed so far, cumulative across rebuilds.
   uint64_t hash_lanes() const { return buffers_.hash_lanes; }
 
+  // Distinct multi-query activation lists one build keeps a plan for.  A
+  // detect-pcap pass has 3 and q135-trace 2.  Kept small because the op
+  // arena is reserved for this many whole-pipeline programs in every
+  // worker, whether or not its runs need plans.
+  static constexpr std::size_t kPlanCapacity = 8;
+  // Plans held since the last build.
+  std::size_t plans() const { return plans_.size(); }
+  // Multi-query runs merged into scratch because the plan table was full,
+  // cumulative across rebuilds.
+  uint64_t plan_fallback_runs() const { return fallback_runs_; }
+
  private:
+  // One multi-query activation list and its merged op program, both stored
+  // in the arenas below.
+  struct Plan {
+    uint32_t list_at = 0;  // offset into plan_lists_
+    uint32_t k = 0;        // list length
+    uint32_t ops_at = 0;   // offset into plan_ops_
+    uint32_t m = 0;        // merged op count
+  };
+
+  // The plan of the ordered activation list `list[0..k)`, added on first
+  // sight; nullptr when the list is new and the table is full.
+  const Plan* plan_for(const uint16_t* list, std::size_t k);
+  // k-way merge of the listed chains into interpreter visit order; writes
+  // the op pointers to `out` and returns how many.
+  std::size_t merge(const uint16_t* list, std::size_t k,
+                    const ChainOp** out) const;
+
   bool enabled_ = false;
   std::vector<Chain> chains_;
   std::array<const Chain*, kMaxQueries> by_qid_{};
@@ -102,8 +150,15 @@ class CompiledPipeline {
   // first: K before H before S before R, per metadata set).
   std::bitset<kMaxQueries> needs_zero_;
   std::bitset<kMaxQueries> compiled_;
-  // Multi-query merge scratch: sized at build to the total op count, so
-  // merging never allocates on the packet path.
+  // Plan table.  build() reserves every arena for kPlanCapacity plans (a
+  // list holds at most every chain, a merged program at most every op), so
+  // adding a plan stays within capacity and never allocates.
+  std::vector<Plan> plans_;
+  std::vector<uint16_t> plan_lists_;
+  std::vector<const ChainOp*> plan_ops_;
+  uint64_t fallback_runs_ = 0;
+  // Merge scratch for new plans and the fallback, sized at build to the
+  // total op count.
   std::vector<const ChainOp*> merged_;
   BurstBuffers buffers_;
 };

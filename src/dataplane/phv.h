@@ -8,6 +8,7 @@
 // result is the PHV cost the paper pays for stage packing.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bitset>
 #include <cstdint>
@@ -33,6 +34,9 @@ class InlineVec {
   T operator[](std::size_t i) const { return items_[i]; }
   const T* begin() const { return items_.data(); }
   const T* end() const { return items_.data() + n_; }
+  bool operator==(const InlineVec& o) const {
+    return n_ == o.n_ && std::equal(begin(), end(), o.begin());
+  }
   // Drop the items `drop` selects, keeping the rest in order.
   template <class Pred>
   void erase_if(Pred drop) {

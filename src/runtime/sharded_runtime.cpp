@@ -107,6 +107,14 @@ void ShardedRuntime::bind_telemetry() {
       &reg.counter("newton_runtime_jit_hash_lanes_total",
                    "Digest lanes the compiled executors hashed in "
                    "batches (docs/compile.md)");
+  metrics_.jit_plans =
+      &reg.gauge("newton_runtime_jit_plans",
+                 "Merged-op plans the compiled executors held at the last "
+                 "window fence, summed over live shards (docs/compile.md)");
+  metrics_.jit_plan_fallback_runs =
+      &reg.counter("newton_runtime_jit_plan_fallback_runs_total",
+                   "Multi-query runs merged into scratch because the "
+                   "executor's plan table was full");
   metrics_.installs_rejected =
       &reg.counter("newton_runtime_installs_rejected_total",
                    "Queued installs rejected by admission control at a "
@@ -156,14 +164,18 @@ void ShardedRuntime::flush_telemetry() {
   metrics_.jit_recompiles->add(stats_.jit_recompiles -
                                flushed_.jit_recompiles);
   metrics_.live_shards->set(static_cast<int64_t>(live_count_));
+  uint64_t plans = 0;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    metrics_.shard_packets[i]->add(stats_.workers[i].packets -
-                                   flushed_.workers[i].packets);
-    metrics_.jit_packets->add(stats_.workers[i].jit_packets -
-                              flushed_.workers[i].jit_packets);
-    metrics_.jit_hash_lanes->add(stats_.workers[i].jit_hash_lanes -
-                                 flushed_.workers[i].jit_hash_lanes);
+    const WorkerStats& w = stats_.workers[i];
+    const WorkerStats& was = flushed_.workers[i];
+    metrics_.shard_packets[i]->add(w.packets - was.packets);
+    metrics_.jit_packets->add(w.jit_packets - was.jit_packets);
+    metrics_.jit_hash_lanes->add(w.jit_hash_lanes - was.jit_hash_lanes);
+    metrics_.jit_plan_fallback_runs->add(w.jit_plan_fallback_runs -
+                                         was.jit_plan_fallback_runs);
+    if (alive_[i]) plans += w.jit_plans;
   }
+  metrics_.jit_plans->set(static_cast<int64_t>(plans));
   flushed_ = stats_;
 }
 

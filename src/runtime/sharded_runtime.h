@@ -269,6 +269,8 @@ class ShardedRuntime {
     telemetry::Gauge* live_shards = nullptr;
     telemetry::Counter* jit_packets = nullptr;     // compiled-path packets
     telemetry::Counter* jit_hash_lanes = nullptr;  // batched digest lanes
+    telemetry::Gauge* jit_plans = nullptr;         // plans held, live shards
+    telemetry::Counter* jit_plan_fallback_runs = nullptr;
     telemetry::Counter* installs_rejected = nullptr;
     telemetry::Counter* jit_recompiles = nullptr;
     telemetry::Gauge* shard_groups = nullptr;

@@ -121,6 +121,8 @@ void ShardWorker::load_replica(
 
 void ShardWorker::sync_jit_stats() {
   stats_.jit_hash_lanes = jit_.hash_lanes();
+  stats_.jit_plans = jit_.plans();
+  stats_.jit_plan_fallback_runs = jit_.plan_fallback_runs();
 }
 
 void ShardWorker::start() {
@@ -209,18 +211,16 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
   else
     init_->execute_burst(phvs_.data(), n);
   // Partition the burst into maximal runs the compiled executor can take
-  // whole — the same active set across the run (the merged op program is
-  // computed once per run).  With the jit off nothing is covered, so the
-  // whole burst is one interpreter run.  Run boundaries preserve burst
-  // order, so per-register op order (hence all results) stays
-  // byte-identical to a pure interpreter burst.
+  // whole (compile::run_length: one ordered activation list per run).
+  // With the jit off nothing is covered, so the whole burst is one
+  // interpreter run.  Run boundaries preserve burst order, so per-register
+  // op order (hence all results) stays byte-identical to a pure
+  // interpreter burst.
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i + 1;
     if (jit_.covers(phvs_[i])) {
-      while (j < n && jit_.covers(phvs_[j]) &&
-             phvs_[j].active == phvs_[i].active)
-        ++j;
+      j = i + compile::run_length(phvs_.data() + i, n - i);
       const bool single = jit_.execute_run(phvs_.data() + i, j - i);
       pipeline_.note_compiled_packets(j - i);
       stats_.jit_packets += j - i;

@@ -42,6 +42,11 @@ struct WorkerStats {
   // Digest lanes the compiled executors hashed in batches, mirrored from
   // CompiledPipeline::hash_lanes() at window fences.
   uint64_t jit_hash_lanes = 0;
+  // Merged-op plans the executor held at the last fence, and the
+  // multi-query runs it merged into scratch because its plan table was
+  // full (cumulative); mirrored like jit_hash_lanes.
+  uint64_t jit_plans = 0;
+  uint64_t jit_plan_fallback_runs = 0;
   // Always 0.  They counted hash-CSE folds and state-bank prefetch hints,
   // both since removed from the executors; kept only because the benchmark
   // in perfbench/ still reads them.

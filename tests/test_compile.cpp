@@ -9,13 +9,18 @@
 //   * the bench query set (q1/q3/q5) and all six detector-library chains
 //     lower to the compiled executor;
 //   * the escape hatch (RuntimeOptions::jit = false) routes every packet
-//     through the interpreter.
+//     through the interpreter;
+//   * runs are cut where the ordered activation list changes, and the
+//     per-list plans (exact, bounded, dropped at every replica load) match
+//     the interpreter through a real ShardWorker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bitset>
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <tuple>
@@ -23,6 +28,7 @@
 
 #include "analyzer/analyzer.h"
 #include "compile/executor.h"
+#include "core/controller.h"
 #include "core/modules.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
@@ -31,7 +37,10 @@
 #include "dataplane/pipeline.h"
 #include "difftest/scenario.h"
 #include "runtime/sharded_runtime.h"
+#include "runtime/worker.h"
+#include "telemetry/telemetry.h"
 #include "trace/attacks.h"
+#include "trace/pcap.h"
 #include "trace/trace_gen.h"
 
 using namespace newton;
@@ -403,13 +412,24 @@ TEST(CompiledCoverage, BenchQueriesCompile) {
   const Trace t = bench_trace(31);
   for (const Packet& pk : t.packets) rt.process(pk);
   rt.finish();
-  uint64_t jit = 0, single = 0, total = 0, lanes = 0;
+  uint64_t jit = 0, single = 0, total = 0, lanes = 0, plans = 0,
+           fallback = 0;
   for (const WorkerStats& w : rt.stats().workers) {
     jit += w.jit_packets;
     single += w.jit_fused_packets;  // packets in single-query runs
     total += w.packets;
     lanes += w.jit_hash_lanes;
+    plans += w.jit_plans;
+    fallback += w.jit_plan_fallback_runs;
   }
+  // The multi-query runs replay a plan per activation list, and the
+  // runtime publishes the count at its last fence.
+  EXPECT_GE(plans, 1u);
+  EXPECT_EQ(fallback, 0u);
+  EXPECT_EQ(telemetry::Registry::global()
+                .gauge("newton_runtime_jit_plans")
+                .value(),
+            static_cast<int64_t>(plans));
   // Full coverage: every demuxed packet rides the compiled path, and most
   // of the stream activates a single query.
   EXPECT_EQ(jit, total);
@@ -473,4 +493,274 @@ TEST(CompiledEscapeHatch, OptionDisablesJit) {
   EXPECT_EQ(jit, 0u);
   EXPECT_GT(total, 0u);
   EXPECT_EQ(rt.stats().jit_recompiles, 0u);
+}
+
+namespace {
+
+// One window's outcome of a hand-driven ShardWorker: sorted reports, every
+// S bank's registers, the module rule hits the window published per
+// (module type, stage), and the worker's counters at the fence.
+struct WindowOut {
+  std::vector<ReportRecord> records;
+  std::map<std::size_t, std::vector<uint32_t>> banks;
+  std::map<std::pair<std::string, std::size_t>, uint64_t> hits;
+  WorkerStats stats;
+};
+
+uint64_t stage_hits(const char* type, std::size_t stage) {
+  return telemetry::Registry::global()
+      .counter("newton_module_stage_rule_hits_total", "",
+               {{"module", type}, {"stage", std::to_string(stage)}})
+      .value();
+}
+
+// A ShardWorker driven without the runtime, so a test controls its replica
+// loads.  The first window's packets are queued before the thread starts,
+// so every burst it drains is full.  Rule-hit deltas come from the global
+// registry, so two legs must not run at once.
+class WorkerLeg {
+ public:
+  WorkerLeg(const NewtonSwitch& sw, std::size_t burst, bool jit)
+      : w_(0, 8192, burst, jit) {
+    load(sw);
+  }
+  void load(const NewtonSwitch& sw) {
+    stages_ = sw.num_stages();
+    std::bitset<kMaxQueries> all;
+    w_.load_replica(sw, {all.set()});
+  }
+  // Runs `pkts` up to a fence.
+  WindowOut window(const std::vector<Packet>& pkts) {
+    std::vector<WorkItem> items;
+    for (const Packet& p : pkts)
+      items.push_back({WorkItem::Kind::Packet, 1, p});
+    items.push_back({WorkItem::Kind::Fence, 0, {}});
+    uint64_t stalls = 0;
+    EXPECT_EQ(w_.post(items.data(), items.size(), 0, stalls), items.size());
+    w_.start();
+    EXPECT_TRUE(w_.wait_fence_for(++fences_, 0));
+    WindowOut out;
+    out.records = sorted(w_.reports().records());
+    w_.reports().clear();
+    for (std::size_t st = 0; st < stages_; ++st) {
+      if (!w_.has_bank(st)) continue;
+      const RegisterArray& regs = w_.bank(st);
+      std::vector<uint32_t>& v = out.banks[st];
+      for (std::size_t r = 0; r < regs.size(); ++r) v.push_back(regs.read(r));
+    }
+    std::map<std::pair<std::string, std::size_t>, uint64_t> before;
+    for (const char* t : {"K", "H", "S", "R"})
+      for (std::size_t st = 0; st < stages_; ++st)
+        before[{t, st}] = stage_hits(t, st);
+    w_.publish_telemetry();
+    for (const auto& [key, was] : before)
+      if (const uint64_t d = stage_hits(key.first.c_str(), key.second) - was)
+        out.hits[key] = d;
+    out.stats = w_.stats();
+    return out;
+  }
+
+ private:
+  ShardWorker w_;
+  std::size_t stages_ = 0;
+  uint64_t fences_ = 0;
+};
+
+void expect_same_window(const WindowOut& jit, const WindowOut& interp) {
+  ASSERT_EQ(jit.records.size(), interp.records.size());
+  for (std::size_t i = 0; i < jit.records.size(); ++i)
+    ASSERT_EQ(rec_key(jit.records[i]), rec_key(interp.records[i]))
+        << "record " << i;
+  EXPECT_EQ(jit.banks, interp.banks);
+  EXPECT_EQ(jit.hits, interp.hits);
+  EXPECT_GT(jit.stats.jit_packets, 0u);
+  EXPECT_EQ(interp.stats.jit_packets, 0u);
+}
+
+// Queries 1..nq on stages 0-3 of a 4-stage switch, one K/H/S/R rule each,
+// every rule on metadata set 0.  So their interleaving decides every
+// result: every S reads the digest of the last query whose H ran, over the
+// keys of the last query whose K ran (only that query's guard passes), and
+// R folds each query's state into the global result in list order.
+std::unique_ptr<NewtonSwitch> shared_set_switch(uint16_t nq) {
+  auto sw = std::make_unique<NewtonSwitch>(1, 4, nullptr, 1024);
+  const ModuleInstances& m = sw->modules();
+  const Field keys[] = {Field::SrcIp, Field::DstPort, Field::SrcPort,
+                        Field::DstIp};
+  for (uint16_t q = 1; q <= nq; ++q) {
+    KConfig k;
+    k.masks[index(keys[q % 4])] = 0xffffffffu;
+    m.k[0]->table().insert(q, k);
+    HConfig h;
+    h.seed = q;
+    h.width = 64;
+    h.offset = 64 * q;
+    m.h[1]->table().insert(q, h);
+    SConfig st;  // guarded to the query's slice, as installs guard it
+    st.guard_lo = st.index_base = h.offset;
+    st.guard_hi = h.offset + h.width - 1;
+    m.s[2]->table().insert(q, st);
+    RConfig r;
+    r.combine = RCombine::Add;
+    r.on_match = RAction::Report;
+    m.r[3]->table().insert(q, r);
+  }
+  return sw;
+}
+
+// A newton_init rule on the key [sip, dip, sport, dport, proto, flags,
+// at_ingress]: `word` must equal `value` under `mask`.
+void init_rule(NewtonSwitch& sw, std::size_t word, uint32_t value,
+               uint32_t mask, std::vector<uint16_t> qids) {
+  std::vector<MatchWord> key(7, MatchWord::wildcard());
+  key[word] = {value, mask};
+  sw.init_table().table().insert(std::move(key), 0, {std::move(qids)});
+}
+
+WindowOut run_window(const NewtonSwitch& sw, const std::vector<Packet>& pkts,
+                     std::size_t burst, bool jit) {
+  WorkerLeg leg(sw, burst, jit);
+  return leg.window(pkts);
+}
+
+}  // namespace
+
+// Runs are cut where the ordered activation list changes, not where the
+// active set does.  newton_init rules {q1} (TCP) and {q2, q1} (dport 80)
+// give TCP:80 the list [q1, q2] and UDP:80 the list [q2, q1].  Both
+// queries write set 0 from one K table, so the two orders give different
+// keys, registers and reports.  A run that mixed them would execute every
+// packet in its first packet's order.
+TEST(CompiledRunKey, SameSetInTwoOrdersMatchesInterpreter) {
+  auto sw = shared_set_switch(2);
+  init_rule(*sw, 4, kProtoTcp, 0xffffffffu, {1});
+  init_rule(*sw, 3, 80, 0xffffffffu, {2, 1});
+  std::mt19937 rng(11);
+  std::vector<Packet> pkts;
+  for (std::size_t i = 0; i < 400; ++i) {
+    const uint32_t r = rng() % 8;  // mostly the two orders, interleaved
+    const bool tcp = r < 4 || r == 6;
+    const uint32_t dport = r == 6 ? 443 : r == 7 ? 53 : 80;
+    pkts.push_back(make_packet(ipv4(10, 0, 0, 1 + rng() % 9),
+                               ipv4(10, 1, 0, 1 + rng() % 3),
+                               1000 + rng() % 7, dport,
+                               tcp ? kProtoTcp : kProtoUdp, 0, 64, i));
+  }
+  const WindowOut want = run_window(*sw, pkts, 64, /*jit=*/false);
+  ASSERT_GT(want.records.size(), pkts.size());
+  for (const std::size_t burst :
+       {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    SCOPED_TRACE("burst=" + std::to_string(burst));
+    const WindowOut got = run_window(*sw, pkts, burst, /*jit=*/true);
+    expect_same_window(got, want);
+    // Two orders of one set: two plans.
+    EXPECT_EQ(got.stats.jit_plans, 2u);
+    EXPECT_EQ(got.stats.jit_plan_fallback_runs, 0u);
+  }
+}
+
+namespace {
+
+// The six detectors installed on one switch, as `newton_tool replay
+// --detectors all` installs them.
+struct DetectorSwitch {
+  NewtonSwitch sw{1, 64, nullptr};
+  Controller ctl{sw};
+  DetectorSwitch() {
+    for (const auto& d : detectors::detector_library()) ctl.install(d.query);
+  }
+};
+
+// The committed detector fixture, interleaved with itself reversed so
+// consecutive packets keep switching traffic class (and active set).
+std::vector<Packet> alternating_detector_mix() {
+  const Trace t = load_pcap(NEWTON_CORPUS_DIR "/detectors.pcap");
+  std::vector<Packet> out;
+  const std::size_t n = t.packets.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(t.packets[i]);
+    out.push_back(t.packets[n - 1 - i]);
+    out.back().ts_ns = out[out.size() - 2].ts_ns;
+  }
+  return out;
+}
+
+}  // namespace
+
+// The six detectors over packets whose active sets keep alternating: each
+// distinct multi-query activation list is merged once into a plan, and
+// reports, registers and rule hits stay identical to the interpreter at
+// every burst size.
+TEST(CompiledPlans, SixDetectorsAlternatingSetsMatchInterpreter) {
+  const DetectorSwitch d;
+  const std::vector<Packet> pkts = alternating_detector_mix();
+  ASSERT_GT(pkts.size(), 1000u);
+  const WindowOut want = run_window(d.sw, pkts, 64, /*jit=*/false);
+  ASSERT_FALSE(want.records.empty());
+  for (const std::size_t burst :
+       {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    SCOPED_TRACE("burst=" + std::to_string(burst));
+    const WindowOut got = run_window(d.sw, pkts, burst, /*jit=*/true);
+    expect_same_window(got, want);
+    EXPECT_LT(got.stats.jit_fused_packets, got.stats.jit_packets);
+    EXPECT_GE(got.stats.jit_plans, 2u);
+    EXPECT_LE(got.stats.jit_plans, compile::CompiledPipeline::kPlanCapacity);
+    EXPECT_EQ(got.stats.jit_plan_fallback_runs, 0u);
+  }
+}
+
+// More distinct multi-query activation lists than the plan table holds:
+// eight queries, each activated by one bit of the source port, give up to
+// 247 lists.  Runs past the table's capacity merge into scratch, and the
+// results stay identical.
+TEST(CompiledPlans, FullTableFallsBackExactly) {
+  auto sw = shared_set_switch(8);
+  for (uint16_t q = 1; q <= 8; ++q)
+    init_rule(*sw, 2, 1u << (q - 1), 1u << (q - 1), {q});
+  std::mt19937 rng(3);
+  std::vector<Packet> pkts;
+  for (std::size_t i = 0; i < 2000; ++i)
+    pkts.push_back(make_packet(ipv4(10, 0, 0, 1 + rng() % 50),
+                               ipv4(10, 1, 0, 1 + rng() % 5), rng() % 256,
+                               80, kProtoTcp, 0, 64, i));
+  const WindowOut want = run_window(*sw, pkts, 64, /*jit=*/false);
+  for (const std::size_t burst :
+       {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    SCOPED_TRACE("burst=" + std::to_string(burst));
+    const WindowOut got = run_window(*sw, pkts, burst, /*jit=*/true);
+    expect_same_window(got, want);
+    EXPECT_EQ(got.stats.jit_plans, compile::CompiledPipeline::kPlanCapacity);
+    EXPECT_GT(got.stats.jit_plan_fallback_runs, 0u);
+  }
+}
+
+// A replica load at a mutation barrier drops every plan: the window after a
+// withdraw starts with none, builds its own from the new chains, and a
+// later install does the same.  (Under ASan a plan that outlived its
+// ChainOps would be a use after free.)
+TEST(CompiledPlans, MutationBarrierDropsEveryPlan) {
+  DetectorSwitch d;
+  const std::vector<Packet> pkts = alternating_detector_mix();
+  const std::vector<Packet> half(pkts.begin(), pkts.begin() + pkts.size() / 2);
+  const auto lib = detectors::detector_library();
+  for (const std::size_t burst : {std::size_t{3}, std::size_t{64}}) {
+    SCOPED_TRACE("burst=" + std::to_string(burst));
+    WorkerLeg jit(d.sw, burst, true), interp(d.sw, burst, false);
+    const auto step = [&](const std::vector<Packet>& p) {
+      const WindowOut got = jit.window(p);
+      expect_same_window(got, interp.window(p));
+      return got.stats.jit_plans;
+    };
+    EXPECT_GE(step(half), 2u);
+    d.ctl.remove(lib.front().query.name);
+    jit.load(d.sw);
+    interp.load(d.sw);
+    EXPECT_EQ(step({}), 0u);  // a fence with no packets: nothing re-planned
+    EXPECT_GE(step(half), 1u);
+    d.ctl.install(lib.front().query);
+    jit.load(d.sw);
+    interp.load(d.sw);
+    EXPECT_EQ(step({}), 0u);
+    EXPECT_GE(step(pkts), 2u);
+  }
 }

@@ -3,7 +3,8 @@
 // counts every heap allocation, and the steady-state worker loop — PHV
 // reset/refill, newton_init dispatch, stage-major pipeline bursts, ring
 // bulk transfer, report emission into a pre-reserved sink — must perform
-// none at all across 10k packets.
+// none at all across 10k packets, on the interpreter and on the compiled
+// executor (whose plan table fills inside the measured region).
 //
 // The interposer is process-wide, so this test lives in its own binary:
 // gtest machinery and the setup phase allocate freely, the measured region
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "compile/executor.h"
 #include "core/controller.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
@@ -94,53 +96,82 @@ struct PrereservedSink : ReportSink {
   void report(const ReportRecord& r) override { records.push_back(r); }
 };
 
+constexpr std::size_t kBurst = 64;
+constexpr std::size_t kPackets = 10'000;
+
+// Two installed queries and a pre-built packet mix: SYNs (both queries
+// fire, reports guaranteed), other TCP, and UDP that matches nothing.
+struct QueryMix {
+  NewtonSwitch sw{1, 24, nullptr};
+  Controller ctl{sw};
+  std::vector<Packet> pkts;
+
+  QueryMix() : pkts(kPackets) {
+    QueryParams params;
+    params.sketch_width = 8192;
+    ctl.install(make_q1(params));  // stateful: K/H/S/R all on the path
+    ctl.install(QueryBuilder("syn_export")  // stateless: reports every SYN
+                    .filter(Predicate{}
+                                .where(Field::Proto, Cmp::Eq, kProtoTcp)
+                                .where(Field::TcpFlags, Cmp::Eq, kTcpSyn))
+                    .map({Field::SrcIp, Field::DstIp})
+                    .build());
+    for (std::size_t i = 0; i < kPackets; ++i) {
+      const uint32_t u = static_cast<uint32_t>(i);
+      switch (i % 3) {
+        case 0:
+          pkts[i] = make_packet(u % 97, 7, 1000 + u % 53, 80, kProtoTcp,
+                                kTcpSyn, 64, i * 1000);
+          break;
+        case 1:
+          pkts[i] = make_packet(u % 97, 7, 1000 + u % 53, 80, kProtoTcp,
+                                kTcpAck, 512, i * 1000);
+          break;
+        default:
+          pkts[i] =
+              make_packet(u % 89, 9, 53, 53, kProtoUdp, 0, 128, i * 1000);
+      }
+    }
+  }
+};
+
+// A worker replica of `sw`, wired exactly as ShardWorker::load_replica
+// does, reporting into `sink`.
+struct Replica {
+  Pipeline pipe;
+  std::shared_ptr<InitModule> init;
+
+  Replica(const NewtonSwitch& sw, ReportSink& sink)
+      : pipe(sw.pipeline().clone()),
+        init(std::dynamic_pointer_cast<InitModule>(sw.init_table().clone())) {
+    for (std::size_t i = 0; i < pipe.num_stages(); ++i)
+      for (const auto& t : pipe.stage(i).tables())
+        if (auto* r = dynamic_cast<RModule*>(t.get())) r->set_sink(&sink);
+  }
+
+  uint64_t register_sum() const {
+    uint64_t sum = 0;
+    for (std::size_t st = 0; st < pipe.num_stages(); ++st)
+      for (const auto& t : pipe.stage(st).tables())
+        if (auto* s = dynamic_cast<SModule*>(t.get()))
+          for (std::size_t i = 0; i < s->registers().size(); ++i)
+            sum += s->registers().read(i);
+    return sum;
+  }
+};
+
 TEST(HotPathAlloc, SteadyStateBurstLoopAllocatesNothing) {
   ASSERT_GT(g_allocs.load(), 0u) << "interposer not linked in";
 
   // --- setup (allocation is free here) --------------------------------
-  constexpr std::size_t kBurst = 64;
-  constexpr std::size_t kPackets = 10'000;
-
-  NewtonSwitch sw(1, 24, nullptr);
-  Controller ctl(sw);
-  QueryParams params;
-  params.sketch_width = 8192;
-  ctl.install(make_q1(params));  // stateful: K/H/S/R all on the path
-  ctl.install(QueryBuilder("syn_export")  // stateless: reports every SYN
-                  .filter(Predicate{}
-                              .where(Field::Proto, Cmp::Eq, kProtoTcp)
-                              .where(Field::TcpFlags, Cmp::Eq, kTcpSyn))
-                  .map({Field::SrcIp, Field::DstIp})
-                  .build());
-
-  // A worker replica, wired exactly as ShardWorker::load_replica does.
-  Pipeline replica = sw.pipeline().clone();
-  auto init = std::dynamic_pointer_cast<InitModule>(sw.init_table().clone());
-  ASSERT_NE(init, nullptr);
+  const QueryMix mix;
+  const std::vector<Packet>& pkts = mix.pkts;
   PrereservedSink sink;
   sink.records.reserve(4 * kPackets);
-  for (std::size_t i = 0; i < replica.num_stages(); ++i)
-    for (const auto& t : replica.stage(i).tables())
-      if (auto* r = dynamic_cast<RModule*>(t.get())) r->set_sink(&sink);
-
-  // Pre-built packet mix: SYNs (both queries fire, reports guaranteed),
-  // other TCP, and UDP that matches nothing.
-  std::vector<Packet> pkts(kPackets);
-  for (std::size_t i = 0; i < kPackets; ++i) {
-    const uint32_t u = static_cast<uint32_t>(i);
-    switch (i % 3) {
-      case 0:
-        pkts[i] = make_packet(u % 97, 7, 1000 + u % 53, 80, kProtoTcp,
-                              kTcpSyn, 64, i * 1000);
-        break;
-      case 1:
-        pkts[i] = make_packet(u % 97, 7, 1000 + u % 53, 80, kProtoTcp,
-                              kTcpAck, 512, i * 1000);
-        break;
-      default:
-        pkts[i] = make_packet(u % 89, 9, 53, 53, kProtoUdp, 0, 128, i * 1000);
-    }
-  }
+  Replica rep(mix.sw, sink);
+  ASSERT_NE(rep.init, nullptr);
+  Pipeline& replica = rep.pipe;
+  InitModule* init = rep.init.get();
 
   // The demux's staging buffer, the ring, and the worker's PHV buffer.
   SpscRing<WorkItem> ring(256);
@@ -193,13 +224,71 @@ TEST(HotPathAlloc, SteadyStateBurstLoopAllocatesNothing) {
   EXPECT_GT(sink.records.size(), warm_reports) << "R path never fired";
 
   // Sanity: state actually moved (the loop did real work, not no-ops).
-  uint64_t reg_sum = 0;
-  for (std::size_t st = 0; st < replica.num_stages(); ++st)
-    for (const auto& t : replica.stage(st).tables())
-      if (auto* s = dynamic_cast<SModule*>(t.get()))
-        for (std::size_t i = 0; i < s->registers().size(); ++i)
-          reg_sum += s->registers().read(i);
-  EXPECT_GT(reg_sum, 0u);
+  EXPECT_GT(rep.register_sum(), 0u);
+}
+
+// The compiled path: the same mix through a CompiledPipeline built on the
+// replica, cut into runs as the worker cuts them (compile::run_length).
+// The warm-up feeds only non-SYN packets, so the multi-query set (q1 plus
+// syn_export on every SYN) is first seen inside the measured region: the
+// plan table fills there, from storage build() already allocated.
+TEST(HotPathAlloc, CompiledRunLoopAllocatesNothing) {
+  ASSERT_GT(g_allocs.load(), 0u) << "interposer not linked in";
+
+  // --- setup (allocation is free here) --------------------------------
+  const QueryMix mix;
+  PrereservedSink sink;
+  sink.records.reserve(4 * kPackets);
+  Replica rep(mix.sw, sink);
+  ASSERT_NE(rep.init, nullptr);
+  compile::CompiledPipeline exec;
+  exec.build(rep.pipe, kBurst, {});
+  ASSERT_TRUE(exec.enabled());
+  std::vector<Phv> phvs(kBurst);
+  uint64_t multi = 0;
+  const auto burst = [&](const Packet* pkts, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      phvs[i].reset();
+      phvs[i].pkt = pkts[i];
+    }
+    rep.init->execute_burst(phvs.data(), n);
+    for (std::size_t i = 0; i < n;) {
+      const std::size_t len = compile::run_length(phvs.data() + i, n - i);
+      if (!exec.covers(phvs[i])) return false;
+      if (!exec.execute_run(phvs.data() + i, len) &&
+          !phvs[i].active_list.empty())
+        multi += len;
+      i += len;
+    }
+    return true;
+  };
+
+  // Warm-up: one burst of the mix's non-SYN packets.
+  std::vector<Packet> warm;
+  for (const Packet& p : mix.pkts)
+    if (warm.size() < kBurst && p.get(Field::TcpFlags) != kTcpSyn)
+      warm.push_back(p);
+  ASSERT_TRUE(burst(warm.data(), warm.size()));
+  ASSERT_EQ(exec.plans(), 0u);
+  ASSERT_EQ(multi, 0u);
+
+  // --- measured region ------------------------------------------------
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  bool covered = true;
+  for (std::size_t done = 0; done < kPackets; done += kBurst)
+    covered &= burst(mix.pkts.data() + done,
+                     std::min(kBurst, kPackets - done));
+  const uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  // --- end measured region --------------------------------------------
+
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " heap allocations in the compiled run loop";
+  EXPECT_TRUE(covered) << "a packet activated a query without a chain";
+  EXPECT_GT(multi, 0u) << "no multi-query run";
+  EXPECT_EQ(exec.plans(), 1u);
+  EXPECT_EQ(exec.plan_fallback_runs(), 0u);
+  EXPECT_GT(sink.records.size(), 0u) << "R path never fired";
+  EXPECT_GT(rep.register_sum(), 0u);
 }
 
 // The ingest sources' pull contract (src/ingest/source.h): after a warm-up
