@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
-// and the compiler: hashing, sketch updates, table lookups, per-packet
-// pipeline cost, the compiled executor, and query compilation.
+// and the compiler: hashing, sketch updates, table lookups, newton_init
+// dispatch, per-packet pipeline cost, the compiled executor, and query
+// compilation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -226,6 +227,89 @@ void BM_CompiledRun(benchmark::State& state) {
 BENCHMARK(BM_CompiledRun)
     ->ArgNames({"detectors", "burst"})
     ->ArgsProduct({{0, 1}, {64, 1}})
+    ->ComputeStatistics("iqr", iqr)
+    ->Unit(benchmark::kMicrosecond);
+
+// newton_init alone: InitModule::execute_burst over bursts of 64 fresh
+// PHVs, timed around the call only, ns per packet.  Arg 0 picks the rule
+// set and its traffic: 0 = q1/q3/q5 over the CAIDA-like trace (three
+// one-rule mask patterns), 1 = the six detectors over the labeled attack
+// trace (a 3-rule and a 6-rule pattern), 2 = 100 dport tenants as in
+// perfbench's tenant-churn (one 100-rule pattern, so a hashed tuple) over
+// tenant traffic, 60% of it to a tenant's port.  8192 packets each.
+void BM_InitDispatch(benchmark::State& state) {
+  constexpr std::size_t kBurst = 64, kPackets = 8192;
+  const int64_t set = state.range(0);
+  NewtonSwitch sw(1, 64, nullptr);
+  Controller ctl(sw);
+  std::vector<Packet> pkts;
+  if (set == 0) {
+    QueryParams p;
+    ctl.install(make_q1(p));
+    ctl.install(make_q3(p));
+    ctl.install(make_q5(p));
+    TraceProfile prof = caida_like(1);
+    prof.num_flows = 2000;
+    Trace t = generate_trace(prof);
+    std::mt19937 rng(8);
+    inject_syn_flood(t, ipv4(172, 16, 7, 7), 400, 1, 150'000'000, rng);
+    t.sort_by_time();
+    pkts = std::move(t.packets);
+  } else if (set == 1) {
+    for (const auto& d : detectors::detector_library()) ctl.install(d.query);
+    pkts = make_labeled_attack_trace(1).trace.packets;
+  } else {
+    for (uint32_t i = 0; i < 100; ++i)
+      ctl.install(QueryBuilder(std::string("tenant").append(std::to_string(i)))
+                      .sketch(2, 256)
+                      .filter(Predicate{}.where(Field::DstPort, Cmp::Eq,
+                                                20'000 + i))
+                      .map({Field::SrcIp})
+                      .reduce({Field::SrcIp}, Agg::Sum)
+                      .when(Cmp::Ge, 6)
+                      .build());
+    std::mt19937 rng(5);
+    for (uint32_t i = 0; i < kPackets; ++i) {
+      const uint32_t c = rng() % 10;
+      const uint32_t dport = c < 6 ? 20'000 + rng() % 100 : c < 8 ? 443 : 80;
+      pkts.push_back(make_packet(ipv4(10, 1, 0, rng() % 256),
+                                 ipv4(172, 16, 0, rng() % 256),
+                                 1024 + rng() % 60'000, dport, kProtoTcp,
+                                 kTcpAck, 512, i * 1000ull));
+    }
+  }
+  pkts.resize(std::min(pkts.size(), kPackets));
+  const auto init =
+      std::dynamic_pointer_cast<InitModule>(sw.init_table().clone());
+  std::vector<Phv> phvs(kBurst);
+  std::chrono::duration<double, std::nano> ns{0};
+  uint64_t activated = 0;
+  for (auto _ : state) {
+    for (std::size_t base = 0; base < pkts.size(); base += kBurst) {
+      const std::size_t m = std::min(kBurst, pkts.size() - base);
+      for (std::size_t i = 0; i < m; ++i) {
+        phvs[i].reset();
+        phvs[i].pkt = pkts[base + i];
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      init->execute_burst(phvs.data(), m);
+      ns += std::chrono::steady_clock::now() - t0;
+      for (std::size_t i = 0; i < m; ++i)
+        activated += phvs[i].active_list.size();
+    }
+  }
+  benchmark::DoNotOptimize(activated);
+  const auto n = static_cast<double>(state.iterations()) *
+                 static_cast<double>(pkts.size());
+  state.SetItemsProcessed(static_cast<int64_t>(n));
+  state.counters["ns_per_pkt"] = ns.count() / n;
+  state.counters["rules"] = static_cast<double>(init->table().size());
+}
+BENCHMARK(BM_InitDispatch)
+    ->ArgName("set")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
     ->ComputeStatistics("iqr", iqr)
     ->Unit(benchmark::kMicrosecond);
 

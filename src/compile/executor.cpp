@@ -1,6 +1,7 @@
 #include "compile/executor.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "dataplane/pipeline.h"
 
@@ -180,6 +181,56 @@ bool lanes_need_zero(const Chain& c) {
   return false;
 }
 
+// Marks every chain with an SOp whose register range overlaps another
+// SOp's on the same bank.  An SOp touches index_base + (h - guard_lo) for
+// h in [guard_lo, guard_hi], mod the bank size: a circular range, split
+// here into at most two linear spans.  Op-major execution runs all of a
+// run's packets through one op before the next, so two ops sharing a
+// register would see its per-packet accesses reordered; with disjoint
+// ranges (installs guard each S rule to its own slice) no register has two
+// writers and the order cannot show.
+std::vector<bool> overlapping(const std::vector<Chain>& chains) {
+  struct Span {
+    const RegisterArray* regs;
+    uint64_t lo, hi;  // [lo, hi)
+    std::size_t chain;
+  };
+  std::vector<Span> spans;
+  for (std::size_t c = 0; c < chains.size(); ++c)
+    for (const ChainOp& op : chains[c].ops) {
+      if (op.kind != OpKind::SOp || op.guard_lo > op.guard_hi) continue;
+      const uint64_t size = op.regs->size();
+      const uint64_t len =
+          std::min<uint64_t>(uint64_t{op.guard_hi} - op.guard_lo + 1, size);
+      const uint64_t lo = op.index_base % size;
+      if (lo + len <= size) {
+        spans.push_back({op.regs, lo, lo + len, c});
+      } else {
+        spans.push_back({op.regs, lo, size, c});
+        spans.push_back({op.regs, 0, lo + len - size, c});
+      }
+    }
+  std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
+    if (a.regs != b.regs)
+      return std::less<const RegisterArray*>{}(a.regs, b.regs);
+    return a.lo < b.lo;
+  });
+  // In start order, a span meets an earlier one iff it starts before the
+  // furthest earlier end, and a later one iff the next span starts before
+  // its own end.
+  std::vector<bool> flagged(chains.size(), false);
+  uint64_t reach = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Span& s = spans[i];
+    if (i == 0 || spans[i - 1].regs != s.regs) reach = 0;
+    const bool next = i + 1 < spans.size() && spans[i + 1].regs == s.regs &&
+                      spans[i + 1].lo < s.hi;
+    if (s.lo < reach || next) flagged[s.chain] = true;
+    reach = std::max(reach, s.hi);
+  }
+  return flagged;
+}
+
 }  // namespace
 
 void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
@@ -193,8 +244,20 @@ void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
   plan_lists_.clear();
   plan_ops_.clear();
   merged_.clear();
+  overlapping_ = 0;
   if (!opts.enabled) return;
   chains_ = lower(pipe);
+  // Chains that share S registers stay out of compiled_: covers() then
+  // sends their packets to the interpreter.
+  const std::vector<bool> flagged = overlapping(chains_);
+  std::size_t kept = 0;
+  for (std::size_t c = 0; c < chains_.size(); ++c) {
+    if (flagged[c]) continue;
+    if (kept != c) chains_[kept] = std::move(chains_[c]);
+    ++kept;
+  }
+  overlapping_ = chains_.size() - kept;
+  chains_.resize(kept);
   std::size_t total_ops = 0;
   for (const Chain& c : chains_) {
     by_qid_[c.qid] = &c;

@@ -31,7 +31,8 @@
 //
 // The executor reproduces interpreter results byte-for-byte: same
 // per-register op order (runs are contiguous in burst order and op-major
-// execution preserves it), same report contents, same rule-hit telemetry
+// execution preserves it, because build() compiles no two chains whose S
+// register ranges overlap), same report contents, same rule-hit telemetry
 // (ops bump the source modules' hit cells).  Report emission order within
 // a burst can differ from the interpreter's stage-major order; every
 // cross-execution check in the tree compares sorted records.
@@ -110,6 +111,12 @@ class CompiledPipeline {
   // Returns true when the run had exactly one active query.
   bool execute_run(Phv* phvs, std::size_t n);
 
+  // Chains the last build left to the interpreter because one of their S
+  // register ranges overlaps another S op's on the same bank (op-major
+  // order is exact only over disjoint S slices).  0 for every installed
+  // query: installs guard each S rule to its own slice.
+  std::size_t overlapping_chains() const { return overlapping_; }
+
   // Digest lanes batch-hashed so far, cumulative across rebuilds.
   uint64_t hash_lanes() const { return buffers_.hash_lanes; }
 
@@ -143,6 +150,7 @@ class CompiledPipeline {
                     const ChainOp** out) const;
 
   bool enabled_ = false;
+  std::size_t overlapping_ = 0;
   std::vector<Chain> chains_;
   std::array<const Chain*, kMaxQueries> by_qid_{};
   // Chains that may read a lane before writing it; a run containing one

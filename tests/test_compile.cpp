@@ -166,6 +166,14 @@ Trace bench_trace(uint32_t seed) {
   return t;
 }
 
+// Chains CompiledPipeline::build leaves to the interpreter for `sw`.
+std::size_t overlapping_chains(const NewtonSwitch& sw) {
+  Pipeline replica = sw.pipeline().clone();
+  compile::CompiledPipeline exec;
+  exec.build(replica, 64, {});
+  return exec.overlapping_chains();
+}
+
 constexpr uint16_t kQA = 1, kQB = 2;
 
 // Two queries sharing metadata set 1, one module per stage.  Query A
@@ -439,6 +447,14 @@ TEST(CompiledCoverage, BenchQueriesCompile) {
   // chain holds at least two HHash ops (q1 two, q3/q5 four) ahead of its
   // first Stop.
   EXPECT_GE(lanes, 2 * jit);
+
+  // Installs guard every S rule to its own slice, so no chain of the bench
+  // queries or of the six detectors shares a register with another.
+  EXPECT_EQ(overlapping_chains(sw), 0u);
+  NewtonSwitch dsw(1, 64, nullptr);
+  Controller dctl(dsw);
+  for (const auto& d : detectors::detector_library()) dctl.install(d.query);
+  EXPECT_EQ(overlapping_chains(dsw), 0u);
 }
 
 // All six detector-library chains lower to compiled executors, installed
@@ -623,6 +639,40 @@ WindowOut run_window(const NewtonSwitch& sw, const std::vector<Packet>& pkts,
   return leg.window(pkts);
 }
 
+// newton_init rules {q1} on TCP and {q2, q1} on dport 80: TCP:80 gets the
+// activation list [q1, q2], UDP:80 gets [q2, q1].
+void two_order_rules(NewtonSwitch& sw) {
+  init_rule(sw, 4, kProtoTcp, 0xffffffffu, {1});
+  init_rule(sw, 3, 80, 0xffffffffu, {2, 1});
+}
+
+// Mostly those two orders, interleaved, plus traffic with one query or
+// none.
+std::vector<Packet> two_order_packets() {
+  std::mt19937 rng(11);
+  std::vector<Packet> pkts;
+  for (std::size_t i = 0; i < 400; ++i) {
+    const uint32_t r = rng() % 8;
+    const bool tcp = r < 4 || r == 6;
+    const uint32_t dport = r == 6 ? 443 : r == 7 ? 53 : 80;
+    pkts.push_back(make_packet(ipv4(10, 0, 0, 1 + rng() % 9),
+                               ipv4(10, 1, 0, 1 + rng() % 3),
+                               1000 + rng() % 7, dport,
+                               tcp ? kProtoTcp : kProtoUdp, 0, 64, i));
+  }
+  return pkts;
+}
+
+// Replace query q's S rule on shared_set_switch's bank (stage 2).
+void set_s_rule(NewtonSwitch& sw, uint16_t q, uint32_t guard_lo,
+                uint32_t guard_hi, uint32_t index_base) {
+  SConfig st;
+  st.guard_lo = guard_lo;
+  st.guard_hi = guard_hi;
+  st.index_base = index_base;
+  sw.modules().s[2]->table().insert(q, st);
+}
+
 }  // namespace
 
 // Runs are cut where the ordered activation list changes, not where the
@@ -633,19 +683,8 @@ WindowOut run_window(const NewtonSwitch& sw, const std::vector<Packet>& pkts,
 // packet in its first packet's order.
 TEST(CompiledRunKey, SameSetInTwoOrdersMatchesInterpreter) {
   auto sw = shared_set_switch(2);
-  init_rule(*sw, 4, kProtoTcp, 0xffffffffu, {1});
-  init_rule(*sw, 3, 80, 0xffffffffu, {2, 1});
-  std::mt19937 rng(11);
-  std::vector<Packet> pkts;
-  for (std::size_t i = 0; i < 400; ++i) {
-    const uint32_t r = rng() % 8;  // mostly the two orders, interleaved
-    const bool tcp = r < 4 || r == 6;
-    const uint32_t dport = r == 6 ? 443 : r == 7 ? 53 : 80;
-    pkts.push_back(make_packet(ipv4(10, 0, 0, 1 + rng() % 9),
-                               ipv4(10, 1, 0, 1 + rng() % 3),
-                               1000 + rng() % 7, dport,
-                               tcp ? kProtoTcp : kProtoUdp, 0, 64, i));
-  }
+  two_order_rules(*sw);
+  const std::vector<Packet> pkts = two_order_packets();
   const WindowOut want = run_window(*sw, pkts, 64, /*jit=*/false);
   ASSERT_GT(want.records.size(), pkts.size());
   for (const std::size_t burst :
@@ -657,6 +696,52 @@ TEST(CompiledRunKey, SameSetInTwoOrdersMatchesInterpreter) {
     EXPECT_EQ(got.stats.jit_plans, 2u);
     EXPECT_EQ(got.stats.jit_plan_fallback_runs, 0u);
   }
+}
+
+// Two unguarded S rules on one bank: both queries index the whole bank
+// from the shared set-0 digest, so one register can take both queries'
+// adds for one packet.  Op-major execution would run every packet's q1 add
+// before any packet's q2 add and change what each read-modify-write
+// returns (a compiled state_result read 9 where the interpreter's read 8).
+// build() leaves both chains to the interpreter, so every burst size
+// matches it.
+TEST(CompiledOverlap, UnguardedSharedBankMatchesInterpreter) {
+  auto sw = shared_set_switch(2);
+  for (uint16_t q = 1; q <= 2; ++q) set_s_rule(*sw, q, 0, 0xffffffffu, 0);
+  two_order_rules(*sw);
+  EXPECT_EQ(overlapping_chains(*sw), 2u);
+  const std::vector<Packet> pkts = two_order_packets();
+  const auto idle = static_cast<uint64_t>(
+      std::count_if(pkts.begin(), pkts.end(), [](const Packet& p) {
+        return p.proto() != kProtoTcp && p.dport() != 80;
+      }));
+  const WindowOut want = run_window(*sw, pkts, 64, /*jit=*/false);
+  ASSERT_GT(want.records.size(), pkts.size());
+  for (const std::size_t burst :
+       {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    SCOPED_TRACE("burst=" + std::to_string(burst));
+    const WindowOut got = run_window(*sw, pkts, burst, /*jit=*/true);
+    expect_same_window(got, want);
+    // Only the packets that activate no query count as compiled.
+    EXPECT_EQ(got.stats.jit_packets, idle);
+  }
+}
+
+// Ranges are circular: index_base + (h - guard_lo) wraps at the bank size
+// (1024 here).  Only chains whose ranges share a register are flagged.
+TEST(CompiledOverlap, WrappedRangesFlagOnlyOverlaps) {
+  auto sw = shared_set_switch(3);
+  EXPECT_EQ(overlapping_chains(*sw), 0u);  // slices [64q, 64q + 63]
+  set_s_rule(*sw, 1, 0, 63, 1000);         // [1000, 1023] + [0, 39]
+  EXPECT_EQ(overlapping_chains(*sw), 0u);
+  set_s_rule(*sw, 2, 0, 63, 30);           // [30, 93]: meets q1's tail
+  EXPECT_EQ(overlapping_chains(*sw), 2u);
+  set_s_rule(*sw, 2, 0, 63, 40);           // [40, 103]: just clear of it
+  EXPECT_EQ(overlapping_chains(*sw), 0u);
+  set_s_rule(*sw, 3, 5, 4, 0);             // empty guard: touches nothing
+  EXPECT_EQ(overlapping_chains(*sw), 0u);
+  set_s_rule(*sw, 3, 0, 2047, 500);        // wider than the bank
+  EXPECT_EQ(overlapping_chains(*sw), 3u);
 }
 
 namespace {

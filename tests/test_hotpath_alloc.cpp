@@ -1,10 +1,11 @@
 // Zero-allocation guarantee of the batched packet hot path
 // (docs/runtime.md "Hot path"): a global operator new/delete interposer
 // counts every heap allocation, and the steady-state worker loop — PHV
-// reset/refill, newton_init dispatch, stage-major pipeline bursts, ring
-// bulk transfer, report emission into a pre-reserved sink — must perform
-// none at all across 10k packets, on the interpreter and on the compiled
-// executor (whose plan table fills inside the measured region).
+// reset/refill, newton_init dispatch (scanned and hashed tuples alike),
+// stage-major pipeline bursts, ring bulk transfer, report emission into a
+// pre-reserved sink — must perform none at all across 10k packets, on the
+// interpreter and on the compiled executor (whose plan table fills inside
+// the measured region).
 //
 // The interposer is process-wide, so this test lives in its own binary:
 // gtest machinery and the setup phase allocate freely, the measured region
@@ -99,8 +100,13 @@ struct PrereservedSink : ReportSink {
 constexpr std::size_t kBurst = 64;
 constexpr std::size_t kPackets = 10'000;
 
-// Two installed queries and a pre-built packet mix: SYNs (both queries
-// fire, reports guaranteed), other TCP, and UDP that matches nothing.
+constexpr std::size_t kTenants = 100;
+
+// Two installed queries beside 100 dport tenants (tenant-churn's shape:
+// dport filter, keyed on sip), and a pre-built packet mix: SYNs (both
+// queries fire, reports guaranteed), other TCP, tenant traffic, and UDP
+// that matches nothing.  The tenants' newton_init rules share one mask
+// pattern, so every dispatch probes a hashed tuple.
 struct QueryMix {
   NewtonSwitch sw{1, 24, nullptr};
   Controller ctl{sw};
@@ -116,9 +122,18 @@ struct QueryMix {
                                 .where(Field::TcpFlags, Cmp::Eq, kTcpSyn))
                     .map({Field::SrcIp, Field::DstIp})
                     .build());
+    for (std::size_t t = 0; t < kTenants; ++t)
+      ctl.install(QueryBuilder(std::string("tenant").append(std::to_string(t)))
+                      .sketch(2, 64)
+                      .filter(Predicate{}.where(Field::DstPort, Cmp::Eq,
+                                                tenant_port(t)))
+                      .map({Field::SrcIp})
+                      .reduce({Field::SrcIp}, Agg::Sum)
+                      .when(Cmp::Ge, 4)
+                      .build());
     for (std::size_t i = 0; i < kPackets; ++i) {
       const uint32_t u = static_cast<uint32_t>(i);
-      switch (i % 3) {
+      switch (i % 4) {
         case 0:
           pkts[i] = make_packet(u % 97, 7, 1000 + u % 53, 80, kProtoTcp,
                                 kTcpSyn, 64, i * 1000);
@@ -127,11 +142,20 @@ struct QueryMix {
           pkts[i] = make_packet(u % 97, 7, 1000 + u % 53, 80, kProtoTcp,
                                 kTcpAck, 512, i * 1000);
           break;
+        case 2:
+          pkts[i] = make_packet(u % 61, 8, 1000 + u % 53,
+                                tenant_port(u % kTenants), kProtoTcp, kTcpAck,
+                                256, i * 1000);
+          break;
         default:
           pkts[i] =
               make_packet(u % 89, 9, 53, 53, kProtoUdp, 0, 128, i * 1000);
       }
     }
+  }
+
+  static uint32_t tenant_port(std::size_t t) {
+    return 20'000 + static_cast<uint32_t>(t);
   }
 };
 
@@ -165,6 +189,7 @@ TEST(HotPathAlloc, SteadyStateBurstLoopAllocatesNothing) {
 
   // --- setup (allocation is free here) --------------------------------
   const QueryMix mix;
+  ASSERT_EQ(mix.ctl.num_installed(), 2 + kTenants);
   const std::vector<Packet>& pkts = mix.pkts;
   PrereservedSink sink;
   sink.records.reserve(4 * kPackets);
