@@ -46,6 +46,7 @@
 #include "core/controller.h"
 #include "core/newton_switch.h"
 #include "core/query.h"
+#include "core/window.h"
 #include "runtime/sharded_runtime.h"
 #include "telemetry/telemetry.h"
 
@@ -156,33 +157,37 @@ int main(int argc, char** argv) {
                {}, "tenant" + std::to_string(i % 8));
   rt.start();
 
-  const uint64_t wns = sw.window_ns();
-  uint64_t seen_epoch = ~0ull;
   std::size_t window_idx = 0;
   std::size_t churn_idx = 0, churn_installs = 0, churn_withdrawals = 0;
+  // Queue one window's churn batch: admissible install+withdraw pairs,
+  // plus every other window one hopeless install (a register demand no
+  // bank can hold) that admission must reject cleanly.
+  const auto queue_batch = [&] {
+    for (std::size_t j = 0; j < pairs_per_window; ++j, ++churn_idx) {
+      const std::string name = "churn" + std::to_string(churn_idx);
+      rt.install(small_query(name,
+                             static_cast<uint16_t>(30'000 + churn_idx % 1024)),
+                 {}, "churn-tenant");
+      rt.withdraw(name);
+      ++churn_installs;
+      ++churn_withdrawals;
+    }
+    if (window_idx++ % 2 == 0) {
+      rt.install(small_query("doomed" + std::to_string(churn_idx),
+                             static_cast<uint16_t>(50'000),
+                             std::size_t{1} << 21),
+                 {}, "churn-tenant");
+    }
+  };
   const uint64_t w0 = wall_ns();
+  // The first packet's window gets a batch, then every window after it.
+  WindowClock clock(sw.window_ns());
+  clock.open(t.packets.front().ts_ns);
+  queue_batch();
   for (const Packet& p : t.packets) {
-    const uint64_t epoch = p.ts_ns / wns;
-    if (epoch != seen_epoch) {
-      seen_epoch = epoch;
-      // Queue this window's churn batch: admissible install+withdraw
-      // pairs, plus every other window one hopeless install (a register
-      // demand no bank can hold) that admission must reject cleanly.
-      for (std::size_t j = 0; j < pairs_per_window; ++j, ++churn_idx) {
-        const std::string name = "churn" + std::to_string(churn_idx);
-        rt.install(small_query(name,
-                               static_cast<uint16_t>(30'000 + churn_idx % 1024)),
-                   {}, "churn-tenant");
-        rt.withdraw(name);
-        ++churn_installs;
-        ++churn_withdrawals;
-      }
-      if (window_idx++ % 2 == 0) {
-        rt.install(small_query("doomed" + std::to_string(churn_idx),
-                               static_cast<uint16_t>(50'000),
-                               std::size_t{1} << 21),
-                   {}, "churn-tenant");
-      }
+    if (clock.rolls(p.ts_ns)) {
+      clock.open(p.ts_ns);
+      queue_batch();
     }
     rt.process(p);
   }

@@ -12,6 +12,7 @@
 #include "core/compose.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
+#include "core/window.h"
 
 using namespace newton;
 
@@ -48,7 +49,7 @@ int main() {
     sw.install(compile_query(make_q1(p)));
     for (const Packet& pk : t.packets) sw.process(pk);
     std::string newton_at = sink.size()
-        ? std::to_string(sink.records()[0].ts_ns / 100'000'000)
+        ? std::to_string(window_of(sink.records()[0].ts_ns, kDefaultWindowNs))
         : "missed";
 
     SonataRefinement ref({8, 16, 24, 32}, 100);

@@ -50,6 +50,7 @@
 
 #include "bench_util.h"
 #include "core/controller.h"
+#include "core/window.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
 #include "runtime/sharded_runtime.h"
@@ -169,7 +170,8 @@ Sample run_one(const Trace& t, std::size_t shards, std::size_t burst,
   s.groups = rt.shard_groups().size();
   s.visits = st.shard_visits;
   for (const ReportRecord& r : buf.records())
-    s.report_set.emplace(r.qid, r.ts_ns / sw.window_ns(), r.oper_keys);
+    s.report_set.emplace(r.qid, window_of(r.ts_ns, sw.window_ns()),
+                         r.oper_keys);
   const double n = static_cast<double>(t.size());
   s.wall_pps = n * 1e9 / static_cast<double>(s.wall);
   const uint64_t crit = std::max(s.demux_cpu, s.max_worker_cpu);

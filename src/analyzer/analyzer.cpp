@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/window.h"
+
 namespace newton {
 
 void Analyzer::register_qid(uint32_t switch_id, uint16_t qid,
@@ -43,7 +45,7 @@ Analyzer::QueryStats Analyzer::stats(const std::string& query,
   if (bk == nullptr || bk->by_window.empty()) return st;
   std::set<uint64_t> windows;
   for (const auto& [ts, keys] : bk->by_window)
-    windows.insert(window_ns == 0 ? 0 : ts / window_ns);
+    windows.insert(window_of(ts, window_ns));
   for (const auto& [k, n] : bk->key_counts) st.reports += n;
   st.unique_keys = bk->all.size();
   st.windows = windows.size();
@@ -86,9 +88,9 @@ KeySet Analyzer::detected_in_window(const std::string& query,
                                     uint64_t window_ns) const {
   KeySet out;
   const BranchKeyed* bk = find(query, branch);
-  if (bk == nullptr || window_ns == 0) return out;
+  if (bk == nullptr) return out;
   for (const auto& [ts, keys] : bk->by_window)
-    if (ts / window_ns == window) out.insert(keys.begin(), keys.end());
+    if (window_of(ts, window_ns) == window) out.insert(keys.begin(), keys.end());
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "core/decompose.h"
+#include "core/window.h"
 
 namespace newton {
 namespace {
@@ -45,14 +46,15 @@ QueryTruth exact_truth(const Query& q, const Trace& trace) {
   // index so chained stateful primitives do not interfere.
   std::vector<std::map<std::size_t, BranchState>> state(q.branches.size());
 
-  uint64_t cur_window = UINT64_MAX;
+  // The switch's windows: a late packet counts in the open window.
+  WindowClock clock(q.window_ns);
   for (const Packet& pkt : trace.packets) {
-    const uint64_t w = q.window_ns == 0 ? 0 : pkt.ts_ns / q.window_ns;
-    if (w != cur_window) {
+    if (clock.rolls(pkt.ts_ns)) {
       for (auto& br : state)
         for (auto& [pi, st] : br) st.clear();
-      cur_window = w;
+      clock.open(pkt.ts_ns);
     }
+    const uint64_t w = clock.window();
 
     for (std::size_t bi = 0; bi < q.branches.size(); ++bi) {
       const BranchDef& b = q.branches[bi];

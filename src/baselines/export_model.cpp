@@ -2,6 +2,7 @@
 
 #include "baselines/starflow.h"
 #include "baselines/turboflow.h"
+#include "core/window.h"
 #include "sketch/hash.h"
 
 namespace newton {
@@ -9,10 +10,11 @@ namespace newton {
 double overhead_over_trace(ExportModel& m, const Trace& t,
                            uint64_t epoch_ns) {
   if (t.packets.empty()) return 0.0;
-  uint64_t cur_epoch = t.packets.front().ts_ns / epoch_ns;
+  uint64_t cur_epoch = window_of(t.packets.front().ts_ns, epoch_ns);
   for (const Packet& p : t.packets) {
-    const uint64_t e = p.ts_ns / epoch_ns;
-    while (e != cur_epoch) {
+    // A late packet counts in the current epoch, as on the switch.
+    const uint64_t e = window_of(p.ts_ns, epoch_ns);
+    while (cur_epoch < e) {
       m.on_epoch_end();
       ++cur_epoch;
     }

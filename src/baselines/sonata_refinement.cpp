@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/window.h"
+
 namespace newton {
 namespace {
 
@@ -55,7 +57,7 @@ std::vector<SonataRefinement::Detection> SonataRefinement::run(
     if (count_syn_only &&
         !(p.is_tcp() && p.tcp_flags() == kTcpSyn))
       continue;
-    const uint64_t w = window_ns_ == 0 ? 0 : p.ts_ns / window_ns_;
+    const uint64_t w = window_of(p.ts_ns, window_ns_);
     if (w != cur_window) {
       if (cur_window != UINT64_MAX) end_window(cur_window);
       cur_window = w;

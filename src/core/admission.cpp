@@ -11,6 +11,7 @@ QueryDemand QueryDemand::of(const CompiledQuery& cq) {
   d.init_entries = cq.num_init_entries();
   d.qids = cq.branches.size();
   d.max_stage = cq.max_stage();
+  d.window_ns = cq.source.window_ns;
   for (const BranchModules& b : cq.branches) {
     for (const ModuleSpec& m : b.modules) {
       const auto st = static_cast<std::size_t>(m.stage);
@@ -48,6 +49,7 @@ const char* to_string(AdmitCode code) {
     case AdmitCode::kTenantQueryQuota: return "tenant_query_quota";
     case AdmitCode::kTenantRegisterQuota: return "tenant_register_quota";
     case AdmitCode::kTenantRuleQuota: return "tenant_rule_quota";
+    case AdmitCode::kWindowMismatch: return "window_mismatch";
   }
   return "unknown";
 }
@@ -81,6 +83,14 @@ AdmitDecision reject(AdmitCode code, std::size_t stage, std::size_t needed,
 
 AdmitDecision admit_against_switch(const NewtonSwitch& sw,
                                    const QueryDemand& d) {
+  // One switch runs one window: an empty switch adopts the query's.
+  if (sw.num_installs() > 0 && d.window_ns != sw.window_ns())
+    return reject(AdmitCode::kWindowMismatch, AdmitDecision::kNoStage,
+                  d.window_ns, sw.window_ns(),
+                  "query window " + std::to_string(d.window_ns) +
+                      " ns differs from the installed queries' " +
+                      std::to_string(sw.window_ns()) + " ns");
+
   if (d.max_stage >= sw.num_stages())
     return reject(AdmitCode::kStageOverflow, d.max_stage, d.max_stage + 1,
                   sw.num_stages(),

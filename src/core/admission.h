@@ -3,7 +3,8 @@
 // Before the two-phase install touches the switch, the controller checks
 // the query's per-stage resource vector — ternary/init entries, module
 // rules, register-range widths, qids — against the switch's remaining
-// capacity and per-tenant quotas, and rejects with a structured,
+// capacity and per-tenant quotas (and its window against the installed
+// queries' window, which the switch runs), and rejects with a structured,
 // machine-readable reason instead of failing partway and rolling back.
 // Admission is PURE: it never mutates the switch, so a rejected install is
 // side-effect-free by construction (the difftest churn axis asserts this
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,6 +56,7 @@ struct QueryDemand {
   std::size_t max_stage = 0;  // highest stage index used
   std::size_t total_rules = 0;
   std::size_t total_registers = 0;
+  uint64_t window_ns = 0;     // the query's window (the switch runs one)
 
   static QueryDemand of(const CompiledQuery& cq);
 };
@@ -73,6 +76,7 @@ enum class AdmitCode {
   kTenantQueryQuota,     // tenant at max concurrent queries
   kTenantRegisterQuota,  // tenant at max total registers
   kTenantRuleQuota,      // tenant at max total rules
+  kWindowMismatch,       // window differs from the installed queries'
 };
 
 const char* to_string(AdmitCode code);

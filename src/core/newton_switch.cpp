@@ -4,6 +4,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "telemetry/telemetry.h"
+
 namespace newton {
 
 NewtonSwitch::NewtonSwitch(uint32_t id, std::size_t num_stages,
@@ -66,6 +68,12 @@ NewtonSwitch::InstallResult NewtonSwitch::install_impl(
         "install: query needs stage " + std::to_string(cq.max_stage()) +
         " but switch has " + std::to_string(pipeline_.num_stages()) +
         " (use CQE slicing)");
+  const uint64_t window_ns = cq.source.window_ns;
+  if (!installs_.empty() && window_ns != clock_.window_ns())
+    throw std::invalid_argument(
+        "install: query window " + std::to_string(window_ns) +
+        " ns differs from the installed queries' " +
+        std::to_string(clock_.window_ns()) + " ns");
 
   // Work on a copy so offset resolution does not mutate the caller's query.
   CompiledQuery q = cq;
@@ -186,6 +194,8 @@ NewtonSwitch::InstallResult NewtonSwitch::install_impl(
   res.latency_ms = latency_.batch_ms(res.rule_ops);
   res.qids = rec.qids;
   next_free_stage_ = std::max(next_free_stage_, cq.max_stage() + 1);
+  // The first install into an emptied switch may bring a new window length.
+  if (window_ns != clock_.window_ns()) clock_ = WindowClock(window_ns);
   segments_.insert(segments_.end(), rec.segments.begin(), rec.segments.end());
   installs_[handle] = std::move(rec);
   return res;
@@ -221,18 +231,27 @@ double NewtonSwitch::remove(uint64_t handle) {
   return latency_.batch_ms(ops);
 }
 
-void NewtonSwitch::maybe_roll_epoch(uint64_t ts) {
-  const uint64_t epoch = window_ns_ == 0 ? 0 : ts / window_ns_;
-  if (epoch != cur_epoch_) {
-    reset_state();
-    flush_telemetry();
-    cur_epoch_ = epoch;
-  }
+void NewtonSwitch::roll(uint64_t ts) {
+  reset_state();
+  flush_telemetry();
+  clock_.open(ts);
+}
+
+telemetry::Counter& NewtonSwitch::late_packets_series(
+    telemetry::Registry& reg) {
+  return reg.counter("newton_late_packets_total",
+                     "Packets stamped before the open window, folded into it "
+                     "(docs/runtime.md \"Windows\")");
 }
 
 void NewtonSwitch::flush_telemetry() {
   pipeline_.publish_telemetry();
   if (init_) init_->publish_telemetry();
+  if (late_packets_ != late_published_) {
+    late_packets_series(telemetry::Registry::global())
+        .add(late_packets_ - late_published_);
+    late_published_ = late_packets_;
+  }
 }
 
 void NewtonSwitch::reset_state() { reset_segments(inst_.s, segments_); }
@@ -262,12 +281,16 @@ NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
                                            std::optional<SpHeader> sp_in,
                                            bool at_ingress_edge,
                                            bool dispatch_init) {
-  maybe_roll_epoch(pkt.ts_ns);
+  roll_to(pkt.ts_ns);
   ++packets_forwarded_;
 
   Output out;
   Phv& phv = out.phv;
   phv.pkt = pkt;
+  if (clock_.late(pkt.ts_ns)) {
+    ++late_packets_;
+    phv.pkt.ts_ns = clock_.start_ns();
+  }
   phv.sp_in = sp_in;
   phv.at_ingress_edge = at_ingress_edge;
 

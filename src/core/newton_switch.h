@@ -14,10 +14,16 @@
 #include "core/cqe.h"
 #include "core/layout.h"
 #include "core/range_alloc.h"
+#include "core/window.h"
 #include "dataplane/pipeline.h"
 #include "dataplane/rule_latency.h"
 
 namespace newton {
+
+namespace telemetry {
+class Counter;
+class Registry;
+}  // namespace telemetry
 
 class NewtonSwitch {
  public:
@@ -39,7 +45,11 @@ class NewtonSwitch {
 
   // Install a whole compiled query.  Register offsets are resolved against
   // this switch's state banks unless `resolve_offsets` is false (then the
-  // specs must carry pre-resolved allocations, which are reserved).
+  // specs must carry pre-resolved allocations, which are reserved).  The
+  // switch runs the installed queries' window (`cq.source.window_ns`): an
+  // install into an empty switch adopts it, and a query whose window differs
+  // from the installed ones' throws std::invalid_argument with nothing
+  // installed (admission refuses it first as kWindowMismatch).
   InstallResult install(const CompiledQuery& cq, bool resolve_offsets = true);
 
   // Install one CQE slice of query `query_uid`.  Slices with index > 0 get
@@ -69,11 +79,25 @@ class NewtonSwitch {
   // resumes several carried SP headers runs one pass per header, but the
   // packet is dispatched by newton_init only once: every pass after the
   // first sets `dispatch_init` false and runs only the resumed slice.
+  // A packet stamped before the open window is folded into it: the PHV's
+  // copy carries the open window's start as its timestamp (core/window.h).
   Output process(const Packet& pkt, std::optional<SpHeader> sp_in = {},
                  bool at_ingress_edge = true, bool dispatch_init = true);
 
-  // --- epoch management (stateful primitives reset every window, §6) ---
-  void set_window_ns(uint64_t w) { window_ns_ = w; }
+  // --- windows (stateful primitives reset every window, §6) ---
+  // Close the open window if `now_ns` lies past it, as a packet stamped
+  // `now_ns` would.  A fleet hop rolls to the network's latest timestamp
+  // before processing, so every hop folds a late packet as one switch
+  // would (docs/fleet.md).
+  void roll_to(uint64_t now_ns) {
+    if (clock_.rolls(now_ns)) roll(now_ns);
+  }
+  // Packets folded into a later open window (stamped before it), counted
+  // into newton_late_packets_total at every flush_telemetry().
+  uint64_t late_packets() const { return late_packets_; }
+  // The newton_late_packets_total series of `reg`; switches and the sharded
+  // runtime count into the same one.
+  static telemetry::Counter& late_packets_series(telemetry::Registry& reg);
   // Zero every allocated register slice.  Registers outside the allocated
   // slices are always zero (install sweeps a range it allocates, remove()
   // sweeps the range it frees, and every installed S rule is guarded to its
@@ -123,7 +147,8 @@ class NewtonSwitch {
   InitModule& init_table() { return *init_; }
   const InitModule& init_table() const { return *init_; }
   const Pipeline& pipeline() const { return pipeline_; }
-  uint64_t window_ns() const { return window_ns_; }
+  // The installed queries' window length (the last one while empty).
+  uint64_t window_ns() const { return clock_.window_ns(); }
   // Publish the pipeline's and init table's accumulated telemetry deltas
   // into the global registry.  Runs automatically at every window roll; call
   // before scraping for an up-to-the-last-packet view of a partial window.
@@ -170,7 +195,7 @@ class NewtonSwitch {
                              std::optional<SliceRt> slice_meta);
   uint16_t alloc_qid();
   void free_qid(uint16_t q);
-  void maybe_roll_epoch(uint64_t ts);
+  void roll(uint64_t ts);
 
   uint32_t id_;
   Pipeline pipeline_;
@@ -184,9 +209,10 @@ class NewtonSwitch {
   std::vector<StateSegment> segments_;  // every record's segments, in order
   uint64_t next_handle_ = 1;
   std::size_t next_free_stage_ = 0;
-  uint64_t window_ns_ = 100'000'000;
-  uint64_t cur_epoch_ = 0;
+  WindowClock clock_;
   uint64_t packets_forwarded_ = 0;
+  uint64_t late_packets_ = 0;
+  uint64_t late_published_ = 0;
 };
 
 }  // namespace newton

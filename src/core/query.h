@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/window.h"
 #include "packet/fields.h"
 #include "packet/packet.h"
 
@@ -107,7 +108,7 @@ struct Query {
   // query deployed with CQE can "utilize the memory of many switches".
   // Effective row width = sketch_width * row_partitions.
   std::size_t row_partitions = 1;
-  uint64_t window_ns = 100'000'000;  // 100 ms epoch
+  uint64_t window_ns = kDefaultWindowNs;  // 100 ms epoch
 
   std::size_t num_primitives() const;
 };

@@ -131,6 +131,7 @@ FuzzStats run_fuzzer(const FuzzOptions& opt) {
       what = e.what();
     }
     ++st.runs;
+    st.late_scenarios += out.late_packets > 0;
 
     if (threw || !out.ok()) {
       ++st.divergent;

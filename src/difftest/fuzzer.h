@@ -50,6 +50,7 @@ struct FuzzStats {
   std::size_t divergent = 0;       // scenarios with >= 1 divergence
   std::size_t corpus = 0;          // retained corpus size at exit
   std::size_t coverage_bits = 0;   // distinct coverage bits ever set
+  std::size_t late_scenarios = 0;  // scenarios whose trace had late packets
   std::vector<std::string> failure_files;  // written scenario files
 
   bool ok() const { return divergent == 0; }

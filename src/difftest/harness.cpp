@@ -46,8 +46,12 @@ std::size_t bank_size(const Scenario& s) {
   return std::max<std::size_t>(kStateBankRegisters, need);
 }
 
-uint64_t max_window(const Trace& t, uint64_t wns) {
-  return t.packets.empty() ? 0 : t.packets.back().ts_ns / wns;
+// The last window any execution of `t` holds open: the last packet may be
+// late, so this comes from the clock, not from its timestamp.
+uint64_t last_window(const Trace& t, uint64_t wns) {
+  return replay_windows(t, wns, [](std::size_t) {},
+                        [](std::size_t, uint64_t) {})
+      .last_window;
 }
 
 bool branch_has(const BranchDef& b, PrimitiveKind k) {
@@ -92,7 +96,6 @@ ExecResult collect(const Analyzer& an, const Scenario& s, uint64_t max_w,
 ExecResult run_single(const Scenario& s, const Trace& t, int opt) {
   Analyzer an;
   NewtonSwitch sw(1, kSingleStages, &an, bank_size(s));
-  sw.set_window_ns(s.window_ns());
   Controller ctl(sw);
   // Auto-compaction moves reassign qids; keep the analyzer's qid->query
   // mapping current (same contract the sharded runtime installs).
@@ -116,18 +119,13 @@ ExecResult run_single(const Scenario& s, const Trace& t, int opt) {
     }
   };
   apply_due(0);
-  const uint64_t wns = s.window_ns();
-  uint64_t cur_w = UINT64_MAX;
-  for (std::size_t i = 0; i < t.packets.size(); ++i) {
-    const uint64_t w = t.packets[i].ts_ns / wns;
-    if (w != cur_w) {
-      if (cur_w != UINT64_MAX) apply_due(i);
-      cur_w = w;
-    }
-    sw.process(t.packets[i]);
-  }
+  const WindowReplay rp =
+      replay_windows(t, s.window_ns(), apply_due,
+                     [&](std::size_t i, uint64_t) { sw.process(t.packets[i]); });
   sw.flush_telemetry();
-  return collect(an, s, max_window(t, wns), std::nullopt);
+  ExecResult r = collect(an, s, rp.last_window, std::nullopt);
+  r.late_packets = sw.late_packets();
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -195,7 +193,6 @@ ExecResult run_runtime(const Scenario& s, const Trace& t,
                        std::size_t* rejected_out = nullptr) {
   Analyzer an;
   NewtonSwitch primary(1, kSingleStages, nullptr, bank_size(s));
-  primary.set_window_ns(s.window_ns());
   RuntimeOptions ro;
   ro.num_shards = nshards;
   ro.burst = s.burst;
@@ -232,7 +229,8 @@ ExecResult run_runtime(const Scenario& s, const Trace& t,
   rt.finish();
   if (rejected_out) *rejected_out = rt.stats().installs_rejected;
   primary.flush_telemetry();
-  ExecResult r = collect(an, s, max_window(t, s.window_ns()), std::nullopt);
+  ExecResult r = collect(an, s, last_window(t, s.window_ns()), std::nullopt);
+  r.late_packets = rt.stats().late_packets;
   for (const WindowSnapshot& snap : rt.snapshots())
     for (const BranchSnapshot& b : snap.branches) {
       if (b.query.size() < 2 || b.query[0] != 'q') continue;
@@ -263,7 +261,6 @@ ExecResult run_cqe_impl(const Scenario& s, const Trace& t,
   Analyzer an;
   Network net(make_line(static_cast<int>(slices.size())), s.cqe_stages, &an,
               cqe_bank);
-  net.set_window_ns(s.window_ns());
   NetworkController ctl(net, &an, cqe_bank);
   const std::vector<int> sw_path = net.topo().switches();
   const auto hosts = net.topo().hosts();
@@ -283,18 +280,11 @@ ExecResult run_cqe_impl(const Scenario& s, const Trace& t,
     }
   };
   apply_due(0);
-  const uint64_t wns = s.window_ns();
-  uint64_t cur_w = UINT64_MAX;
-  for (std::size_t i = 0; i < t.packets.size(); ++i) {
-    const uint64_t w = t.packets[i].ts_ns / wns;
-    if (w != cur_w) {
-      if (cur_w != UINT64_MAX) apply_due(i);
-      cur_w = w;
-    }
-    net.send(t.packets[i], src, dst);
-  }
+  const WindowReplay rp = replay_windows(
+      t, s.window_ns(), apply_due,
+      [&](std::size_t i, uint64_t) { net.send(t.packets[i], src, dst); });
   for (int n : net.topo().switches()) net.sw(n).flush_telemetry();
-  return collect(an, s, max_window(t, wns), 0);
+  return collect(an, s, rp.last_window, 0);
 }
 
 // Capacity exceptions (slicing infeasibility, register-bank exhaustion on
@@ -326,7 +316,6 @@ ExecResult run_fault_impl(const Scenario& s, const Trace& t,
                           std::string& skip) {
   Analyzer an;
   Network net(make_fat_tree(4), kFaultStages, &an, bank_size(s));
-  net.set_window_ns(s.window_ns());
   NetworkController ctl(net, &an, bank_size(s));
   const auto& d = ctl.deploy(s.queries[0], level(s.opt_level));
   if (d.slices.size() != 1) {
@@ -347,7 +336,7 @@ ExecResult run_fault_impl(const Scenario& s, const Trace& t,
   inj.finish();
   for (int n : net.topo().switches())
     if (net.has_switch(n)) net.sw(n).flush_telemetry();
-  return collect(an, s, max_window(t, s.window_ns()), 0);
+  return collect(an, s, last_window(t, s.window_ns()), 0);
 }
 
 ExecResult run_fault(const Scenario& s, const Trace& t, std::string& skip) {
@@ -372,7 +361,6 @@ ExecResult run_place_impl(const Scenario& s, const Trace& t,
                           std::string& skip) {
   Analyzer an;
   Network net(make_fat_tree(4), kFaultStages, &an, bank_size(s));
-  net.set_window_ns(s.window_ns());
   NetworkController ctl(net, &an, bank_size(s));
   ctl.set_placement_mode(mode);
   if (mode == PlacementMode::Incremental) ctl.set_verify_placement(true);
@@ -397,7 +385,7 @@ ExecResult run_place_impl(const Scenario& s, const Trace& t,
   for (int n : net.topo().switches())
     if (net.has_switch(n)) net.sw(n).flush_telemetry();
   if (scope_out) *scope_out = ctl.fault_stats().replace_scope_switches;
-  return collect(an, s, max_window(t, s.window_ns()), 0);
+  return collect(an, s, last_window(t, s.window_ns()), 0);
 }
 
 // std::logic_error (the placement oracle) is a real divergence; anything
@@ -514,7 +502,6 @@ ExecResult run_churn(const Scenario& s, const Trace& t,
                      std::vector<Divergence>& out) {
   Analyzer an;
   NewtonSwitch sw(1, kSingleStages, &an, bank_size(s));
-  sw.set_window_ns(s.window_ns());
   Controller ctl(sw);
   ctl.set_rebind_hook(
       [&an](const std::string& name, const std::vector<uint16_t>& qids) {
@@ -602,21 +589,15 @@ ExecResult run_churn(const Scenario& s, const Trace& t,
   };
 
   apply_scenario_due(0);
-  const uint64_t wns = s.window_ns();
-  uint64_t cur_w = UINT64_MAX;
-  for (std::size_t i = 0; i < t.packets.size(); ++i) {
-    const uint64_t w = t.packets[i].ts_ns / wns;
-    if (w != cur_w) {
-      if (cur_w != UINT64_MAX) {
+  const WindowReplay rp = replay_windows(
+      t, s.window_ns(),
+      [&](std::size_t i) {
         apply_scenario_due(i);
         apply_churn_due(i);
-      }
-      cur_w = w;
-    }
-    sw.process(t.packets[i]);
-  }
+      },
+      [&](std::size_t i, uint64_t) { sw.process(t.packets[i]); });
   sw.flush_telemetry();
-  return collect(an, s, max_window(t, wns), std::nullopt);
+  return collect(an, s, rp.last_window, std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
@@ -773,6 +754,17 @@ CheckOutcome check_scenario(const Scenario& s) {
   diff_exact(rt1, o0, "rt1-vs-o0", std::nullopt, o.divergences);
   o.axes.push_back({"rt1-vs-o0", true, ""});
 
+  // One window clock: the reference, the switch and the runtime's demux
+  // fold exactly the same packets.
+  o.late_packets = ref.late_packets;
+  if (o0.late_packets != ref.late_packets ||
+      rt1.late_packets != ref.late_packets)
+    o.divergences.push_back(
+        {"late-count", "late packets: reference " +
+                           std::to_string(ref.late_packets) + ", o0 " +
+                           std::to_string(o0.late_packets) + ", rt1 " +
+                           std::to_string(rt1.late_packets)});
+
   // Compiled-vs-interpreted: rt1 above ran with the chain JIT on (the
   // runtime default), so re-running it with the JIT forced off pins the
   // compiled executors against the interpreter — reports AND merged
@@ -872,7 +864,9 @@ CheckOutcome check_scenario(const Scenario& s) {
 
 std::string describe(const CheckOutcome& o) {
   std::ostringstream os;
-  os << o.packets << " packets; axes:";
+  os << o.packets << " packets";
+  if (o.late_packets > 0) os << " (" << o.late_packets << " late)";
+  os << "; axes:";
   for (const AxisReport& a : o.axes) {
     os << " " << a.axis;
     if (!a.ran) os << "[skipped: " << a.skip_reason << "]";

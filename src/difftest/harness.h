@@ -47,6 +47,7 @@ struct CheckOutcome {
   std::vector<Divergence> divergences;
   std::vector<AxisReport> axes;
   std::size_t packets = 0;
+  uint64_t late_packets = 0;  // folded into a later window by the clock
 
   bool ok() const { return divergences.empty(); }
 };

@@ -61,8 +61,14 @@ Scenario minimize_scenario(const Scenario& s, const FailPredicate& fails,
       }
     }
 
-    // Pass 2: drop scheduled ops one at a time.
+    // Pass 2: drop scheduled ops one at a time.  Installs at packet 0 stay:
+    // the executors' switches take their window from the installed queries,
+    // so a scenario that starts empty runs its first windows at the default
+    // length and the executors would disagree on when a later install lands.
     for (std::size_t oi = best.ops.size(); oi-- > 0 && attempts > 0;) {
+      if (best.ops[oi].kind == OpEvent::Kind::Install &&
+          best.ops[oi].at_packet == 0)
+        continue;
       Scenario c = best;
       c.ops.erase(c.ops.begin() + static_cast<std::ptrdiff_t>(oi));
       if (still_fails(fails, c, attempts)) {
@@ -89,6 +95,7 @@ Scenario minimize_scenario(const Scenario& s, const FailPredicate& fails,
     try_axis([](Scenario& c) { c.shards = 1; });
     try_axis([](Scenario& c) { c.burst = 1; });
     try_axis([](Scenario& c) { c.opt_level = 1; });
+    try_axis([](Scenario& c) { c.trace.late_count = 0; });
 
     // Pass 4: shrink the trace — halve the flow count, drop injections.
     if (best.trace.flows > 16 && attempts > 0) {

@@ -58,18 +58,12 @@ ExecResult run_reference(const Scenario& s, const Trace& t) {
 
   // State keyed by (query, branch, primitive index); cleared every window.
   std::map<std::tuple<std::size_t, std::size_t, std::size_t>, PrimState> state;
-  const uint64_t wns = s.window_ns();
-  uint64_t cur_w = UINT64_MAX;
-
-  for (std::size_t i = 0; i < t.packets.size(); ++i) {
+  const auto at_roll = [&](std::size_t i) {
+    apply_due(i);
+    state.clear();
+  };
+  const auto on_packet = [&](std::size_t i, uint64_t w) {
     const Packet& pkt = t.packets[i];
-    const uint64_t w = wns == 0 ? 0 : pkt.ts_ns / wns;
-    if (w != cur_w) {
-      if (cur_w != UINT64_MAX) apply_due(i);
-      state.clear();
-      cur_w = w;
-    }
-
     for (std::size_t qi = 0; qi < live.size(); ++qi) {
       if (!live[qi]) continue;
       const Query& q = *live[qi];
@@ -125,7 +119,9 @@ ExecResult run_reference(const Scenario& s, const Trace& t) {
         }
       }
     }
-  }
+  };
+  out.late_packets =
+      replay_windows(t, s.window_ns(), at_roll, on_packet).late_packets;
   return out;
 }
 

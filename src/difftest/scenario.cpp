@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -85,6 +86,28 @@ Trace TraceSpec::build() const {
       throw std::invalid_argument("unknown injection kind: " + inj.kind);
   }
   t.sort_by_time();
+  if (late_count > 0 && late_max_ms > 0 && !t.packets.empty()) {
+    // Arrival key = timestamp, pushed up to late_max_ms later for the
+    // drawn packets; a stable sort by it delays only those.
+    std::mt19937_64 lrng(uint64_t{late_seed} * 0x9e3779b97f4a7c15ull + 5);
+    const std::size_t n = t.packets.size();
+    std::vector<uint64_t> arrival(n);
+    for (std::size_t i = 0; i < n; ++i) arrival[i] = t.packets[i].ts_ns;
+    for (std::size_t k = 0; k < late_count; ++k) {
+      const std::size_t i = lrng() % n;
+      arrival[i] = t.packets[i].ts_ns + 1 + lrng() % (late_max_ms * 1'000'000);
+    }
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return arrival[a] < arrival[b];
+                     });
+    std::vector<Packet> arrived;
+    arrived.reserve(n);
+    for (std::size_t i : order) arrived.push_back(t.packets[i]);
+    t.packets = std::move(arrived);
+  }
   return t;
 }
 
@@ -111,6 +134,11 @@ std::string Scenario::serialize() const {
     os << "place events=" << place_events << " seed=" << place_seed << "\n";
   os << "trace " << trace.profile << " flows=" << trace.flows
      << " seed=" << trace.seed << "\n";
+  // Emitted only when on, so seed files without late arrivals round-trip
+  // unchanged.
+  if (trace.late_count > 0)
+    os << "late n=" << trace.late_count << " ms=" << trace.late_max_ms
+       << " seed=" << trace.late_seed << "\n";
   for (const InjectionSpec& i : trace.injections)
     os << "inject " << i.kind << " a=" << i.a << " b=" << i.b << " n=" << i.n
        << " m=" << i.m << " at_ns=" << i.at_ns << "\n";
@@ -198,6 +226,12 @@ Scenario Scenario::parse(const std::string& text) {
       s.trace.profile = toks.at(1);
       s.trace.flows = kv(toks, "flows", no, line);
       s.trace.seed = static_cast<uint32_t>(kv(toks, "seed", no, line));
+    } else if (word == "late") {
+      s.trace.late_count = kv(toks, "n", no, line);
+      s.trace.late_max_ms = kv(toks, "ms", no, line);
+      if (s.trace.late_max_ms > 1'000'000)
+        bad_line(no, line, "late ms= above 1000 s");
+      s.trace.late_seed = static_cast<uint32_t>(kv(toks, "seed", no, line));
     } else if (word == "inject") {
       InjectionSpec i;
       i.kind = toks.at(1);
@@ -426,6 +460,12 @@ InjectionSpec gen_injection(std::mt19937_64& rng, bool wide) {
   return i;
 }
 
+void draw_late_arrivals(TraceSpec& t, std::mt19937_64& rng) {
+  t.late_count = rnd(rng, 1, 16);
+  t.late_max_ms = rnd(rng, 1, 40);
+  t.late_seed = static_cast<uint32_t>(rnd(rng, 1, 1'000'000));
+}
+
 void gen_ops(Scenario& s, std::mt19937_64& rng) {
   s.ops.clear();
   for (std::size_t qi = 0; qi < s.queries.size(); ++qi)
@@ -479,6 +519,10 @@ void normalize(Scenario& s) {
     s.churn_ops = std::clamp<std::size_t>(s.churn_ops, 1, 64);
   if (s.place_events > 0)
     s.place_events = std::clamp<std::size_t>(s.place_events, 1, 16);
+  if (s.trace.late_count > 0) {
+    s.trace.late_count = std::min<std::size_t>(s.trace.late_count, 64);
+    s.trace.late_max_ms = std::clamp<uint64_t>(s.trace.late_max_ms, 1, 100);
+  }
 
   // Fault axis preconditions: query 0 reduce-free (report equivalence under
   // reroute is only an invariant for stateless/distinct exporters) and no
@@ -630,6 +674,8 @@ Scenario generate_scenario(uint64_t seed) {
     s.place_events = rnd(rng, 4, 12);
     s.place_seed = static_cast<uint32_t>(rnd(rng, 1, 1'000'000));
   }
+  // Late arrivals on ~1/4 of scenarios (drawn last, like the axes above).
+  if (rng() % 4 == 0) draw_late_arrivals(s.trace, rng);
   normalize(s);
   return s;
 }
@@ -639,7 +685,7 @@ Scenario mutate_scenario(const Scenario& base, std::mt19937_64& rng) {
   s.id = rng();
   const std::size_t n_mut = rnd(rng, 1, 2);
   for (std::size_t m = 0; m < n_mut; ++m) {
-    switch (rng() % 14) {
+    switch (rng() % 15) {
       case 0: s.window_ms = pick<uint64_t>(rng, {50, 100, 200}); break;
       case 1: s.opt_level = static_cast<int>(rnd(rng, 1, 3)); break;
       case 2:
@@ -707,6 +753,12 @@ Scenario mutate_scenario(const Scenario& base, std::mt19937_64& rng) {
           s.place_events = rnd(rng, 4, 12);
           s.place_seed = static_cast<uint32_t>(rnd(rng, 1, 1'000'000));
         }
+        break;
+      case 13:  // toggle late arrivals
+        if (s.trace.late_count > 0)
+          s.trace.late_count = 0;
+        else
+          draw_late_arrivals(s.trace, rng);
         break;
       default: {  // nudge a when-threshold
         for (Query& q : s.queries)

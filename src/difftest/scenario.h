@@ -46,14 +46,22 @@ struct TraceSpec {
   std::size_t flows = 150;
   uint32_t seed = 1;
   std::vector<InjectionSpec> injections;
+  // Late arrivals: after the time sort, `late_count` seeded packets each
+  // move later in arrival order, behind the packets stamped up to
+  // `late_max_ms` after them; timestamps stay.  One that crosses a window
+  // boundary reaches every executor late (core/window.h).  0 = off.
+  std::size_t late_count = 0;
+  uint64_t late_max_ms = 0;
+  uint32_t late_seed = 1;
 
-  // Materialize the trace (background profile + injections, time-sorted).
-  // Deterministic: the same spec always yields the same packet sequence.
+  // Materialize the trace (background profile + injections, time-sorted,
+  // then the late arrivals moved).  Deterministic: the same spec always
+  // yields the same packet sequence.
   Trace build() const;
 };
 
 // A control-plane action scheduled against the packet stream.  Every
-// executor applies an op at the first window-epoch crossing at or after
+// executor applies an op at the first window roll at or after
 // `at_packet` (mirroring the sharded runtime's barrier semantics); ops at
 // packet 0 apply before the stream starts.
 struct OpEvent {

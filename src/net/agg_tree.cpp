@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/window.h"
 #include "telemetry/telemetry.h"
 
 namespace newton {
@@ -109,7 +110,7 @@ void AggregationTree::report(const ReportRecord& r) {
   } else {
     k.branch = (static_cast<uint64_t>(r.switch_id) << 16) | r.qid;
   }
-  k.window = opt_.window_ns == 0 ? 0 : r.ts_ns / opt_.window_ns;
+  k.window = window_of(r.ts_ns, opt_.window_ns);
   k.next_slice = r.next_slice;
   k.keys = r.oper_keys;
   const auto [it, fresh] = node.merged.emplace(k, r);

@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -181,15 +182,12 @@ Network::SendStats Network::send(const Packet& pkt, int src_host,
   return send_along(pkt, sw_path_);
 }
 
-void Network::set_window_ns(uint64_t w) {
-  for (auto& [node, sw] : switches_) sw->set_window_ns(w);
-}
-
 Network::SendStats Network::send_along(const Packet& pkt,
                                        const std::vector<int>& sw_path) {
   SendStats st;
   NetCounters& tc = NetCounters::get();
   ++packets_sent_;
+  latest_ts_ns_ = std::max(latest_ts_ns_, pkt.ts_ns);
   // Every concurrent sliced query carries its own SP header, so a packet
   // that activates several queries at the ingress edge hauls a small header
   // stack hop to hop (each header is 12 wire bytes on every link).
@@ -199,6 +197,7 @@ Network::SendStats Network::send_along(const Packet& pkt,
     ++st.hops;
     tc.hops.add();
     auto& sw = *switches_.at(node);
+    sw.roll_to(latest_ts_ns_);
     if (first_hop) {
       // Ingress edge: one pass dispatches slice 0 of every activated query.
       const auto out = sw.process(pkt, std::nullopt, /*at_ingress_edge=*/true);
@@ -219,8 +218,8 @@ Network::SendStats Network::send_along(const Packet& pkt,
       // newton_init once per hop, on the first pass; the other passes only
       // resume their header's slice.
       if (sps.empty()) {
-        // No executions in flight: an empty pass still advances the
-        // switch's window epoch off the packet timestamp.
+        // No executions in flight: an empty pass still runs the
+        // switch's whole-query installs and counts the packet.
         sw.process(pkt, std::nullopt, /*at_ingress_edge=*/false);
       }
       std::vector<SpHeader> carried;

@@ -50,13 +50,10 @@ class Network {
   SendStats send(const Packet& pkt, int src_host, int dst_host);
 
   // Forward along an explicit switch path (the paper's line-testbed mode).
+  // Every hop first rolls its window to the latest timestamp the network
+  // has sent (NewtonSwitch::roll_to), so a late packet folds into the same
+  // window at every hop, as on one switch (docs/fleet.md "Hops").
   SendStats send_along(const Packet& pkt, const std::vector<int>& sw_path);
-
-  // Set the epoch length of every switch in the network at once — the CQE
-  // differential harness (src/difftest/) drives whole-network runs at the
-  // scenario's window, which must agree across every hop for the slices'
-  // windowed state to roll together.
-  void set_window_ns(uint64_t w);
 
   void set_deferred_handler(
       std::function<void(const Packet&, const SpHeader&)> h) {
@@ -94,6 +91,7 @@ class Network {
   uint64_t packets_dropped_ = 0;
   uint64_t sp_link_bytes_ = 0;
   uint64_t payload_link_bytes_ = 0;
+  uint64_t latest_ts_ns_ = 0;  // largest packet timestamp sent so far
 
   uint64_t links_gen_ = ~uint64_t{0};  // topo_.generation the CSR reflects
   std::vector<uint32_t> off_;

@@ -123,6 +123,7 @@ void ShardedRuntime::bind_telemetry() {
       &reg.counter("newton_jit_recompiles_total",
                    "Replica loads that lowered the installed chains (the "
                    "start plus every barrier that changed the rules)");
+  metrics_.late_packets = &NewtonSwitch::late_packets_series(reg);
   metrics_.shard_groups =
       &reg.gauge("newton_runtime_shard_groups",
                  "Key groups the demux hashes each packet by (derived from "
@@ -163,6 +164,7 @@ void ShardedRuntime::flush_telemetry() {
                                   flushed_.installs_rejected);
   metrics_.jit_recompiles->add(stats_.jit_recompiles -
                                flushed_.jit_recompiles);
+  metrics_.late_packets->add(stats_.late_packets - flushed_.late_packets);
   metrics_.live_shards->set(static_cast<int64_t>(live_count_));
   uint64_t plans = 0;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -223,6 +225,7 @@ void ShardedRuntime::withdraw(const std::string& name) {
 
 void ShardedRuntime::start() {
   if (started_) return;
+  clock_ = WindowClock(primary_.window_ns());
   reload_replicas();
   for (auto& w : workers_) w->start();
   started_ = true;
@@ -230,18 +233,25 @@ void ShardedRuntime::start() {
 
 void ShardedRuntime::process(const Packet& pkt) {
   if (!started_) start();
-  const uint64_t wns = primary_.window_ns();
-  const uint64_t epoch = wns == 0 ? 0 : pkt.ts_ns / wns;
-  if (!have_epoch_) {
-    // Match NewtonSwitch::maybe_roll_epoch, which starts at epoch 0: a
-    // trace beginning mid-epoch still closes "window 0" first.
-    cur_epoch_ = 0;
-    have_epoch_ = true;
-  }
-  if (epoch != cur_epoch_) {
+  if (clock_.rolls(pkt.ts_ns)) {
     barrier();  // flushes all staged packets first: windows stay exact
-    cur_epoch_ = epoch;
+    // At the primary's length: the barrier's installs may have changed it.
+    clock_ = WindowClock(primary_.window_ns());
+    clock_.open(pkt.ts_ns);
   }
+  ++stats_.packets_in;
+  if (!clock_.late(pkt.ts_ns)) {
+    demux(pkt);
+    return;
+  }
+  // Folded into the open window, as the switch folds it.
+  Packet folded = pkt;
+  folded.ts_ns = clock_.start_ns();
+  ++stats_.late_packets;
+  demux(folded);
+}
+
+void ShardedRuntime::demux(const Packet& pkt) {
   // Hashes address the fixed bucket set; the map redirects buckets whose
   // owner failed over.  Packets stage per bucket and move to the owner's
   // ring in bursts — one index handshake per burst instead of per packet.
@@ -254,7 +264,6 @@ void ShardedRuntime::process(const Packet& pkt) {
   } else {
     demux_groups(pkt);
   }
-  ++stats_.packets_in;
 }
 
 void ShardedRuntime::demux_groups(const Packet& pkt) {
@@ -429,8 +438,7 @@ void ShardedRuntime::finish() {
     stats_.workers[i] = workers_[i]->stats();
   }
   flush_telemetry();
-  started_ = false;
-  have_epoch_ = false;
+  started_ = false;  // the next packet's start() opens a fresh clock
 }
 
 void ShardedRuntime::barrier() {
@@ -442,7 +450,7 @@ void ShardedRuntime::barrier() {
   // backlog are re-fenced before the merge — window reports stay complete.
   while (true) {
     // Occupancy just before the fence: how much of the window's tail each
-    // shard still had queued when the demux hit the epoch boundary.
+    // shard still had queued when the demux hit the window roll.
     for (std::size_t i = 0; i < workers_.size(); ++i)
       if (alive_[i])
         metrics_.shard_occupancy[i]->set(
@@ -502,7 +510,7 @@ void ShardedRuntime::deliver(const ReportRecord& r) {
 
 void ShardedRuntime::drain_and_merge() {
   WindowSnapshot snap;
-  snap.window = cur_epoch_;
+  snap.window = clock_.window();
 
   // Reports, in shard order (deterministic given a deterministic demux).
   // Dead workers' final reports were already delivered at failover.
@@ -571,7 +579,7 @@ void ShardedRuntime::apply_mutations() {
       if (!out.admitted()) {
         ++stats_.installs_rejected;
         rejections_.push_back(
-            {m.q.name, m.tenant, std::move(out.decision), cur_epoch_});
+            {m.q.name, m.tenant, std::move(out.decision), clock_.window()});
         continue;
       }
       own(m.q.name, out.stats.qids);

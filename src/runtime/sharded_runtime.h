@@ -12,8 +12,10 @@
 //     pushed once per distinct shard into the worker's bounded SPSC ring
 //     (backpressure counted, never dropped), carrying the groups that
 //     chose that shard — the worker runs only their branches;
-//   * windows are the synchronization unit: on each epoch boundary the
-//     demux fences every worker, merges the per-worker state banks
+//   * windows are the synchronization unit: the demux runs the window
+//     clock (core/window.h) at the primary's window length, folding a late
+//     packet into the open window; on each window roll it fences every
+//     worker, merges the per-worker state banks
 //     (count-min rows by element-wise add, bloom rows by or) back into the
 //     primary switch's banks, drains the per-worker report buffers into the
 //     attached Analyzer/sink, snapshots per-query results, zeroes replica
@@ -98,6 +100,8 @@ struct RuntimeStats {
   uint64_t abandoned_packets = 0;     // backlog lost with a hung worker
   uint64_t installs_rejected = 0;     // queued installs admission rejected
   uint64_t jit_recompiles = 0;        // replica loads that lowered chains
+  uint64_t late_packets = 0;          // stamped before the open window,
+                                      // folded into it
   std::size_t live_shards = 0;        // workers still processing
   std::vector<WorkerStats> workers;   // per shard, refreshed at barriers
 };
@@ -114,7 +118,7 @@ struct BranchSnapshot {
 };
 
 struct WindowSnapshot {
-  uint64_t window = 0;      // ts_ns / window_ns index of the closed window
+  uint64_t window = 0;      // window_of() index of the closed window
   std::size_t reports = 0;  // reports drained at this barrier
   std::vector<BranchSnapshot> branches;
 };
@@ -151,7 +155,7 @@ class ShardedRuntime {
     std::string query;
     std::string tenant;
     AdmitDecision decision;
-    uint64_t window = 0;  // epoch of the barrier that rejected it
+    uint64_t window = 0;  // window the rejecting barrier closed
   };
   const std::vector<RejectedInstall>& rejections() const {
     return rejections_;
@@ -200,6 +204,8 @@ class ShardedRuntime {
   // Record an installed query's qids (none: withdrawn) for snapshot
   // attribution and analyzer routing, and force a replica reload.
   void own(const std::string& name, const std::vector<uint16_t>& qids);
+  // Stage `pkt` into the bucket(s) its key groups choose.
+  void demux(const Packet& pkt);
   // Several key groups: stage `pkt` once per distinct bucket of its groups.
   void demux_groups(const Packet& pkt);
   void deliver(const ReportRecord& r);
@@ -273,6 +279,7 @@ class ShardedRuntime {
     telemetry::Counter* jit_plan_fallback_runs = nullptr;
     telemetry::Counter* installs_rejected = nullptr;
     telemetry::Counter* jit_recompiles = nullptr;
+    telemetry::Counter* late_packets = nullptr;
     telemetry::Gauge* shard_groups = nullptr;
     telemetry::Counter* shard_visits = nullptr;
     // Per query with a pinned branch (set 0 again once none is pinned).
@@ -293,8 +300,8 @@ class ShardedRuntime {
   std::vector<uint64_t> fences_posted_;  // fences enqueued per worker
   std::size_t live_count_ = 0;
 
-  uint64_t cur_epoch_ = 0;
-  bool have_epoch_ = false;
+  // Opened fresh at every start(), at the primary's window length.
+  WindowClock clock_;
   bool started_ = false;
   bool at_barrier_ = false;   // quiesce guard: controller mutation allowed
   bool replicas_dirty_ = true;

@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/controller.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
+#include "core/window.h"
 #include "fault/install_faults.h"
 #include "net/net_controller.h"
 #include "net/network.h"
@@ -149,6 +151,59 @@ TEST(RejectedInstall, LeavesSwitchControllerAndTelemetryUntouched) {
   EXPECT_TRUE(changed.contains("newton_admission_total"));
 }
 
+// The switch runs one window: the installed queries'.  A query with
+// another window is refused before anything touches the switch.
+TEST(RejectedInstall, WindowMismatchLeavesSwitchByteIdentical) {
+  Analyzer an;
+  NewtonSwitch sw(1, 24, &an, 1 << 14);
+  Controller ctl(sw);
+  ctl.install(port_query("q100", 20'000));
+  const Trace t = port_trace(2, 2, 50);
+  for (const Packet& p : t.packets) sw.process(p);
+
+  Query q50 = port_query("q50", 20'001);
+  q50.window_ns = 50'000'000;
+  const SwitchDigest before = digest(sw);
+  const auto out = ctl.try_install(q50);
+  ASSERT_FALSE(out.admitted());
+  EXPECT_EQ(out.decision.code, AdmitCode::kWindowMismatch);
+  EXPECT_FALSE(ctl.installed("q50"));
+  EXPECT_EQ(digest(sw), before);
+  // The switch refuses it on its own, too.
+  EXPECT_THROW(sw.install(compile_query(q50)), std::invalid_argument);
+  EXPECT_EQ(digest(sw), before);
+  EXPECT_EQ(sw.window_ns(), 100'000'000u);
+
+  // Emptied, the switch keeps its last window until an install adopts one.
+  ctl.remove("q100");
+  EXPECT_EQ(sw.window_ns(), 100'000'000u);
+  ctl.install(q50);
+  EXPECT_EQ(sw.window_ns(), 50'000'000u);
+}
+
+TEST(RejectedInstall, WindowMismatchQueuedThroughRuntimeIsCounted) {
+  NewtonSwitch sw(1, 24, nullptr, 1 << 14);
+  ShardedRuntime rt(sw);
+  rt.install(port_query("q100", 20'000));
+  rt.start();
+  const Trace t = port_trace(2, 3, 40);
+  Query q50 = port_query("q50", 20'001);
+  q50.window_ns = 50'000'000;
+  for (std::size_t i = 0; i < t.packets.size(); ++i) {
+    if (i == 10) rt.install(q50);  // applies at window 0's barrier
+    rt.process(t.packets[i]);
+  }
+  rt.finish();
+  EXPECT_EQ(rt.stats().installs_rejected, 1u);
+  EXPECT_EQ(rt.stats().rule_updates_applied, 0u);
+  ASSERT_EQ(rt.rejections().size(), 1u);
+  EXPECT_EQ(rt.rejections()[0].query, "q50");
+  EXPECT_EQ(rt.rejections()[0].decision.code, AdmitCode::kWindowMismatch);
+  EXPECT_EQ(rt.rejections()[0].window, 0u);
+  EXPECT_FALSE(rt.controller().installed("q50"));
+  EXPECT_EQ(rt.stats().windows, 3u);
+}
+
 TEST(RejectedInstall, RacingWithdrawMatchesWithdrawOnlyRun) {
   // Two identical runtimes replay the same trace; one additionally queues
   // an inadmissible install in the SAME barrier batch as a withdraw.  The
@@ -229,13 +284,13 @@ TEST(JitEveryReload, MutationEveryWindowRunsEveryPacketCompiled) {
                             static_cast<uint16_t>(20'000 + i)));
     rt.start();
     mutation_barriers = 0;
-    uint64_t seen_epoch = 0;
+    WindowClock clock(100'000'000);
     for (const Packet& p : t.packets) {
-      const uint64_t epoch = p.ts_ns / 100'000'000ull;
-      if (epoch != seen_epoch) {
+      if (clock.rolls(p.ts_ns)) {
         // Entering window `epoch`: its barrier installs one tenant query
         // on a port the trace carries and withdraws the previous one.
-        seen_epoch = epoch;
+        clock.open(p.ts_ns);
+        const uint64_t epoch = clock.window();
         ++mutation_barriers;
         rt.install(port_query("storm" + std::to_string(epoch),
                               static_cast<uint16_t>(20'004 + epoch % 4)));

@@ -111,7 +111,6 @@ RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
   RunOut out;
   ReportBuffer buf;
   NewtonSwitch primary(1, difftest::kPipelineStages, nullptr, bank_size(s));
-  primary.set_window_ns(s.window_ns());
   RuntimeOptions ro;
   ro.num_shards = nshards;
   ro.burst = burst == 0 ? s.burst : burst;

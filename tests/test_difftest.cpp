@@ -89,6 +89,33 @@ TEST(DiffScenario, SerializeRoundTrips) {
   }
 }
 
+// Late arrivals only reorder: the trace is the sorted one with the drawn
+// packets moved later, and the spec survives serialization.
+TEST(DiffScenario, LateArrivalsMoveDrawnPacketsLater) {
+  Scenario s = corpus_scenario("late_arrivals");
+  ASSERT_GT(s.trace.late_count, 0u);
+  const Trace late = s.trace.build();
+  TraceSpec sorted_spec = s.trace;
+  sorted_spec.late_count = 0;
+  const Trace sorted = sorted_spec.build();
+  ASSERT_EQ(late.size(), sorted.size());
+  std::size_t backward = 0;
+  for (std::size_t i = 1; i < late.size(); ++i)
+    backward += late.packets[i].ts_ns < late.packets[i - 1].ts_ns;
+  EXPECT_GT(backward, 0u);
+  EXPECT_LE(backward, s.trace.late_count);
+  std::vector<uint64_t> a, b;
+  for (const Packet& p : late.packets) a.push_back(p.ts_ns);
+  for (const Packet& p : sorted.packets) b.push_back(p.ts_ns);
+  std::sort(a.begin(), a.end());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(Scenario::parse(s.serialize()).serialize(), s.serialize());
+  // A delay whose nanosecond span would overflow is refused at parse time.
+  std::string bad = s.serialize();
+  bad.replace(bad.find("ms=40"), 5, "ms=99999999999999");
+  EXPECT_THROW(Scenario::parse(bad), std::runtime_error);
+}
+
 TEST(DiffScenario, GenerationIsDeterministic) {
   for (uint64_t seed : {3ull, 99ull, 123456789ull})
     EXPECT_EQ(generate_scenario(seed).serialize(),
@@ -202,6 +229,7 @@ TEST(DiffMinimize, ShrinksUnderSyntheticPredicate) {
   EXPECT_FALSE(m.fault);
   EXPECT_LE(m.trace.flows, 16u);
   EXPECT_TRUE(m.trace.injections.empty());
+  EXPECT_EQ(m.trace.late_count, 0u);
 }
 
 TEST(DiffMinimize, ThrowingPredicateRejectsCandidate) {
@@ -229,6 +257,26 @@ TEST(DiffCoverage, TelemetryCoverageKeysAreDeterministic) {
   (void)check_scenario(s);
   const auto k2 = telemetry::coverage_keys(telemetry::Registry::global().snapshot());
   EXPECT_EQ(k1, k2);
+}
+
+// Every execution folds the seed's late packets the same way (the harness
+// checks the counts agree), and the fold count is a deterministic coverage
+// series.
+TEST(DiffCorpus, LateArrivalSeedFoldsEverywhere) {
+  const Scenario s = corpus_scenario("late_arrivals");
+  std::vector<double> late_series;
+  for (int run = 0; run < 2; ++run) {
+    telemetry::Registry::global().reset();
+    const CheckOutcome o = check_scenario(s);
+    EXPECT_TRUE(o.ok()) << describe(o);
+    EXPECT_GT(o.late_packets, 0u);
+    const telemetry::Snapshot snap = telemetry::Registry::global().snapshot();
+    const telemetry::Sample* late = snap.find("newton_late_packets_total", {});
+    ASSERT_NE(late, nullptr);
+    EXPECT_GT(late->value, 0);
+    late_series.push_back(late->value);
+  }
+  EXPECT_EQ(late_series[0], late_series[1]);
 }
 
 // A short fully deterministic campaign: same seed twice, identical stats,

@@ -163,9 +163,9 @@ TEST(Capacity, RollbackFreesRegistersOnFailedInstall) {
 TEST(Epoch, WindowBoundaryResetsAllBanks) {
   QueryParams p;
   p.q1_syn_th = 10;
+  p.window_ms = 1;  // the switch runs the installed query's 1 ms windows
   ReportBuffer sink;
   NewtonSwitch sw(1, 12, &sink);
-  sw.set_window_ns(1'000'000);  // 1 ms windows
   sw.install(compile_query(make_q1(p)));
   // 9 SYNs at the end of one window + 9 at the start of the next: silent.
   for (int i = 0; i < 9; ++i)
@@ -251,7 +251,6 @@ TEST(BankHygiene, SwitchKeepsUnallocatedRegistersZero) {
   constexpr int kPorts = 8;
   std::mt19937 rng(17);
   NewtonSwitch sw(1, 12, nullptr, /*bank=*/1 << 11);
-  sw.set_window_ns(kHygieneWindowNs);
   Controller ctl(sw);
   std::set<int> installed;
   uint64_t w = 0;
@@ -298,7 +297,6 @@ TEST(BankHygiene, ShardedRuntimePrimaryAndReplicas) {
   constexpr int kPorts = 6;
   std::mt19937 rng(23);
   NewtonSwitch primary(1, 12, nullptr, /*bank=*/1 << 13);
-  primary.set_window_ns(kHygieneWindowNs);
   RuntimeOptions opts;
   opts.num_shards = 2;
   ShardedRuntime rt(primary, opts);
@@ -343,7 +341,6 @@ TEST(BankHygiene, NetworkSwitchesUnderDeployChurn) {
   std::mt19937 rng(29);
   Analyzer an;
   Network net(make_line(3), /*stages=*/5, &an, /*bank=*/1 << 11);
-  net.set_window_ns(kHygieneWindowNs);
   NetworkController ctl(net, &an, 1 << 11);
   const auto hosts = net.topo().hosts();
   const std::vector<int> sws = net.topo().switches();

@@ -7,6 +7,7 @@
 #include "core/compose.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
+#include "core/window.h"
 #include "trace/attacks.h"
 
 namespace newton {
@@ -89,7 +90,7 @@ TEST(Refinement, NewtonDetectsInTheFirstWindow) {
   sw.install(compile_query(make_q1(p)));
   for (const Packet& pk : t.packets) sw.process(pk);
   ASSERT_GT(sink.size(), 0u);
-  EXPECT_EQ(sink.records()[0].ts_ns / 100'000'000, 0u);  // window 0
+  EXPECT_EQ(window_of(sink.records()[0].ts_ns, kDefaultWindowNs), 0u);
 
   SonataRefinement ref({8, 16, 24, 32}, 100);
   const auto detections = ref.run(t);

@@ -18,6 +18,7 @@
 #include "core/controller.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
+#include "core/window.h"
 #include "detectors/detector.h"
 #include "runtime/sharded_runtime.h"
 #include "runtime/spsc_ring.h"
@@ -342,7 +343,7 @@ RunResult run_direct_mutating(const Trace& t, const Query& initial,
   reg(initial, ctl.install(initial));
   bool inst_queued = false, wd_queued = false;
   bool inst_pending = false, wd_pending = false;
-  uint64_t cur_epoch = 0;
+  WindowClock clock(kWindowNs);
   for (const Packet& p : t.packets) {
     if (!inst_queued && p.ts_ns >= plan.install_at_ns) {
       inst_queued = inst_pending = true;
@@ -350,8 +351,7 @@ RunResult run_direct_mutating(const Trace& t, const Query& initial,
     if (!wd_queued && p.ts_ns >= plan.withdraw_at_ns) {
       wd_queued = wd_pending = true;
     }
-    const uint64_t epoch = p.ts_ns / kWindowNs;
-    if (epoch != cur_epoch) {
+    if (clock.rolls(p.ts_ns)) {
       // Window boundary: the runtime applies queued mutations here.
       if (inst_pending) {
         reg(plan.to_install, ctl.install(plan.to_install));
@@ -361,7 +361,7 @@ RunResult run_direct_mutating(const Trace& t, const Query& initial,
         ctl.remove(plan.to_withdraw);
         wd_pending = false;
       }
-      cur_epoch = epoch;
+      clock.open(p.ts_ns);
     }
     sw.process(p);
   }
@@ -890,6 +890,73 @@ TEST(ShardGroups, PinnedBranchExactAndFlagged) {
   const auto* visits = snap.find("newton_runtime_shard_visits_total");
   ASSERT_NE(visits, nullptr);
   EXPECT_EQ(visits->value, static_cast<double>(rt.stats().shard_visits));
+}
+
+// ---------------------------------------------------------------------------
+// Window clock: a late packet folds into the open window
+// ---------------------------------------------------------------------------
+
+// 60 UDP packets to one victim in window 5.  One more arrives after the
+// 31st: stamped 1 ms into window 4 when `late`, else at window 5's start
+// (where the fold puts it).
+Trace late_probe(bool late) {
+  Trace t;
+  for (uint32_t i = 0; i < 60; ++i) {
+    t.packets.push_back(make_packet(ipv4(10, 0, 0, 1 + i), ipv4(172, 16, 9, 9),
+                                    1000 + i, 53, kProtoUdp, 0, 64,
+                                    5 * kWindowNs + 1'000 * i));
+    if (i == 30)
+      t.packets.push_back(make_packet(
+          ipv4(10, 0, 1, 1), ipv4(172, 16, 9, 9), 999, 53, kProtoUdp, 0, 64,
+          late ? 4 * kWindowNs + 1'000'000 : 5 * kWindowNs));
+  }
+  return t;
+}
+
+std::vector<uint32_t> all_banks(NewtonSwitch& sw) {
+  std::vector<uint32_t> out;
+  for (std::size_t st = 0; st < sw.num_stages(); ++st)
+    for (std::size_t i = 0; i < sw.bank(st).size(); ++i)
+      out.push_back(sw.bank(st).read(i));
+  return out;
+}
+
+TEST(WindowClock, LatePacketFoldsIntoOpenWindow) {
+  // Count 61 >= 40 in window 5: one report.  Rolling back to window 4 for
+  // the late packet (and forward again after it) would wipe the first 31
+  // and report nothing.
+  const Query q = make_udp_count(40);
+  const Trace late = late_probe(true);
+  const Trace restamped = late_probe(false);
+  {
+    SCOPED_TRACE("direct switch");
+    ReportBuffer buf, ref_buf;
+    NewtonSwitch sw(1, 24, &buf), ref(1, 24, &ref_buf);
+    sw.install(compile_query(q));
+    ref.install(compile_query(q));
+    for (const Packet& p : late.packets) sw.process(p);
+    for (const Packet& p : restamped.packets) ref.process(p);
+    ASSERT_EQ(buf.size(), 1u);
+    EXPECT_EQ(window_of(buf.records()[0].ts_ns, kWindowNs), 5u);
+    EXPECT_EQ(sw.late_packets(), 1u);
+    EXPECT_EQ(ref.late_packets(), 0u);
+    EXPECT_EQ(all_banks(sw), all_banks(ref));
+  }
+  for (std::size_t n : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(n));
+    const RunResult r = run_sharded(late, {q}, n, std::nullopt);
+    const RunResult ref = run_sharded(restamped, {q}, n, std::nullopt);
+    ASSERT_EQ(r.records.size(), 1u);
+    EXPECT_EQ(window_of(r.records[0].ts_ns, kWindowNs), 5u);
+    EXPECT_EQ(r.stats.late_packets, 1u);
+    EXPECT_EQ(ref.stats.late_packets, 0u);
+    std::vector<uint64_t> windows;
+    for (const WindowSnapshot& snap : r.snapshots) windows.push_back(snap.window);
+    EXPECT_EQ(windows, (std::vector<uint64_t>{0, 5}));
+    ASSERT_EQ(ref.snapshots.size(), 2u);
+    ASSERT_EQ(r.snapshots.size(), 2u);
+    EXPECT_EQ(r.snapshots[1].branches, ref.snapshots[1].branches);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -196,13 +196,37 @@ TEST(WindowKnob, ShorterWindowsResetMoreOften) {
   auto run_with_window = [&](uint64_t ms) {
     ReportBuffer sink;
     NewtonSwitch sw(1, 12, &sink);
-    sw.set_window_ns(ms * 1'000'000);
     sw.install(compile_query(build(ms)));
     for (const Packet& p : pkts) sw.process(p);
     return sink.size();
   };
   EXPECT_EQ(run_with_window(100), 1u);
   EXPECT_EQ(run_with_window(10), 0u);  // 1 pkt per window: never crosses
+}
+
+TEST(WindowKnob, SwitchRunsTheInstalledQueryWindow) {
+  // A 50 ms query on a default-constructed switch: ten packets 10 ms apart
+  // put 5 in each window, never 8.  The switch takes its window from the
+  // query, so it agrees with the exact evaluation at the query's window.
+  const Query q = QueryBuilder("t50")
+                      .window_ms(50)
+                      .filter(Predicate{}.where(Field::Proto, Cmp::Eq,
+                                                kProtoUdp))
+                      .map({Field::DstIp})
+                      .reduce({Field::DstIp}, Agg::Sum)
+                      .when(Cmp::Ge, 8)
+                      .build();
+  Trace t;
+  for (int i = 0; i < 10; ++i)
+    t.packets.push_back(make_packet(1, 40, 9, 53, kProtoUdp, 0, 64,
+                                    static_cast<uint64_t>(i) * 10'000'000));
+  ReportBuffer sink;
+  NewtonSwitch sw(1, 12, &sink);
+  sw.install(compile_query(q));
+  EXPECT_EQ(sw.window_ns(), 50'000'000u);
+  for (const Packet& p : t.packets) sw.process(p);
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_TRUE(exact_truth(q, t).passing_union(0).empty());
 }
 
 }  // namespace
