@@ -8,6 +8,7 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "compile/executor.h"
@@ -41,6 +42,58 @@ void BM_HashMix64(benchmark::State& state) {
     benchmark::DoNotOptimize(v = hash_u32(HashAlgo::Mix64, 1, v + 1));
 }
 BENCHMARK(BM_HashMix64);
+
+// Interquartile range of the repetitions (reported next to the median).
+double iqr(const std::vector<double>& v) {
+  std::vector<double> s = v;
+  std::sort(s.begin(), s.end());
+  const auto at = [&](double q) {
+    const double x = q * static_cast<double>(s.size() - 1);
+    const auto lo = static_cast<std::size_t>(x);
+    const std::size_t hi = std::min(lo + 1, s.size() - 1);
+    return s[lo] + (s[hi] - s[lo]) * (x - static_cast<double>(lo));
+  };
+  return s.empty() ? 0.0 : at(0.75) - at(0.25);
+}
+
+// The compiled executor's per-key hash (hash_key) against the chained
+// hash_words it equals, on CRC32C (every installed H op's algorithm), over
+// a burst of 64 nine-word key rows.  Arg 0 is the number of cared words:
+// the first that many words of each row are random, the rest zero, as K
+// leaves them.  Arg 1 = 0 times hash_key, 1 times hash_words.  ns per key.
+void BM_HashKey(benchmark::State& state) {
+  constexpr std::size_t kBurst = 64;
+  const auto cared_n = static_cast<std::size_t>(state.range(0));
+  const bool chained = state.range(1) == 1;
+  const uint32_t cared = (1u << cared_n) - 1;
+  constexpr uint32_t kSeed = 0x1234u;
+  const uint32_t base = key_hash_base(HashAlgo::Crc32c, kSeed);
+  std::mt19937 rng(3);
+  std::vector<uint32_t> keys(kBurst * kKeyWords, 0);
+  for (std::size_t i = 0; i < kBurst; ++i)
+    for (std::size_t j = 0; j < cared_n; ++j) keys[i * kKeyWords + j] = rng();
+  std::vector<uint32_t> out(kBurst);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      const uint32_t* key = keys.data() + i * kKeyWords;
+      out[i] = chained ? hash_words(HashAlgo::Crc32c, kSeed,
+                                    std::span<const uint32_t>(key, kKeyWords))
+                       : hash_key(HashAlgo::Crc32c, kSeed, base, cared, key);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const std::chrono::duration<double, std::nano> ns =
+      std::chrono::steady_clock::now() - t0;
+  const auto n = static_cast<double>(state.iterations()) * kBurst;
+  state.SetItemsProcessed(static_cast<int64_t>(n));
+  state.counters["ns_per_key"] = ns.count() / n;
+}
+BENCHMARK(BM_HashKey)
+    ->ArgNames({"cared", "chained"})
+    ->ArgsProduct({{1, 2, 3, 9}, {0, 1}})
+    ->ComputeStatistics("iqr", iqr);
 
 void BM_CountMinUpdate(benchmark::State& state) {
   CountMin cm(static_cast<std::size_t>(state.range(0)), 4096);
@@ -148,19 +201,6 @@ void BM_SwitchProcessConcurrentQueries(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SwitchProcessConcurrentQueries)->Arg(1)->Arg(16)->Arg(64);
-
-// Interquartile range of the repetitions (reported next to the median).
-double iqr(const std::vector<double>& v) {
-  std::vector<double> s = v;
-  std::sort(s.begin(), s.end());
-  const auto at = [&](double q) {
-    const double x = q * static_cast<double>(s.size() - 1);
-    const auto lo = static_cast<std::size_t>(x);
-    const std::size_t hi = std::min(lo + 1, s.size() - 1);
-    return s[lo] + (s[hi] - s[lo]) * (x - static_cast<double>(lo));
-  };
-  return s.empty() ? 0.0 : at(0.75) - at(0.25);
-}
 
 // The compiled executor alone (src/compile/): CompiledPipeline::execute_run
 // over a fixed input of post-newton_init PHVs, single thread, cut into

@@ -54,6 +54,11 @@ struct ChainOp {
   // HHash / HDirect
   HashAlgo algo = HashAlgo::Crc32;
   uint32_t seed = 0;
+  // HHash, filled by CompiledPipeline::build: key_hash_base(algo, seed) and
+  // the key words any compiled K op on this metadata set may leave nonzero
+  // (bit j = word j), so hash_key over them equals hash_words.
+  uint32_t hash_base = 0;
+  uint16_t cared = 0;
   uint32_t width = 1;
   uint32_t offset = 0;
   uint8_t direct_index = 0;

@@ -17,12 +17,11 @@ void BurstBuffers::resize(std::size_t cap, std::size_t queries) {
   global.resize(cap);
   alive.resize(cap * queries);
   alive_n.resize(queries);
-  rows.resize(cap * kNumFields);
-  digest.resize(cap);
-  lane.resize(cap);
 }
 
 namespace {
+
+static_assert(kKeyWords == kNumFields, "hash_key hashes a whole key row");
 
 // H's result mapping: a digest (or direct key word) into the query's slice.
 uint32_t map_hash(const ChainOp& op, uint32_t v) {
@@ -65,26 +64,11 @@ void run_op(const ChainOp& op, BurstBuffers& b, const Phv* phvs,
       });
       break;
     case OpKind::HHash:
-      if (all) {
-        hash_words_lanes(op.algo, op.seed, keys, kNumFields, kNumFields, n,
-                         nullptr, hash);
-        b.hash_lanes += n;
-        for (std::size_t i = 0; i < n; ++i) hash[i] = map_hash(op, hash[i]);
-      } else {
-        // Gather the live lanes' key rows, hash them in one batch, scatter
-        // the results: stopped lanes are neither hashed nor overwritten.
-        std::size_t m = 0;
-        for_live(n, live, false, [&](std::size_t i) {
-          std::copy_n(keys + i * kNumFields, kNumFields,
-                      b.rows.data() + m * kNumFields);
-          b.lane[m++] = static_cast<uint32_t>(i);
-        });
-        hash_words_lanes(op.algo, op.seed, b.rows.data(), kNumFields,
-                         kNumFields, m, nullptr, b.digest.data());
-        b.hash_lanes += m;
-        for (std::size_t j = 0; j < m; ++j)
-          hash[b.lane[j]] = map_hash(op, b.digest[j]);
-      }
+      for_live(n, live, all, [&](std::size_t i) {
+        hash[i] = map_hash(op, hash_key(op.algo, op.seed, op.hash_base,
+                                        op.cared, keys + i * kNumFields));
+      });
+      b.hash_lanes += live_n;
       break;
     case OpKind::HDirect:
       for_live(n, live, all, [&](std::size_t i) {
@@ -259,12 +243,28 @@ void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
   overlapping_ = chains_.size() - kept;
   chains_.resize(kept);
   std::size_t total_ops = 0;
+  std::array<uint32_t, kNumMetadataSets> written{};
   for (const Chain& c : chains_) {
     by_qid_[c.qid] = &c;
     compiled_.set(c.qid);
     needs_zero_.set(c.qid, lanes_need_zero(c));
     total_ops += c.ops.size();
+    for (const ChainOp& op : c.ops)
+      if (op.kind == OpKind::K)
+        for (std::size_t f = 0; f < kNumFields; ++f)
+          if (op.masks[f] != 0) written[op.set] |= 1u << f;
   }
+  // At an HHash op, each key word of its set was zeroed at load or last
+  // written, masked, by some K op of a compiled chain (possibly another
+  // query's, run between this query's K and H).  So the words outside the
+  // union of those K masks are zero, and hashing only the union is exact;
+  // the op's own K mask alone would not be.
+  for (Chain& c : chains_)
+    for (ChainOp& op : c.ops)
+      if (op.kind == OpKind::HHash) {
+        op.hash_base = key_hash_base(op.algo, op.seed);
+        op.cared = static_cast<uint16_t>(written[op.set]);
+      }
   plans_.reserve(kPlanCapacity);
   plan_lists_.reserve(kPlanCapacity * chains_.size());
   plan_ops_.reserve(kPlanCapacity * total_ops);

@@ -25,9 +25,11 @@
 // across queries) that a live chain still reads, exactly as the
 // interpreter's per-table active-bit guard behaves.
 //
-// An HHash op computes the digests of a run's live lanes in one
-// hash_words_lanes call (sketch/hash.h), which keeps four independent CRC
-// chains in flight instead of one.
+// An HHash op hashes each live lane's key with hash_key (sketch/hash.h):
+// the CRC chain's affine form over the key words that some compiled K op
+// on the op's metadata set can leave nonzero.  Each word is four table
+// lookups independent of the others, so one key needs no batching to keep
+// the load ports busy.
 //
 // The executor reproduces interpreter results byte-for-byte: same
 // per-register op order (runs are contiguous in burst order and op-major
@@ -70,11 +72,8 @@ struct BurstBuffers {
   std::vector<uint8_t> alive;         // row r = active-list position r
   std::vector<std::size_t> alive_n;   // live lanes per row
   std::array<uint16_t, kMaxQueries> row_of{};  // qid -> row, this run
-  // HHash over a partly dead row: live key rows gathered contiguously,
-  // their digests, and the lane each came from.
-  std::vector<uint32_t> rows, digest, lane;
-  // Digest lanes computed by batched hashing, cumulative across rebuilds
-  // (resize() never clears it); the worker mirrors it into WorkerStats.
+  // Digests HHash ops computed, cumulative across rebuilds (resize() never
+  // clears it); the worker mirrors it into WorkerStats.
   uint64_t hash_lanes = 0;
 
   void resize(std::size_t capacity, std::size_t queries);
@@ -117,7 +116,7 @@ class CompiledPipeline {
   // query: installs guard each S rule to its own slice.
   std::size_t overlapping_chains() const { return overlapping_; }
 
-  // Digest lanes batch-hashed so far, cumulative across rebuilds.
+  // Digests computed so far, cumulative across rebuilds.
   uint64_t hash_lanes() const { return buffers_.hash_lanes; }
 
   // Distinct multi-query activation lists one build keeps a plan for.  A

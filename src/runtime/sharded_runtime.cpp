@@ -105,8 +105,8 @@ void ShardedRuntime::bind_telemetry() {
                    "(src/compile/) instead of the interpreter");
   metrics_.jit_hash_lanes =
       &reg.counter("newton_runtime_jit_hash_lanes_total",
-                   "Digest lanes the compiled executors hashed in "
-                   "batches (docs/compile.md)");
+                   "Digests the compiled executors computed "
+                   "(docs/compile.md)");
   metrics_.jit_plans =
       &reg.gauge("newton_runtime_jit_plans",
                  "Merged-op plans the compiled executors held at the last "

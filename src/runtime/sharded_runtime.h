@@ -274,7 +274,7 @@ class ShardedRuntime {
     telemetry::Counter* abandoned = nullptr;
     telemetry::Gauge* live_shards = nullptr;
     telemetry::Counter* jit_packets = nullptr;     // compiled-path packets
-    telemetry::Counter* jit_hash_lanes = nullptr;  // batched digest lanes
+    telemetry::Counter* jit_hash_lanes = nullptr;  // digests computed
     telemetry::Gauge* jit_plans = nullptr;         // plans held, live shards
     telemetry::Counter* jit_plan_fallback_runs = nullptr;
     telemetry::Counter* installs_rejected = nullptr;

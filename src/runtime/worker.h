@@ -39,8 +39,9 @@ struct WorkerStats {
   // because the benchmark in perfbench/ still reads it.
   uint64_t jit_packets = 0;
   uint64_t jit_fused_packets = 0;
-  // Digest lanes the compiled executors hashed in batches, mirrored from
-  // CompiledPipeline::hash_lanes() at window fences.
+  // Digests the compiled executors computed (one per live lane of an
+  // HHash op), mirrored from CompiledPipeline::hash_lanes() at window
+  // fences.
   uint64_t jit_hash_lanes = 0;
   // Merged-op plans the executor held at the last fence, and the
   // multi-query runs it merged into scratch because its plan table was

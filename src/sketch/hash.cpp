@@ -1,6 +1,5 @@
 #include "sketch/hash.h"
 
-#include <algorithm>
 #include <array>
 
 namespace newton {
@@ -24,9 +23,11 @@ constexpr auto kCrc32cTable = make_crc_table<0x82F63B78u>();
 // T[k][i] advances T[k-1][i] by one zero byte, so a whole 32-bit word is
 // absorbed with four independent lookups instead of four chained
 // byte steps.  Bit-identical to the byte-at-a-time loop.
+using CrcSlices = std::array<std::array<uint32_t, 256>, 4>;
+
 template <uint32_t Poly>
-constexpr std::array<std::array<uint32_t, 256>, 4> make_crc_slices() {
-  std::array<std::array<uint32_t, 256>, 4> t{};
+constexpr CrcSlices make_crc_slices() {
+  CrcSlices t{};
   t[0] = make_crc_table<Poly>();
   for (std::size_t k = 1; k < 4; ++k)
     for (uint32_t i = 0; i < 256; ++i)
@@ -45,63 +46,36 @@ uint32_t crc(const std::array<uint32_t, 256>& table, uint32_t seed,
 }
 
 // CRC of one little-endian 32-bit word: equals crc(table, seed, 4 LE bytes).
-inline uint32_t crc_word(const std::array<std::array<uint32_t, 256>, 4>& t,
-                         uint32_t seed, uint32_t word) {
+inline uint32_t crc_word(const CrcSlices& t, uint32_t seed, uint32_t word) {
   const uint32_t x = ~seed ^ word;
   return ~(t[3][x & 0xff] ^ t[2][(x >> 8) & 0xff] ^ t[1][(x >> 16) & 0xff] ^
            t[0][x >> 24]);
 }
 
-uint64_t splitmix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
+// hash_words' CRC chain before the finalizer.
+uint32_t crc_chain(const CrcSlices& t, uint32_t seed,
+                   std::span<const uint32_t> words) {
+  uint32_t h = seed;
+  for (uint32_t w : words) h = crc_word(t, h ^ 0x5bd1e995u, w);
+  return h;
 }
 
-// Seed-keyed multiplicative finalizer shared by hash_words and the
-// multi-lane path (see the affinity note in hash_words).
-inline uint32_t words_finalize(uint32_t h, uint32_t seed) {
-  uint64_t x = (uint64_t{h} << 32) ^ (seed * 0x9E3779B9ull + 0x7F4A7C15ull);
-  x = splitmix64(x);
-  return static_cast<uint32_t>(x ^ (x >> 32));
-}
-
-// Multi-lane CRC word absorption: four independent accumulator chains per
-// block, so the four serially-dependent table-lookup chains issue in
-// parallel.  Each lane's math is exactly hash_words' per-word chaining.
-void crc_words_lanes(const std::array<std::array<uint32_t, 256>, 4>& t,
-                     uint32_t seed, const uint32_t* base, std::size_t nwords,
-                     std::size_t stride, std::size_t lanes,
-                     const uint32_t* masks, uint32_t* out) {
-  std::size_t l = 0;
-  for (; l + 4 <= lanes; l += 4) {
-    const uint32_t* p0 = base + (l + 0) * stride;
-    const uint32_t* p1 = base + (l + 1) * stride;
-    const uint32_t* p2 = base + (l + 2) * stride;
-    const uint32_t* p3 = base + (l + 3) * stride;
-    uint32_t h0 = seed, h1 = seed, h2 = seed, h3 = seed;
-    for (std::size_t j = 0; j < nwords; ++j) {
-      const uint32_t m = masks == nullptr ? 0xffffffffu : masks[j];
-      h0 = crc_word(t, h0 ^ 0x5bd1e995u, p0[j] & m);
-      h1 = crc_word(t, h1 ^ 0x5bd1e995u, p1[j] & m);
-      h2 = crc_word(t, h2 ^ 0x5bd1e995u, p2[j] & m);
-      h3 = crc_word(t, h3 ^ 0x5bd1e995u, p3[j] & m);
+// A chain step is crc_word(h ^ k, w) = A(h) ^ T(w), with T the linear map
+// T(x) = ~crc_word(~0, x) and A affine with linear part T.  So word j of a
+// kKeyWords-word key passes through kKeyWords - j applications of T:
+// L_j = T^(kKeyWords - j).
+constexpr KeyTables make_key_tables(const CrcSlices& s) {
+  const auto step = [&](uint32_t x) {
+    return s[3][x & 0xff] ^ s[2][(x >> 8) & 0xff] ^ s[1][(x >> 16) & 0xff] ^
+           s[0][x >> 24];
+  };
+  KeyTables t{};
+  for (std::size_t b = 0; b < 4; ++b)
+    for (uint32_t v = 0; v < 256; ++v) {
+      uint32_t x = v << (8 * b);
+      for (std::size_t j = kKeyWords; j-- > 0;) t[j][b][v] = x = step(x);
     }
-    out[l + 0] = words_finalize(h0, seed);
-    out[l + 1] = words_finalize(h1, seed);
-    out[l + 2] = words_finalize(h2, seed);
-    out[l + 3] = words_finalize(h3, seed);
-  }
-  for (; l < lanes; ++l) {
-    const uint32_t* p = base + l * stride;
-    uint32_t h = seed;
-    for (std::size_t j = 0; j < nwords; ++j) {
-      const uint32_t m = masks == nullptr ? 0xffffffffu : masks[j];
-      h = crc_word(t, h ^ 0x5bd1e995u, p[j] & m);
-    }
-    out[l] = words_finalize(h, seed);
-  }
+  return t;
 }
 
 }  // namespace
@@ -152,11 +126,10 @@ uint32_t hash_words(HashAlgo algo, uint32_t seed,
   uint32_t h = seed;
   switch (algo) {
     case HashAlgo::Crc32:
-      for (uint32_t w : words) h = crc_word(kCrc32Slices, h ^ 0x5bd1e995u, w);
+      h = crc_chain(kCrc32Slices, seed, words);
       break;
     case HashAlgo::Crc32c:
-      for (uint32_t w : words)
-        h = crc_word(kCrc32cSlices, h ^ 0x5bd1e995u, w);
+      h = crc_chain(kCrc32cSlices, seed, words);
       break;
     default:
       for (uint32_t w : words) h = hash_u32(algo, h ^ 0x5bd1e995u, w);
@@ -170,38 +143,18 @@ uint32_t hash_words(HashAlgo algo, uint32_t seed,
   return words_finalize(h, seed);
 }
 
-void hash_words_lanes(HashAlgo algo, uint32_t seed, const uint32_t* base,
-                      std::size_t nwords, std::size_t stride_words,
-                      std::size_t lanes, const uint32_t* masks,
-                      uint32_t* out) {
+constexpr KeyTables kCrc32KeyTables = make_key_tables(kCrc32Slices);
+constexpr KeyTables kCrc32cKeyTables = make_key_tables(kCrc32cSlices);
+
+uint32_t key_hash_base(HashAlgo algo, uint32_t seed) {
+  constexpr std::array<uint32_t, kKeyWords> zero{};
   switch (algo) {
     case HashAlgo::Crc32:
-      crc_words_lanes(kCrc32Slices, seed, base, nwords, stride_words, lanes,
-                      masks, out);
-      return;
+      return crc_chain(kCrc32Slices, seed, zero);
     case HashAlgo::Crc32c:
-      crc_words_lanes(kCrc32cSlices, seed, base, nwords, stride_words, lanes,
-                      masks, out);
-      return;
-    case HashAlgo::Identity:
-      for (std::size_t l = 0; l < lanes; ++l)
-        out[l] = nwords == 0 ? 0
-                             : base[l * stride_words] &
-                                   (masks == nullptr ? 0xffffffffu : masks[0]);
-      return;
-    case HashAlgo::Mix64:
-      break;
-  }
-  // Mix64 keys per-byte state through splitmix64 — no profitable lane
-  // interleave; delegate to the scalar path on a masked stack copy.  Keys
-  // are operation-key spans (kNumFields words), far under the buffer.
-  std::array<uint32_t, 64> tmp;
-  const std::size_t n = std::min(nwords, tmp.size());
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const uint32_t* p = base + l * stride_words;
-    for (std::size_t j = 0; j < n; ++j)
-      tmp[j] = p[j] & (masks == nullptr ? 0xffffffffu : masks[j]);
-    out[l] = hash_words(algo, seed, std::span<const uint32_t>(tmp.data(), n));
+      return crc_chain(kCrc32cSlices, seed, zero);
+    default:
+      return 0;
   }
 }
 

@@ -6,6 +6,8 @@
 //     state), with the compiled path actually carrying packets;
 //   * a stopped query never overwrites a metadata set that another live
 //     query of the same run still reads (per-query alive rows);
+//   * an H op's digest covers every key word another query's K on the same
+//     metadata set can write between the op's own K and the op;
 //   * the bench query set (q1/q3/q5) and all six detector-library chains
 //     lower to the compiled executor;
 //   * the escape hatch (RuntimeOptions::jit = false) routes every packet
@@ -285,34 +287,85 @@ void load_two_query_phv(Phv& phv, const std::vector<Packet>& pkts,
   if (i % 7 != 3) phv.activate_query(kQB);
 }
 
-}  // namespace
+// Two queries on metadata set 0 whose K masks differ, one module per
+// stage.  B's K (stage 1: dport and the high sport byte) runs between A's
+// K (stage 0: sip) and A's HHash (stage 2), so on a packet where both are
+// active A hashes B's key: the interpreter's HModule hashes whatever the
+// set holds.  A counts into its own bank and reports every packet with its
+// digest before B's H (stage 5) rewrites the set's hash; B counts into a
+// second bank and reports every repeat.
+struct CrossChainPipe {
+  Pipeline pipe{8};
+  ReportBuffer reports;
+  std::vector<SModule*> banks;
+  std::vector<TableProgram*> tables;
 
-// A query that R stopped mid-run must not write the metadata set another
-// live query of the same run still reads.  Reports, register state and
-// rule-hit counts must match the interpreter at every burst size.
-TEST(CompiledAliveRows, StoppedQueryLeavesSharedSetToLiveQuery) {
-  std::mt19937 rng(5);
-  std::vector<Packet> pkts;
-  const uint32_t dports[] = {80, 443, 53};
-  for (std::size_t i = 0; i < 300; ++i)
-    pkts.push_back(make_packet(ipv4(10, 0, 0, 1 + rng() % 4),
-                               ipv4(10, 1, rng() % 3, 9), 1000 + rng() % 5,
-                               dports[rng() % 3], kProtoTcp, 0, 64, i));
+  CrossChainPipe() {
+    const auto place = [&](std::size_t stage, auto mod) {
+      tables.push_back(mod.get());
+      pipe.stage(stage).add(std::move(mod));
+    };
+    auto k0 = std::make_shared<KModule>("k0");
+    KConfig ka;
+    ka.masks[index(Field::SrcIp)] = 0xffffffffu;
+    k0->table().insert(kQA, ka);
+    place(0, k0);
 
-  TwoQueryPipe interp;
+    auto k1 = std::make_shared<KModule>("k1");
+    KConfig kb;
+    kb.masks[index(Field::DstPort)] = 0xffffffffu;
+    kb.masks[index(Field::SrcPort)] = 0xff00u;
+    k1->table().insert(kQB, kb);
+    place(1, k1);
+
+    // Per query: H, S into its own 64-register bank, R.
+    const auto tail = [&](std::size_t stage, uint16_t q, HConfig h,
+                          RConfig r) {
+      auto hm = std::make_shared<HModule>("h" + std::to_string(stage));
+      h.width = 64;
+      hm->table().insert(q, h);
+      place(stage, hm);
+      auto sm = std::make_shared<SModule>("s" + std::to_string(stage + 1),
+                                          64);
+      sm->table().insert(q, SConfig{});
+      banks.push_back(sm.get());
+      place(stage + 1, sm);
+      auto rm = std::make_shared<RModule>("r" + std::to_string(stage + 2),
+                                          &reports, 1);
+      r.match_on_global = false;
+      r.on_match = RAction::Report;
+      rm->table().insert(q, r);
+      place(stage + 2, rm);
+    };
+    HConfig ha, hb;
+    ha.algo = HashAlgo::Crc32c;
+    ha.seed = 3;
+    hb.seed = 11;
+    RConfig rb;
+    rb.match_lo = 2;
+    tail(2, kQA, ha, RConfig{});
+    tail(5, kQB, hb, rb);
+  }
+};
+
+// Runs `pkts` (activated as in load_two_query_phv) through a Pipe's
+// interpreter in one burst and through a compiled copy at bursts 1, 3 and
+// 64, with runs cut where the active set changes.  Reports, register
+// banks and rule-hit counts must match the interpreter at every burst.
+template <class Pipe>
+void expect_compiled_matches_interpreter(const std::vector<Packet>& pkts) {
+  Pipe interp;
   std::vector<Phv> phvs(pkts.size());
   for (std::size_t i = 0; i < pkts.size(); ++i)
     load_two_query_phv(phvs[i], pkts, i);
   interp.pipe.process_burst(phvs.data(), phvs.size());
   const auto want = sorted(interp.reports.records());
-  // B reports every packet it sees, so some B reports come from packets
-  // where A was active and then stopped.
   ASSERT_GT(want.size(), pkts.size() / 2);
 
   for (const std::size_t burst :
        {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
     SCOPED_TRACE("burst=" + std::to_string(burst));
-    TwoQueryPipe jit;
+    Pipe jit;
     compile::CompiledPipeline exec;
     exec.build(jit.pipe, burst, {});
     ASSERT_TRUE(exec.enabled());
@@ -343,6 +396,39 @@ TEST(CompiledAliveRows, StoppedQueryLeavesSharedSetToLiveQuery) {
       EXPECT_EQ(*jit.tables[t]->hits_cell(), *interp.tables[t]->hits_cell())
           << "table " << t;
   }
+}
+
+}  // namespace
+
+// A query that R stopped mid-run must not write the metadata set another
+// live query of the same run still reads.  Reports, register state and
+// rule-hit counts must match the interpreter at every burst size.  B
+// reports every packet it sees, so some B reports come from packets where
+// A was active and then stopped.
+TEST(CompiledAliveRows, StoppedQueryLeavesSharedSetToLiveQuery) {
+  std::mt19937 rng(5);
+  std::vector<Packet> pkts;
+  const uint32_t dports[] = {80, 443, 53};
+  for (std::size_t i = 0; i < 300; ++i)
+    pkts.push_back(make_packet(ipv4(10, 0, 0, 1 + rng() % 4),
+                               ipv4(10, 1, rng() % 3, 9), 1000 + rng() % 5,
+                               dports[rng() % 3], kProtoTcp, 0, 64, i));
+  expect_compiled_matches_interpreter<TwoQueryPipe>(pkts);
+}
+
+// An HHash op hashes only the key words some compiled K op on its
+// metadata set may write.  Another query's K between the op's own K and
+// the op rewrites the set with a different mask, so the words the op's
+// own K keeps are not enough: the digest must match the interpreter's
+// hash of the whole row.
+TEST(CompiledHashCaredWords, OtherQuerysKBetweenOwnKAndH) {
+  std::mt19937 rng(9);
+  std::vector<Packet> pkts;
+  for (std::size_t i = 0; i < 300; ++i)
+    pkts.push_back(make_packet(ipv4(10, 0, 0, 1 + rng() % 4),
+                               ipv4(10, 1, 0, 9), 1000 + rng() % 600,
+                               40 + rng() % 3, kProtoTcp, 0, 64, i));
+  expect_compiled_matches_interpreter<CrossChainPipe>(pkts);
 }
 
 // Every committed seed scenario — including the mid-stream
@@ -376,11 +462,11 @@ TEST(CompiledCorpus, JitMatchesInterpreterAt1And4Shards) {
   EXPECT_GT(jit_packets_total, 0u);
 }
 
-// Batched hashing must be exact at every run length.  Sweep the burst
-// size over representative seeds against one interpreter baseline:
-// byte-identical reports and register state at every point.  Burst 1
-// degenerates batched hashing to single-lane, burst 3 leaves the CRC 4-way
-// interleave partially filled, burst 64 is the steady-state shape.
+// Hashing must be exact at every run length.  Sweep the burst size over
+// representative seeds against one interpreter baseline: byte-identical
+// reports and register state at every point.  Burst 1 makes every packet
+// its own run, burst 3 splits runs mid-stream, burst 64 is the
+// steady-state shape.  The name is older than the per-key hash.
 TEST(CompiledBatchedHashing, BurstSweepByteIdentical) {
   const auto files = corpus_files();
   ASSERT_GE(files.size(), 2u);
@@ -442,7 +528,7 @@ TEST(CompiledCoverage, BenchQueriesCompile) {
   EXPECT_EQ(jit, total);
   EXPECT_GT(total, 0u);
   EXPECT_GT(single, total / 2);
-  // Every H op of every compiled packet hashes in a batch.  Each bench
+  // Every H op of every compiled packet computes a digest.  Each bench
   // chain holds at least two HHash ops (q1 two, q3/q5 four) ahead of its
   // first Stop.
   EXPECT_GE(lanes, 2 * jit);

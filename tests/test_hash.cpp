@@ -1,12 +1,11 @@
 // Hash-family unit tests: known-answer vectors for the CRC polynomials,
 // slicing-by-4 pinned against the byte-at-a-time reference, and the
-// multi-lane batched path (hash_words_lanes, the compiled executors' hash
-// phase) pinned lane-for-lane against scalar hash_words.
+// per-key kernel (hash_key, the compiled executor's H ops) pinned against
+// the chained hash_words.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "sketch/hash.h"
 
@@ -78,7 +77,7 @@ TEST(HashSlicing, SeedsDecorrelate) {
   EXPECT_LT(finalized_equal, 4); // broken by words_finalize
 }
 
-// deterministic pseudo-random words for lane fixtures
+// deterministic pseudo-random words for key fixtures
 uint32_t mix(uint32_t x) {
   x ^= x >> 16;
   x *= 0x7feb352du;
@@ -88,45 +87,28 @@ uint32_t mix(uint32_t x) {
   return x;
 }
 
+// The suite keeps the name of the multi-lane path hash_key replaced.
 class HashLanes : public ::testing::TestWithParam<HashAlgo> {};
 
-// hash_words_lanes must equal scalar hash_words on every lane's masked
-// key, for every key width, lane count (covering the 4-lane unroll and
-// its scalar tail), stride, and mask pattern.
+// hash_key must equal hash_words on every kKeyWords-word key whose words
+// outside `cared` are zero: all 512 cared-word subsets, each with random
+// seeds and random values in the cared words (some of them zero, as a
+// masked field can be).  Mix64 and Identity take the hash_words fallback.
 TEST_P(HashLanes, MatchesScalarPerLane) {
   const HashAlgo algo = GetParam();
-  for (std::size_t nwords : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                             std::size_t{5}, std::size_t{9}}) {
-    for (std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                              std::size_t{4}, std::size_t{5}, std::size_t{8},
-                              std::size_t{17}}) {
-      for (std::size_t stride : {nwords, nwords + 3, std::size_t{24}}) {
-        if (stride < nwords) continue;
-        std::vector<uint32_t> data(std::max<std::size_t>(1, lanes * stride));
-        for (std::size_t i = 0; i < data.size(); ++i)
-          data[i] = mix(static_cast<uint32_t>(i) * 2654435761u + 12345u);
-        std::vector<uint32_t> masks(std::max<std::size_t>(1, nwords));
-        for (std::size_t j = 0; j < nwords; ++j)
-          masks[j] = (j % 3 == 0)   ? 0xffffffffu
-                     : (j % 3 == 1) ? 0xffff0000u
-                                    : 0u;
-        const uint32_t* mask_cases[] = {nullptr, masks.data()};
-        for (const uint32_t* m : mask_cases) {
-          std::vector<uint32_t> out(lanes, 0xa5a5a5a5u);
-          hash_words_lanes(algo, 0x1234u, data.data(), nwords, stride, lanes,
-                           m, out.data());
-          for (std::size_t l = 0; l < lanes; ++l) {
-            std::vector<uint32_t> key(nwords);
-            for (std::size_t j = 0; j < nwords; ++j)
-              key[j] = data[l * stride + j] & (m == nullptr ? 0xffffffffu
-                                                            : m[j]);
-            EXPECT_EQ(out[l], hash_words(algo, 0x1234u, key))
-                << "algo=" << static_cast<int>(algo) << " nwords=" << nwords
-                << " lanes=" << lanes << " stride=" << stride
-                << " lane=" << l << " masked=" << (m != nullptr);
-          }
-        }
-      }
+  uint32_t r = 12345;
+  const auto next = [&] { return r = mix(r + 0x9E3779B9u); };
+  for (uint32_t cared = 0; cared < (1u << kKeyWords); ++cared) {
+    for (int rep = 0; rep < 8; ++rep) {
+      const uint32_t seed = rep == 0 ? 0 : next();
+      std::array<uint32_t, kKeyWords> key{};
+      for (std::size_t j = 0; j < kKeyWords; ++j)
+        if (cared >> j & 1) key[j] = next() % 5 == 0 ? 0 : next();
+      ASSERT_EQ(hash_key(algo, seed, key_hash_base(algo, seed), cared,
+                         key.data()),
+                hash_words(algo, seed, key))
+          << "algo=" << static_cast<int>(algo) << " cared=" << cared
+          << " seed=" << seed;
     }
   }
 }
@@ -134,14 +116,14 @@ TEST_P(HashLanes, MatchesScalarPerLane) {
 TEST_P(HashLanes, SeedVariesOutput) {
   const HashAlgo algo = GetParam();
   if (algo == HashAlgo::Identity) return;  // seed-free by definition
-  std::array<uint32_t, 9> key{};
+  std::array<uint32_t, kKeyWords> key{};
   for (std::size_t j = 0; j < key.size(); ++j)
     key[j] = mix(static_cast<uint32_t>(j) + 7u);
-  uint32_t a = 0, b = 0;
-  hash_words_lanes(algo, 1u, key.data(), key.size(), key.size(), 1, nullptr,
-                   &a);
-  hash_words_lanes(algo, 2u, key.data(), key.size(), key.size(), 1, nullptr,
-                   &b);
+  const uint32_t all = (1u << kKeyWords) - 1;
+  const uint32_t a = hash_key(algo, 1u, key_hash_base(algo, 1u), all,
+                              key.data());
+  const uint32_t b = hash_key(algo, 2u, key_hash_base(algo, 2u), all,
+                              key.data());
   EXPECT_NE(a, b);
 }
 
