@@ -11,9 +11,9 @@
 //            install+withdraw churn pairs (plus periodic inadmissible
 //            installs that admission must bounce without residue) at
 //            every window barrier.  Reports sustained churn ops/min,
-//            concurrent query count, rejected installs, and how many
-//            replica loads lowered the chains (the start plus one per
-//            mutation barrier).
+//            concurrent query count, rejected installs, how many replica
+//            loads lowered the chains (the start plus one per mutation
+//            barrier), and the p50 of a mutation barrier and of its reload.
 //   phase 2  install-latency SLO: on the still-loaded switch, run direct
 //            controller install+withdraw cycles and report the wall and
 //            modeled install-latency distribution (p50/p95/p99).
@@ -84,6 +84,21 @@ double percentile(std::vector<double> v, double p) {
   const std::size_t i = static_cast<std::size_t>(
       p * static_cast<double>(v.size() - 1) + 0.5);
   return v[std::min(i, v.size() - 1)];
+}
+
+// The q-quantile of a histogram sample, interpolated linearly inside the
+// bucket it falls in (0 when empty; the last finite bound past it).
+double histogram_quantile(const telemetry::Sample* h, double q) {
+  double lo = 0.0, seen = 0.0;
+  const double rank = h == nullptr ? 0.0 : q * static_cast<double>(h->count);
+  for (std::size_t b = 0; rank > 0 && b < h->bounds.size(); ++b) {
+    const double n = static_cast<double>(h->buckets[b]);
+    if (n > 0 && seen + n >= rank)
+      return lo + (h->bounds[b] - lo) * (rank - seen) / n;
+    seen += n;
+    lo = h->bounds[b];
+  }
+  return lo;
 }
 
 }  // namespace
@@ -184,15 +199,26 @@ int main(int argc, char** argv) {
   WindowClock clock(sw.window_ns());
   clock.open(t.packets.front().ts_ns);
   queue_batch();
+  // Every window queues a batch, so every barrier inside the stream
+  // mutates; the process() call that crosses a roll runs it.
+  std::vector<double> mutation_barrier_us;
   for (const Packet& p : t.packets) {
-    if (clock.rolls(p.ts_ns)) {
+    const bool roll = clock.rolls(p.ts_ns);
+    if (roll) {
       clock.open(p.ts_ns);
       queue_batch();
     }
+    const uint64_t b0 = roll ? wall_ns() : 0;
     rt.process(p);
+    if (roll) mutation_barrier_us.push_back((wall_ns() - b0) / 1e3);
   }
   rt.finish();
   const uint64_t w1 = wall_ns();
+  const double mutation_barrier_us_p50 = percentile(mutation_barrier_us, 0.5);
+  const double reload_us_p50 = histogram_quantile(
+      telemetry::Registry::global().snapshot().find(
+          "newton_runtime_barrier_phase_us", {{"phase", "reload"}}),
+      0.5);
 
   const RuntimeStats& st = rt.stats();
   const double wall_s = static_cast<double>(w1 - w0) / 1e9;
@@ -270,6 +296,8 @@ int main(int argc, char** argv) {
                  "  \"rejected_installs\": %llu,\n"
                  "  \"windows\": %llu,\n"
                  "  \"jit_recompiles\": %llu,\n"
+                 "  \"mutation_barrier_us_p50\": %.1f,\n"
+                 "  \"barrier_reload_us_p50\": %.1f,\n"
                  "  \"install_wall_ms\": {\"p50\": %.4f, \"p95\": %.4f, "
                  "\"p99\": %.4f},\n"
                  "  \"install_model_ms_p99\": %.4f,\n"
@@ -282,7 +310,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(st.installs_rejected),
                  static_cast<unsigned long long>(st.windows),
                  static_cast<unsigned long long>(st.jit_recompiles),
-                 p50w, p95w, p99w, p99m, before.stranded_registers,
+                 mutation_barrier_us_p50, reload_us_p50, p50w, p95w, p99w,
+                 p99m, before.stranded_registers,
                  after.stranded_registers, cs.moved);
     std::fclose(f);
     std::printf("wrote BENCH_churn.json\n");

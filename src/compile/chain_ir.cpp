@@ -1,6 +1,7 @@
 #include "compile/chain_ir.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "core/modules.h"
@@ -9,13 +10,6 @@
 namespace newton::compile {
 
 namespace {
-
-Chain& chain_for(std::vector<Chain>& chains, uint16_t qid) {
-  for (Chain& c : chains)
-    if (c.qid == qid) return c;
-  chains.push_back({qid, {}});
-  return chains.back();
-}
 
 ChainOp base_op(OpKind kind, uint16_t qid, uint8_t set, std::size_t stage,
                 std::size_t slot, TableProgram& mod) {
@@ -32,6 +26,15 @@ ChainOp base_op(OpKind kind, uint16_t qid, uint8_t set, std::size_t stage,
 
 std::vector<Chain> lower(Pipeline& pipe) {
   std::vector<Chain> out;
+  std::array<uint16_t, kMaxQueries> slot;  // qid -> index into out + 1
+  slot.fill(0);
+  const auto chain_for = [&](uint16_t qid) -> Chain& {
+    if (slot.at(qid) == 0) {
+      out.push_back({qid, {}});
+      slot[qid] = static_cast<uint16_t>(out.size());
+    }
+    return out[slot[qid] - 1u];
+  };
   // Walk (stage, slot) major — the interpreter's visit order — appending
   // each rule to its query's chain, so every chain comes out already
   // ordered and a k-way merge by `order` reconstructs the exact
@@ -44,7 +47,7 @@ std::vector<Chain> lower(Pipeline& pipe) {
         k->table().for_each([&](uint16_t qid, const KConfig& cfg) {
           ChainOp op = base_op(OpKind::K, qid, cfg.set, si, ti, *k);
           op.masks = cfg.masks;
-          chain_for(out, qid).ops.push_back(op);
+          chain_for(qid).ops.push_back(op);
         });
       } else if (auto* h = dynamic_cast<HModule*>(t)) {
         h->table().for_each([&](uint16_t qid, const HConfig& cfg) {
@@ -55,7 +58,7 @@ std::vector<Chain> lower(Pipeline& pipe) {
           op.width = cfg.width;
           op.offset = cfg.offset;
           op.direct_index = static_cast<uint8_t>(index(cfg.direct_field));
-          chain_for(out, qid).ops.push_back(op);
+          chain_for(qid).ops.push_back(op);
         });
       } else if (auto* s = dynamic_cast<SModule*>(t)) {
         s->table().for_each([&](uint16_t qid, const SConfig& cfg) {
@@ -68,7 +71,7 @@ std::vector<Chain> lower(Pipeline& pipe) {
           op.guard_lo = cfg.guard_lo;
           op.guard_hi = cfg.guard_hi;
           op.index_base = cfg.index_base;
-          chain_for(out, qid).ops.push_back(op);
+          chain_for(qid).ops.push_back(op);
         });
       } else if (auto* r = dynamic_cast<RModule*>(t)) {
         r->table().for_each([&](uint16_t qid, const RConfig& cfg) {
@@ -81,7 +84,7 @@ std::vector<Chain> lower(Pipeline& pipe) {
           op.on_miss = cfg.on_miss;
           op.sink = r->sink();
           op.switch_id = r->switch_id();
-          chain_for(out, qid).ops.push_back(op);
+          chain_for(qid).ops.push_back(op);
         });
       } else {
         throw std::logic_error("compile::lower: unmodeled table " +

@@ -88,8 +88,8 @@ struct Chain {
 };
 
 // Lower every installed chain of `pipe`, sorted by qid.  Call with the
-// replica quiesced and (for R ops) after report sinks were rebound: the
-// lowered ops capture the sink pointers as constants.  Throws
+// replica quiesced: the lowered ops capture its modules' bank, report-sink
+// and hit-cell addresses as constants.  Throws
 // std::logic_error on a table that is not a K/H/S/R module — the layout
 // places nothing else in a switch pipeline.
 std::vector<Chain> lower(Pipeline& pipe);

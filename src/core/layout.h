@@ -18,7 +18,6 @@
 namespace newton {
 
 struct ModuleInstances {
-  InitModule* init = nullptr;  // logically ahead of stage 0
   std::vector<KModule*> k;     // one per stage (nullptr if absent)
   std::vector<HModule*> h;
   std::vector<SModule*> s;

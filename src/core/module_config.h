@@ -32,6 +32,7 @@ constexpr std::string_view module_name(ModuleType t) {
 struct KConfig {
   std::array<uint32_t, kNumFields> masks{};
   uint8_t set = 0;
+  friend bool operator==(const KConfig&, const KConfig&) = default;
 };
 
 // Hash calculation over the operation keys of set `set`.
@@ -45,6 +46,7 @@ struct HConfig {
   bool direct = false;
   Field direct_field = Field::SrcIp;
   uint8_t set = 0;
+  friend bool operator==(const HConfig&, const HConfig&) = default;
 };
 
 // State bank: one SALU op on a register selected by the hash result, or a
@@ -69,6 +71,7 @@ struct SConfig {
   // Local register base: index = index_base + (hash_result - guard_lo).
   uint32_t index_base = 0;
   uint8_t set = 0;
+  friend bool operator==(const SConfig&, const SConfig&) = default;
 };
 
 inline constexpr uint32_t kSMissValue = 0xffffffffu;
@@ -89,6 +92,7 @@ struct RConfig {
   uint32_t match_hi = 0xffffffffu;
   RAction on_match = RAction::Continue;
   RAction on_miss = RAction::Continue;
+  friend bool operator==(const RConfig&, const RConfig&) = default;
 };
 
 }  // namespace newton

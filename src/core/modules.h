@@ -80,15 +80,6 @@ class SModule : public TableProgram {
   std::shared_ptr<TableProgram> clone() const override {
     return std::make_shared<SModule>(*this);
   }
-  // Take `o`'s name and rules, keeping this instance's bank storage and
-  // contents.  Sharded-runtime replicas load rules this way: each starts
-  // its window with a zeroed bank, accumulates its shard's state privately,
-  // and is merged back at the window boundary.
-  void assign_rules(const SModule& o) {
-    TableProgram::operator=(o);
-    name_ = o.name_;
-    table_ = o.table_;
-  }
   ConfigTable<SConfig>& table() { return table_; }
   RegisterArray& registers() { return regs_; }
   const RegisterArray& registers() const { return regs_; }
@@ -108,8 +99,7 @@ class RModule : public TableProgram {
   void publish_telemetry() override;
   ResourceVec resources() const override;
   std::string name() const override { return name_; }
-  // The sink pointer is carried over; a per-worker replica rebinds it to a
-  // private buffer via set_sink.
+  // The sink pointer is carried over; rebind it with set_sink.
   std::shared_ptr<TableProgram> clone() const override {
     return std::make_shared<RModule>(*this);
   }

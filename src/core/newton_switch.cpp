@@ -16,7 +16,6 @@ NewtonSwitch::NewtonSwitch(uint32_t id, std::size_t num_stages,
       latency_(latency_seed),
       qid_used_(kMaxQueries, false) {
   inst_ = build_compact_layout(pipeline_, sink, id, bank_registers);
-  init_ = std::make_shared<InitModule>();
   bank_alloc_.reserve(num_stages);
   for (std::size_t i = 0; i < num_stages; ++i)
     bank_alloc_.emplace_back(bank_registers);
@@ -35,8 +34,7 @@ uint16_t NewtonSwitch::alloc_qid() {
 void NewtonSwitch::free_qid(uint16_t q) { qid_used_.at(q) = false; }
 
 void NewtonSwitch::set_sink(ReportSink* sink) {
-  for (RModule* r : inst_.r)
-    if (r) r->set_sink(sink);
+  for (RModule* r : inst_.r) r->set_sink(sink);
 }
 
 NewtonSwitch::InstallResult NewtonSwitch::install(const CompiledQuery& cq,
@@ -159,23 +157,14 @@ NewtonSwitch::InstallResult NewtonSwitch::install_impl(
         key.push_back(slice_meta ? MatchWord::exact(1)
                                  : MatchWord::wildcard());
         rec.init_handles.push_back(
-            init_->table().insert(std::move(key), e.priority, {{qid}}));
+            init_.table().insert(std::move(key), e.priority, {{qid}}));
       }
     }
   } catch (...) {
     // Best-effort rollback of partially installed rules.
-    for (std::size_t i = 0; i < rec.rule_slots.size(); ++i) {
-      const auto [stage, type] = rec.rule_slots[i];
-      const auto st = static_cast<std::size_t>(stage);
-      const uint16_t qid = rec.rule_qids[i];
-      switch (type) {
-        case ModuleType::K: inst_.k[st]->table().remove(qid); break;
-        case ModuleType::H: inst_.h[st]->table().remove(qid); break;
-        case ModuleType::S: inst_.s[st]->table().remove(qid); break;
-        case ModuleType::R: inst_.r[st]->table().remove(qid); break;
-      }
-    }
-    for (uint64_t h : rec.init_handles) init_->table().remove(h);
+    for (std::size_t i = 0; i < rec.rule_slots.size(); ++i)
+      remove_rule(rec.rule_slots[i], rec.rule_qids[i]);
+    for (uint64_t h : rec.init_handles) init_.table().remove(h);
     rollback();
     throw;
   }
@@ -206,18 +195,9 @@ double NewtonSwitch::remove(uint64_t handle) {
   if (it == installs_.end())
     throw std::invalid_argument("remove: unknown handle");
   InstallRecord& rec = it->second;
-  for (std::size_t i = 0; i < rec.rule_slots.size(); ++i) {
-    const auto [stage, type] = rec.rule_slots[i];
-    const auto st = static_cast<std::size_t>(stage);
-    const uint16_t qid = rec.rule_qids[i];
-    switch (type) {
-      case ModuleType::K: inst_.k[st]->table().remove(qid); break;
-      case ModuleType::H: inst_.h[st]->table().remove(qid); break;
-      case ModuleType::S: inst_.s[st]->table().remove(qid); break;
-      case ModuleType::R: inst_.r[st]->table().remove(qid); break;
-    }
-  }
-  for (uint64_t h : rec.init_handles) init_->table().remove(h);
+  for (std::size_t i = 0; i < rec.rule_slots.size(); ++i)
+    remove_rule(rec.rule_slots[i], rec.rule_qids[i]);
+  for (uint64_t h : rec.init_handles) init_.table().remove(h);
   // Sweep the freed ranges: reset_state() only visits allocated ones.
   reset_segments(inst_.s, rec.segments);
   for (auto& [stage, off] : rec.allocs) bank_alloc_[stage].free(off);
@@ -229,6 +209,17 @@ double NewtonSwitch::remove(uint64_t handle) {
   for (const auto& [h, r] : installs_)
     segments_.insert(segments_.end(), r.segments.begin(), r.segments.end());
   return latency_.batch_ms(ops);
+}
+
+void NewtonSwitch::remove_rule(std::pair<int, ModuleType> slot,
+                               uint16_t qid) {
+  const auto st = static_cast<std::size_t>(slot.first);
+  switch (slot.second) {
+    case ModuleType::K: inst_.k[st]->table().remove(qid); break;
+    case ModuleType::H: inst_.h[st]->table().remove(qid); break;
+    case ModuleType::S: inst_.s[st]->table().remove(qid); break;
+    case ModuleType::R: inst_.r[st]->table().remove(qid); break;
+  }
 }
 
 void NewtonSwitch::roll(uint64_t ts) {
@@ -246,7 +237,7 @@ telemetry::Counter& NewtonSwitch::late_packets_series(
 
 void NewtonSwitch::flush_telemetry() {
   pipeline_.publish_telemetry();
-  if (init_) init_->publish_telemetry();
+  init_.publish_telemetry();
   if (late_packets_ != late_published_) {
     late_packets_series(telemetry::Registry::global())
         .add(late_packets_ - late_published_);
@@ -314,7 +305,7 @@ NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
     }
   }
 
-  if (dispatch_init) init_->execute(phv);
+  if (dispatch_init) init_.execute(phv);
   pipeline_.process_burst(&phv, 1);
 
   // CQE egress: snapshot results toward the next hop for every non-final
@@ -362,7 +353,7 @@ NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
 }
 
 std::size_t NewtonSwitch::installed_rule_count() const {
-  std::size_t n = init_->table().size();
+  std::size_t n = init_.table().size();
   for (std::size_t i = 0; i < pipeline_.num_stages(); ++i)
     n += inst_.k[i]->table().size() + inst_.h[i]->table().size() +
          inst_.s[i]->table().size() + inst_.r[i]->table().size();

@@ -144,8 +144,8 @@ class NewtonSwitch {
   std::size_t stages_used() const;
   ResourceVec used_resources() const { return pipeline_.total_used(); }
   void set_sink(ReportSink* sink);
-  InitModule& init_table() { return *init_; }
-  const InitModule& init_table() const { return *init_; }
+  InitModule& init_table() { return init_; }
+  const InitModule& init_table() const { return init_; }
   const Pipeline& pipeline() const { return pipeline_; }
   // The installed queries' window length (the last one while empty).
   uint64_t window_ns() const { return clock_.window_ns(); }
@@ -195,12 +195,14 @@ class NewtonSwitch {
                              std::optional<SliceRt> slice_meta);
   uint16_t alloc_qid();
   void free_qid(uint16_t q);
+  // Remove `qid`'s rule from the module at `slot` (stage, type).
+  void remove_rule(std::pair<int, ModuleType> slot, uint16_t qid);
   void roll(uint64_t ts);
 
   uint32_t id_;
   Pipeline pipeline_;
   ModuleInstances inst_;
-  std::shared_ptr<InitModule> init_;
+  InitModule init_;
   std::vector<RangeAllocator> bank_alloc_;  // per stage
   RuleLatencyModel latency_;
   std::vector<bool> qid_used_;

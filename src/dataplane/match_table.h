@@ -37,7 +37,6 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 namespace newton {
@@ -323,60 +322,54 @@ class TernaryTable {
   std::vector<Tuple> tuples_;
 };
 
-// Exact-match table keyed by query id, one config per query.  Lookups are
-// one predicated array load: qids are dense and small (kMaxQueries), so a
-// direct-indexed pointer table shadows the rule map.
+// Exact-match table keyed by query id, one config per query: a flat rule
+// vector behind a direct-indexed qid -> slot array (qids are dense and
+// small, kMaxQueries), so a lookup is two dependent loads, slot then rule.
+// Plain vectors throughout: the default copy and assignment are deep.
 template <typename Config>
 class ConfigTable {
  public:
   explicit ConfigTable(std::size_t capacity) : capacity_(capacity) {}
 
-  // dense_ points into rules_' nodes, so copies must rebind it.
-  ConfigTable(const ConfigTable& o)
-      : capacity_(o.capacity_), rules_(o.rules_), rule_ops_(o.rule_ops_) {
-    rebuild_dense();
-  }
-  ConfigTable& operator=(const ConfigTable& o) {
-    if (this != &o) {
-      capacity_ = o.capacity_;
-      rules_ = o.rules_;
-      rule_ops_ = o.rule_ops_;
-      rebuild_dense();
-    }
-    return *this;
-  }
-  ConfigTable(ConfigTable&&) = default;
-  ConfigTable& operator=(ConfigTable&&) = default;
-
   void insert(uint16_t qid, Config cfg) {
-    if (!rules_.contains(qid) && rules_.size() >= capacity_)
-      throw std::runtime_error("ConfigTable: capacity exceeded");
-    Config& slot = rules_[qid] = std::move(cfg);
-    if (qid >= dense_.size()) dense_.resize(qid + 1, nullptr);
-    dense_[qid] = &slot;  // node pointers are stable across rehash
+    uint32_t s = slot(qid);
+    if (s == kNone) {
+      if (rules_.size() >= capacity_)
+        throw std::runtime_error("ConfigTable: capacity exceeded");
+      if (qid >= slots_.size()) slots_.resize(qid + 1u, kNone);
+      s = slots_[qid] = static_cast<uint32_t>(rules_.size());
+      rules_.push_back({qid, {}});
+    }
+    rules_[s].cfg = std::move(cfg);
     ++rule_ops_;
   }
 
+  // The last rule moves into the freed slot.
   bool remove(uint16_t qid) {
-    const bool erased = rules_.erase(qid) > 0;
-    if (erased) {
-      dense_[qid] = nullptr;
-      ++rule_ops_;
+    const uint32_t s = slot(qid);
+    if (s == kNone) return false;
+    if (s + 1u != rules_.size()) {
+      rules_[s] = std::move(rules_.back());
+      slots_[rules_[s].qid] = s;
     }
-    return erased;
+    rules_.pop_back();
+    slots_[qid] = kNone;
+    ++rule_ops_;
+    return true;
   }
 
   const Config* lookup(uint16_t qid) const {
-    return qid < dense_.size() ? dense_[qid] : nullptr;
+    const uint32_t s = slot(qid);
+    return s == kNone ? nullptr : &rules_[s].cfg;
   }
 
-  // Visit every installed rule in qid order (the order the dense index
-  // walks).  Cold path: the chain compiler (src/compile/) lowers installed
-  // configs through this without reaching into the map.
+  // Visit every installed rule in qid order.  Cold path: the chain
+  // compiler (src/compile/) lowers installed configs through this.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t qid = 0; qid < dense_.size(); ++qid)
-      if (dense_[qid]) fn(static_cast<uint16_t>(qid), *dense_[qid]);
+    for (std::size_t qid = 0; qid < slots_.size(); ++qid)
+      if (slots_[qid] != kNone)
+        fn(static_cast<uint16_t>(qid), rules_[slots_[qid]].cfg);
   }
 
   std::size_t size() const { return rules_.size(); }
@@ -384,17 +377,20 @@ class ConfigTable {
   uint64_t rule_ops() const { return rule_ops_; }
 
  private:
-  void rebuild_dense() {
-    dense_.clear();
-    for (auto& [qid, cfg] : rules_) {
-      if (qid >= dense_.size()) dense_.resize(qid + 1, nullptr);
-      dense_[qid] = &cfg;
-    }
+  static constexpr uint32_t kNone = ~0u;
+
+  struct Rule {
+    uint16_t qid;
+    Config cfg;
+  };
+
+  uint32_t slot(uint16_t qid) const {
+    return qid < slots_.size() ? slots_[qid] : kNone;
   }
 
   std::size_t capacity_;
-  std::unordered_map<uint16_t, Config> rules_;
-  std::vector<const Config*> dense_;  // qid -> config, nullptr when absent
+  std::vector<Rule> rules_;      // installed rules, in no particular order
+  std::vector<uint32_t> slots_;  // qid -> index into rules_, kNone if absent
   uint64_t rule_ops_ = 0;
 };
 

@@ -52,8 +52,8 @@ class TableProgram {
   // only ever executed by one thread, so no atomics on the packet path.
   virtual void publish_telemetry() {}
 
-  // Start with nothing pending; Stage::clone / replica loads call this so a
-  // replica never re-publishes work its original already counted.
+  // Start with nothing pending; Stage::clone calls this so a clone never
+  // re-publishes work its original already counted.
   void reset_telemetry() { hits_ = hits_published_ = 0; }
 
   // Address of the plain rule-hit counter.  The chain compiler

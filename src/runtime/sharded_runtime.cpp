@@ -51,7 +51,7 @@ ShardedRuntime::ShardedRuntime(NewtonSwitch& primary, RuntimeOptions opts,
   workers_.reserve(opts_.num_shards);
   for (std::size_t i = 0; i < opts_.num_shards; ++i)
     workers_.push_back(std::make_unique<ShardWorker>(
-        i, opts_.queue_capacity, opts_.burst, opts_.jit));
+        primary_, i, opts_.queue_capacity, opts_.burst, opts_.jit));
   staging_.resize(opts_.num_shards);
   for (auto& s : staging_) s.reserve(opts_.burst);
   stats_.workers.resize(opts_.num_shards);
@@ -85,6 +85,15 @@ void ShardedRuntime::bind_telemetry() {
       "Wall time of one window barrier: drain reports, merge per-worker "
       "banks, apply mutations, reload replicas",
       {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000});
+  static constexpr const char* kPhaseNames[kNumPhases] = {
+      "fence", "deliver", "merge", "reload", "reset"};
+  for (std::size_t p = 0; p < kNumPhases; ++p)
+    metrics_.barrier_phase_us[p] = &reg.histogram(
+        "newton_runtime_barrier_phase_us",
+        "Wall time of one window-barrier phase (docs/telemetry.md)",
+        {10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000, 50000,
+         100000},
+        {{"phase", kPhaseNames[p]}});
   metrics_.failovers =
       &reg.counter("newton_runtime_worker_failovers_total",
                    "Shard workers declared dead/hung and failed over");
@@ -391,12 +400,9 @@ void ShardedRuntime::failover(std::size_t wi) {
   // Fold the dead replica's window-partial state into the successor before
   // any moved packet executes there.
   const auto& segs = primary_.state_segments();
-  for (const auto& seg : segs) {
-    if (!dead.has_bank(seg.stage) || !workers_[succ]->has_bank(seg.stage))
-      continue;
+  for (const auto& seg : segs)
     workers_[succ]->bank(seg.stage).merge_range_from(
         dead.bank(seg.stage), seg.offset, seg.width, merge_op_for(seg.op));
-  }
   // Reports it emitted this window go straight to the sinks (the barrier
   // will not visit this worker again).
   dead.publish_telemetry();
@@ -441,7 +447,15 @@ void ShardedRuntime::finish() {
   started_ = false;  // the next packet's start() opens a fresh clock
 }
 
+void ShardedRuntime::lap(Phase p) {
+  const auto now = std::chrono::steady_clock::now();
+  metrics_.barrier_phase_us[static_cast<std::size_t>(p)]->observe(
+      std::chrono::duration<double, std::micro>(now - phase_t0_).count());
+  phase_t0_ = now;
+}
+
 void ShardedRuntime::barrier() {
+  phase_t0_ = std::chrono::steady_clock::now();
   // Everything staged belongs to the closing window: move it into the
   // rings before the fences go out.
   flush_staging();
@@ -477,18 +491,22 @@ void ShardedRuntime::barrier() {
     }
     if (!redo) break;
   }
+  lap(Phase::Fence);
   // All live workers quiesced; their replica state is now safely readable.
-  // Publish replica telemetry before any reload replaces the replicas.
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i]) workers_[i]->publish_telemetry();
   const auto merge_t0 = std::chrono::steady_clock::now();
   drain_and_merge();
+  lap(Phase::Merge);
   apply_mutations();
+  phase_t0_ = std::chrono::steady_clock::now();  // mutations are in no phase
   if (replicas_dirty_) {
     reload_replicas();  // reloaded replicas start with zeroed banks
+    lap(Phase::Reload);
   } else {
     for (std::size_t i = 0; i < workers_.size(); ++i)
       if (alive_[i]) workers_[i]->reset_banks();
+    lap(Phase::Reset);
   }
   metrics_.merge_us->observe(
       std::chrono::duration<double, std::micro>(
@@ -521,6 +539,7 @@ void ShardedRuntime::drain_and_merge() {
     snap.reports += w.reports().size();
     w.reports().clear();
   }
+  lap(Phase::Deliver);
 
   // Fold the per-worker banks into the primary switch's banks, slice by
   // allocated slice, so the merged end-of-window state is introspectable on
@@ -530,7 +549,7 @@ void ShardedRuntime::drain_and_merge() {
   for (const auto& seg : segs) {
     const MergeOp op = merge_op_for(seg.op);
     for (std::size_t i = 0; i < workers_.size(); ++i) {
-      if (!alive_[i] || !workers_[i]->has_bank(seg.stage)) continue;
+      if (!alive_[i]) continue;
       primary_.bank(seg.stage).merge_range_from(workers_[i]->bank(seg.stage),
                                                 seg.offset, seg.width, op);
     }
@@ -620,7 +639,7 @@ void ShardedRuntime::reload_replicas() {
   for (std::size_t g = 0; g < group_qids.size(); ++g)
     for (uint16_t q : groups_[g].qids) group_qids[g].set(q);
   for (std::size_t i = 0; i < workers_.size(); ++i)
-    if (alive_[i]) workers_[i]->load_replica(primary_, group_qids);
+    if (alive_[i]) workers_[i]->load_replica(group_qids);
   replicas_dirty_ = false;
   if (opts_.jit) ++stats_.jit_recompiles;
 }

@@ -1,8 +1,8 @@
 // Sharded parallel execution runtime.
 //
 // Partitions a time-sorted packet stream across N worker threads — each
-// owning a private deep clone of the primary switch's pipeline (tables +
-// register banks) — by flow-key hashes derived from the installed queries,
+// owning a private replica of the primary switch's layout, rules and
+// register banks — by flow-key hashes derived from the installed queries,
 // while preserving exact single-threaded query semantics (docs/runtime.md):
 //
 //   * key groups: the installed branches are partitioned into groups that
@@ -32,6 +32,8 @@
 //     window reports stay complete across the failure (docs/fault.md).
 #pragma once
 
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -165,7 +167,7 @@ class ShardedRuntime {
   // window is open throws via the quiesce guard).
   Controller& controller() { return controller_; }
 
-  void start();                      // clone replicas, spawn workers
+  void start();                      // load replicas, spawn workers
   void process(const Packet& pkt);   // demux one packet (caller = one thread)
   void run(const Trace& t);          // convenience replay loop
   void finish();                     // final barrier, stop and join workers
@@ -197,8 +199,8 @@ class ShardedRuntime {
   void barrier();           // fence all workers, merge, drain, mutate, reset
   void drain_and_merge();   // reports -> sinks, banks -> primary, snapshot
   void apply_mutations();   // queued installs/withdrawals, under quiesce
-  // Re-derive the key groups, then re-clone the primary pipeline into every
-  // live worker, lowering its chains when the jit is on.
+  // Re-derive the key groups, then copy the primary's rules into every
+  // live worker's replica, lowering its chains when the jit is on.
   void reload_replicas();
   void derive_groups();  // groups_ from the installed branches
   // Record an installed query's qids (none: withdrawn) for snapshot
@@ -258,6 +260,14 @@ class ShardedRuntime {
   RuntimeStats stats_;
   std::vector<WindowSnapshot> snapshots_;
 
+  // The timed phases of a window barrier, in barrier order; each mutating
+  // barrier observes Reload and every other one Reset.
+  enum class Phase : uint8_t { Fence, Deliver, Merge, Reload, Reset };
+  static constexpr std::size_t kNumPhases = 5;
+  // Observe the wall time since phase_t0_ as phase `p`; restart the clock.
+  void lap(Phase p);
+  std::chrono::steady_clock::time_point phase_t0_;
+
   // Telemetry handles (see docs/telemetry.md for the metric names).  The
   // packet hot path only touches plain stats_ members; deltas are mirrored
   // into these at window barriers, so instrumentation adds nothing per
@@ -269,6 +279,7 @@ class ShardedRuntime {
     telemetry::Counter* rule_updates = nullptr;
     telemetry::Counter* reports = nullptr;
     telemetry::Histogram* merge_us = nullptr;  // window merge duration
+    std::array<telemetry::Histogram*, kNumPhases> barrier_phase_us{};
     telemetry::Counter* failovers = nullptr;
     telemetry::Counter* redistributed = nullptr;
     telemetry::Counter* abandoned = nullptr;

@@ -22,55 +22,23 @@ uint64_t thread_cpu_ns() {
   return 0;
 }
 
-// A replica of `src` for one shard: a deep copy like Pipeline::clone(),
-// except that every state bank starts zeroed rather than holding the
-// primary's registers (a replica accumulates only its own shard's window;
-// the barrier folds it back segment by segment).  Where `old` holds an S
-// module at the same stage and slot with a bank of the same size, that
-// module takes the new rules and keeps its storage, which must already be
-// all-zero.  A reload then neither copies nor reallocates 192 KB per stage
-// at every mutation barrier; how much of freed memory the allocator hands
-// back to the kernel, only to fault it in again, depends on whatever else
-// happens to sit in the heap.
-Pipeline zeroed_replica(const Pipeline& src, Pipeline& old) {
-  Pipeline out(src.num_stages());
-  for (std::size_t i = 0; i < src.num_stages(); ++i) {
-    const auto& from = src.stage(i).tables();
-    const auto* prev =
-        i < old.num_stages() ? &old.stage(i).tables() : nullptr;
-    for (std::size_t j = 0; j < from.size(); ++j) {
-      std::shared_ptr<TableProgram> t;
-      const auto* s = dynamic_cast<const SModule*>(from[j].get());
-      auto* into = prev != nullptr && j < prev->size()
-                       ? dynamic_cast<SModule*>((*prev)[j].get())
-                       : nullptr;
-      if (s != nullptr) {
-        const std::size_t regs = s->registers().size();
-        if (into != nullptr && into->registers().size() == regs) {
-          t = (*prev)[j];
-        } else {
-          auto fresh = std::make_shared<SModule>(s->name(), regs);
-          into = fresh.get();
-          t = std::move(fresh);
-        }
-        into->assign_rules(*s);
-      } else {
-        t = from[j]->clone();
-      }
-      t->reset_telemetry();
-      out.stage(i).add(std::move(t));
-    }
-  }
-  return out;
+// Registers per state bank of a compact layout (every stage's are equal).
+std::size_t bank_registers(const ModuleInstances& m) {
+  return m.s.empty() ? 0 : m.s[0]->registers().size();
 }
 
 }  // namespace
 
-ShardWorker::ShardWorker(std::size_t index, std::size_t queue_capacity,
-                         std::size_t burst, bool jit)
-    : index_(index),
+ShardWorker::ShardWorker(const NewtonSwitch& primary, std::size_t index,
+                         std::size_t queue_capacity, std::size_t burst,
+                         bool jit)
+    : primary_(primary),
+      index_(index),
       burst_(burst == 0 ? 1 : burst),
       ring_(queue_capacity),
+      pipeline_(primary.num_stages()),
+      inst_(build_compact_layout(pipeline_, &reports_, primary.id(),
+                                 bank_registers(primary.modules()))),
       exec_opts_{jit} {
   phvs_.resize(burst_);
 }
@@ -87,35 +55,22 @@ ShardWorker::~ShardWorker() {
 }
 
 void ShardWorker::load_replica(
-    const NewtonSwitch& primary,
     std::vector<std::bitset<kMaxQueries>> group_qids) {
-  reset_banks();  // the outgoing banks become all-zero, ready for reuse
+  const ModuleInstances& p = primary_.modules();
+  reset_banks();  // the outgoing segments: every bank is all-zero again
   group_qids_ = std::move(group_qids);
   all_groups_ = group_qids_.size() >= 32
                     ? ~0u
                     : (1u << group_qids_.size()) - 1u;
-  pipeline_ = zeroed_replica(primary.pipeline(), pipeline_);
-  segments_ = primary.state_segments();
-  auto cloned =
-      std::dynamic_pointer_cast<InitModule>(primary.init_table().clone());
-  if (!cloned)
-    throw std::logic_error("ShardWorker: init clone has unexpected type");
-  cloned->reset_telemetry();  // this replica publishes only its own hits
-  init_ = std::move(cloned);
-
-  s_by_stage_.assign(pipeline_.num_stages(), nullptr);
-  r_mods_.clear();
-  for (std::size_t i = 0; i < pipeline_.num_stages(); ++i) {
-    for (const auto& t : pipeline_.stage(i).tables()) {
-      if (auto* s = dynamic_cast<SModule*>(t.get())) s_by_stage_[i] = s;
-      if (auto* r = dynamic_cast<RModule*>(t.get())) {
-        r->set_sink(&reports_);
-        r_mods_.push_back(r);
-      }
-    }
+  for (std::size_t st = 0; st < p.k.size(); ++st) {
+    inst_.k[st]->table() = p.k[st]->table();
+    inst_.h[st]->table() = p.h[st]->table();
+    inst_.s[st]->table() = p.s[st]->table();
+    inst_.r[st]->table() = p.r[st]->table();
   }
-  // Lower the freshly-loaded chains AFTER the sink rebinding above: the
-  // compiled R ops capture the sink pointers as constants.
+  init_.table() = primary_.init_table().table();
+  segments_ = primary_.state_segments();
+  loaded_ = true;
   jit_.build(pipeline_, burst_, exec_opts_);
 }
 
@@ -127,7 +82,7 @@ void ShardWorker::sync_jit_stats() {
 
 void ShardWorker::start() {
   if (started_) return;
-  if (!init_)
+  if (!loaded_)
     throw std::logic_error("ShardWorker: start before load_replica");
   started_ = true;
   thread_ = std::thread([this] { run(); });
@@ -176,22 +131,8 @@ bool ShardWorker::wait_fence_for(uint64_t seq, uint64_t stall_ms) const {
   return true;
 }
 
-RegisterArray& ShardWorker::bank(std::size_t stage) {
-  SModule* s = s_by_stage_.at(stage);
-  if (!s) throw std::out_of_range("ShardWorker::bank: stage has no S module");
-  return s->registers();
-}
-
-const RegisterArray& ShardWorker::bank(std::size_t stage) const {
-  return const_cast<ShardWorker&>(*this).bank(stage);
-}
-
-bool ShardWorker::has_bank(std::size_t stage) const {
-  return stage < s_by_stage_.size() && s_by_stage_[stage] != nullptr;
-}
-
 void ShardWorker::reset_banks() {
-  NewtonSwitch::reset_segments(s_by_stage_, segments_);
+  NewtonSwitch::reset_segments(inst_.s, segments_);
 }
 
 void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
@@ -209,7 +150,7 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
   if (group_qids_.size() > 1)
     uncounted = activate_groups(items, n);
   else
-    init_->execute_burst(phvs_.data(), n);
+    init_.execute_burst(phvs_.data(), n);
   // Partition the burst into maximal runs the compiled executor can take
   // whole (compile::run_length: one ordered activation list per run).
   // With the jit off nothing is covered, so the whole burst is one
@@ -238,11 +179,11 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
 std::size_t ShardWorker::activate_groups(const WorkItem* items,
                                          std::size_t n) {
   std::size_t uncounted = 0;
-  uint64_t& init_hits = *init_->hits_cell();
+  uint64_t& init_hits = *init_.hits_cell();
   for (std::size_t i = 0; i < n; ++i) {
     const uint32_t g = items[i].groups;
     const uint64_t hits = init_hits;
-    init_->execute(phvs_[i]);
+    init_.execute(phvs_[i]);
     if ((g & 1u) == 0) {
       init_hits = hits;  // the visit carrying group 0 counts this packet
       ++uncounted;

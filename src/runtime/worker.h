@@ -1,11 +1,12 @@
-// One shard worker of the sharded runtime: a thread owning a private deep
-// clone of the primary switch's newton_init table and pipeline (tables +
-// register banks) plus a private report buffer.
+// One shard worker of the sharded runtime: a thread owning a private
+// replica of the primary switch (its module layout, built once, with its
+// own rule tables, newton_init table and register banks) plus a private
+// report buffer.  A replica load copies the primary's rules in place.
 //
 // Ownership / synchronization contract:
 //   * Only the worker thread touches the replica while packets are in
 //     flight.
-//   * The demux thread may read or rebuild the replica (merge banks, drain
+//   * The demux thread may read or reload the replica (merge banks, drain
 //     reports, reload after a rule update) ONLY between observing a fence
 //     acknowledgement and pushing the next queue item; the ring's
 //     release/acquire pairs order those accesses (see spsc_ring.h).
@@ -14,12 +15,11 @@
 #include <atomic>
 #include <bitset>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "compile/executor.h"
-#include "core/modules.h"
+#include "core/layout.h"
 #include "core/newton_switch.h"
 #include "core/report.h"
 #include "dataplane/pipeline.h"
@@ -72,30 +72,31 @@ struct WorkItem {
 
 class ShardWorker {
  public:
-  // `burst` is the drain batch size: the worker pulls up to this many ring
-  // items per handshake and executes packet runs through the pipeline
-  // stage-major (Pipeline::process_burst).  1 reproduces the item-at-a-time
-  // path exactly.  `jit` (RuntimeOptions::jit) selects the one tier every
-  // packet runs on: the compiled chain executors, or the interpreter.
-  ShardWorker(std::size_t index, std::size_t queue_capacity,
-              std::size_t burst = 64, bool jit = true);
+  // Builds the replica's layout as `primary` built its own (same id, stage
+  // count and bank size), reporting into this worker's buffer; every load
+  // copies `primary`'s rules, so it must outlive the worker.  `burst` is
+  // the drain batch size: the worker pulls up to this many ring items per
+  // handshake and executes packet runs through the pipeline stage-major
+  // (Pipeline::process_burst).  1 reproduces the item-at-a-time path
+  // exactly.  `jit` (RuntimeOptions::jit) selects the one tier every packet
+  // runs on: the compiled chain executors, or the interpreter.
+  ShardWorker(const NewtonSwitch& primary, std::size_t index,
+              std::size_t queue_capacity, std::size_t burst = 64,
+              bool jit = true);
   ~ShardWorker();
 
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  // Replace the replica with a deep copy of `primary`'s pipeline and init
-  // table over zeroed state banks (the outgoing replica's bank storage is
-  // reused), capture the primary's allocated state segments, bind the
-  // cloned R modules to this worker's private report buffer, and, with
-  // the jit on, lower the installed chains into compiled executors (the
-  // old CompiledPipeline must never survive a reload: its ops hold
-  // pointers into the replaced replica's modules).  `group_qids[g]` is key
+  // Zero the banks, copy the primary's K/H/S/R and newton_init rule tables
+  // into the replica's modules at the same (stage, slot), capture the
+  // primary's allocated state segments, and, with the jit on, lower the
+  // installed chains into compiled executors again (the rules changed; the
+  // module addresses the ops capture did not).  `group_qids[g]` is key
   // group g's qid set: a visit runs the union over its WorkItem::groups.
   // Demux thread only; worker must be quiesced (not yet started, or
   // fenced).
-  void load_replica(const NewtonSwitch& primary,
-                    std::vector<std::bitset<kMaxQueries>> group_qids);
+  void load_replica(std::vector<std::bitset<kMaxQueries>> group_qids);
 
   void start();  // spawn the thread (idempotent)
   void join();   // wait for the thread after a Stop token
@@ -127,13 +128,17 @@ class ShardWorker {
 
   // --- quiesced access (demux thread, after wait_fence) ---
   ReportBuffer& reports() { return reports_; }
-  RegisterArray& bank(std::size_t stage);
-  const RegisterArray& bank(std::size_t stage) const;
-  bool has_bank(std::size_t stage) const;
+  RegisterArray& bank(std::size_t st) { return inst_.s.at(st)->registers(); }
+  const RegisterArray& bank(std::size_t stage) const {
+    return inst_.s.at(stage)->registers();
+  }
   // The primary's allocated segments as of the last load_replica.
   const std::vector<NewtonSwitch::StateSegment>& segments() const {
     return segments_;
   }
+  // The replica's modules, as NewtonSwitch::modules()/init_table().
+  const ModuleInstances& modules() const { return inst_; }
+  const InitModule& init_table() const { return init_; }
   // Window rollover: zero the segments captured at load, which leaves every
   // replica bank all-zero (nothing outside them is ever written).
   void reset_banks();
@@ -141,7 +146,7 @@ class ShardWorker {
   // registry (the runtime calls this at every window barrier).
   void publish_telemetry() {
     pipeline_.publish_telemetry();
-    if (init_) init_->publish_telemetry();
+    init_.publish_telemetry();
   }
   const WorkerStats& stats() const { return stats_; }
 
@@ -156,21 +161,22 @@ class ShardWorker {
   std::size_t activate_groups(const WorkItem* items, std::size_t n);
   void sync_jit_stats();  // mirror executor counters (fence/exit path)
 
+  const NewtonSwitch& primary_;
   std::size_t index_;
   std::size_t burst_;
   SpscRing<WorkItem> ring_;
-  Pipeline pipeline_{0};
+  // Declared before the layout: the R modules report into it.
+  ReportBuffer reports_;
+  Pipeline pipeline_;
+  ModuleInstances inst_;  // typed views into pipeline_, fixed for life
+  InitModule init_;
   compile::CompiledPipeline jit_;
   compile::ExecOptions exec_opts_;  // fixed at construction
-  std::shared_ptr<InitModule> init_;
-  std::vector<SModule*> s_by_stage_;  // typed views into the replica
   std::vector<NewtonSwitch::StateSegment> segments_;  // captured at load
-  std::vector<RModule*> r_mods_;
   // Reusable PHV buffer, sized to burst_ once at construction; bursts are
   // read in place from the ring, so the steady-state loop allocates
   // nothing (docs/runtime.md "Hot path").
   std::vector<Phv> phvs_;
-  ReportBuffer reports_;
   WorkerStats stats_;
   std::atomic<uint64_t> fences_seen_{0};
   std::atomic<uint64_t> heartbeat_{0};
@@ -179,6 +185,7 @@ class ShardWorker {
   uint32_t all_groups_ = 1;  // a visit with every group runs unfiltered
   std::thread thread_;
   bool started_ = false;
+  bool loaded_ = false;  // start() refuses a worker with no rules loaded
 };
 
 }  // namespace newton

@@ -183,10 +183,11 @@ std::vector<uint64_t> coverage_keys(const Snapshot& s) {
   std::vector<uint64_t> keys;
   keys.reserve(s.samples.size());
   for (const Sample& m : s.samples) {
-    // Series derived from wall time or thread scheduling (merge durations,
-    // ring occupancy/backpressure) vary between identical runs; a coverage
-    // signal must be a pure function of the executed scenario.
+    // Series derived from wall time or thread scheduling (merge and phase
+    // durations, ring occupancy/backpressure) vary between identical runs;
+    // a coverage signal must be a pure function of the executed scenario.
     if (m.name.find("_duration_") != std::string::npos ||
+        m.name.find("_phase_us") != std::string::npos ||
         m.name.find("_occupancy") != std::string::npos ||
         m.name.find("_stalls_") != std::string::npos)
       continue;

@@ -10,6 +10,8 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analyzer/analyzer.h"
@@ -408,6 +410,140 @@ TEST(Compaction, RebindKeepsReportAttributionCorrect) {
   const Trace t = port_trace(8, 1, 64);
   for (const Packet& p : t.packets) sw.process(p);
   EXPECT_GT(an.reports_for("q1"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Replica loads copy the primary's rules into each worker's own layout
+// ---------------------------------------------------------------------------
+
+template <typename Config>
+std::vector<std::pair<uint16_t, Config>> rules_of(
+    const ConfigTable<Config>& t) {
+  std::vector<std::pair<uint16_t, Config>> out;
+  t.for_each([&](uint16_t qid, const Config& c) { out.emplace_back(qid, c); });
+  return out;
+}
+
+// The qids newton_init dispatches each packet to, in dispatch order.
+std::vector<std::vector<uint16_t>> dispatch(const InitModule& init,
+                                            const std::vector<Packet>& pkts) {
+  std::vector<std::vector<uint16_t>> out;
+  for (const Packet& p : pkts) {
+    std::vector<uint16_t> qids;
+    for (const InitModule::Action* a :
+         init.table().lookup_all(InitModule::key_of(p, true)))
+      qids.insert(qids.end(), a->qids.begin(), a->qids.end());
+    out.push_back(std::move(qids));
+  }
+  return out;
+}
+
+using SegmentKey = std::tuple<std::size_t, std::size_t, std::size_t, SaluOp,
+                              uint16_t>;
+std::vector<SegmentKey> segment_keys(
+    const std::vector<NewtonSwitch::StateSegment>& segs) {
+  std::vector<SegmentKey> out;
+  for (const auto& s : segs)
+    out.emplace_back(s.stage, s.offset, s.width, s.op, s.qid);
+  return out;
+}
+
+// Every worker's K/H/S/R tables, rule by rule, its newton_init dispatch over
+// `probe`, and its captured segments equal the primary's.
+void expect_replicas_match(const ShardedRuntime& rt, NewtonSwitch& primary,
+                           const std::vector<Packet>& probe,
+                           const std::string& step) {
+  const ModuleInstances& p = primary.modules();
+  const auto want_init = dispatch(primary.init_table(), probe);
+  for (std::size_t i = 0; i < rt.num_shards(); ++i) {
+    SCOPED_TRACE(step + ", worker " + std::to_string(i));
+    const ShardWorker& w = rt.worker_for_test(i);
+    const ModuleInstances& r = w.modules();
+    ASSERT_EQ(r.k.size(), p.k.size());
+    for (std::size_t st = 0; st < p.k.size(); ++st) {
+      EXPECT_EQ(rules_of(r.k[st]->table()), rules_of(p.k[st]->table()))
+          << "K@s" << st;
+      EXPECT_EQ(rules_of(r.h[st]->table()), rules_of(p.h[st]->table()))
+          << "H@s" << st;
+      EXPECT_EQ(rules_of(r.s[st]->table()), rules_of(p.s[st]->table()))
+          << "S@s" << st;
+      EXPECT_EQ(rules_of(r.r[st]->table()), rules_of(p.r[st]->table()))
+          << "R@s" << st;
+    }
+    EXPECT_EQ(w.init_table().table().size(),
+              primary.init_table().table().size());
+    EXPECT_EQ(dispatch(w.init_table(), probe), want_init);
+    EXPECT_EQ(segment_keys(w.segments()),
+              segment_keys(primary.state_segments()));
+  }
+}
+
+TEST(ReplicaLoad, EveryMutatingBarrierCopiesThePrimarysRules) {
+  telemetry::Registry::global().reset();
+  Analyzer an;
+  // The Compaction.* geometry: 3072-register banks over 6 stages fill
+  // exactly with twelve 256-wide rows, so freeing every other query leaves
+  // no hole a 1024-wide row fits without a compaction move.
+  NewtonSwitch sw(1, 6, &an, 3072);
+  RuntimeOptions ro;
+  ro.num_shards = 2;
+  ro.record_snapshots = false;
+  ShardedRuntime rt(sw, ro, &an);
+  const Trace t = port_trace(12, 5, 48);
+  std::vector<Packet> probe = port_trace(12, 1, 24).packets;
+  for (uint16_t dport : {45'000, 50'000})
+    probe.push_back(make_packet(ipv4(10, 0, 0, 1), ipv4(172, 16, 0, 1), 1234,
+                                dport, 6, 0, 64, 0));
+  const Query big = port_query("big", 45'000, 1024);
+
+  // One window of traffic (which starts the runtime), then `mutate` queues
+  // its mutations, and finish()'s barrier applies them and reloads.
+  std::size_t window = 0;
+  const auto run_window = [&](const std::string& step, auto mutate) {
+    for (const Packet& pkt : t.packets)
+      if (window_of(pkt.ts_ns, 100'000'000) == window) rt.process(pkt);
+    ++window;
+    mutate();
+    rt.finish();
+    expect_replicas_match(rt, sw, probe, step);
+  };
+
+  // Installs before the stream apply at once; start() loads them.
+  for (int i = 0; i < 2; ++i)
+    rt.install(port_query("frag" + std::to_string(i),
+                          static_cast<uint16_t>(20'000 + i), 256));
+  run_window("start", [] {});
+
+  run_window("installs", [&] {
+    for (int i = 2; i < 12; ++i)
+      rt.install(port_query("frag" + std::to_string(i),
+                            static_cast<uint16_t>(20'000 + i), 256));
+  });
+  ASSERT_GE(rt.controller().num_installed(), 6u);
+
+  run_window("withdraw", [&] {
+    for (int i = 0; i < 12; i += 2) rt.withdraw("frag" + std::to_string(i));
+  });
+
+  const uint64_t rejected = rt.stats().installs_rejected;
+  run_window("inadmissible install",
+             [&] { rt.install(doomed_query("doomed")); });
+  EXPECT_EQ(rt.stats().installs_rejected, rejected + 1);
+
+  // The big install is admissible only after a compaction move, which
+  // reinstalls the moved queries under new handles (the rebind hook).
+  rt.controller().set_auto_compact(false);
+  ASSERT_EQ(rt.controller().admit(big).code, AdmitCode::kRegisterFragmented);
+  rt.controller().set_auto_compact(true);
+  std::map<std::string, uint64_t> handles;
+  for (const auto& qi : rt.controller().list_queries())
+    handles[qi.name] = qi.handle;
+  run_window("compaction move", [&] { rt.install(big); });
+  ASSERT_TRUE(rt.controller().installed("big"));
+  std::size_t moved = 0;
+  for (const auto& qi : rt.controller().list_queries())
+    moved += handles.contains(qi.name) && handles[qi.name] != qi.handle;
+  EXPECT_GT(moved, 0u);
 }
 
 // ---------------------------------------------------------------------------

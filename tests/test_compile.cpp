@@ -622,13 +622,13 @@ uint64_t stage_hits(const char* type, std::size_t stage) {
 class WorkerLeg {
  public:
   WorkerLeg(const NewtonSwitch& sw, std::size_t burst, bool jit)
-      : w_(0, 8192, burst, jit) {
-    load(sw);
+      : w_(sw, 0, 8192, burst, jit), stages_(sw.num_stages()) {
+    load();
   }
-  void load(const NewtonSwitch& sw) {
-    stages_ = sw.num_stages();
+  // Copies the rules the switch holds now.
+  void load() {
     std::bitset<kMaxQueries> all;
-    w_.load_replica(sw, {all.set()});
+    w_.load_replica({all.set()});
   }
   // Runs `pkts` up to a fence.
   WindowOut window(const std::vector<Packet>& pkts) {
@@ -644,7 +644,6 @@ class WorkerLeg {
     out.records = sorted(w_.reports().records());
     w_.reports().clear();
     for (std::size_t st = 0; st < stages_; ++st) {
-      if (!w_.has_bank(st)) continue;
       const RegisterArray& regs = w_.bank(st);
       std::vector<uint32_t>& v = out.banks[st];
       for (std::size_t r = 0; r < regs.size(); ++r) v.push_back(regs.read(r));
@@ -923,13 +922,13 @@ TEST(CompiledPlans, MutationBarrierDropsEveryPlan) {
     };
     EXPECT_GE(step(half), 2u);
     d.ctl.remove(lib.front().query.name);
-    jit.load(d.sw);
-    interp.load(d.sw);
+    jit.load();
+    interp.load();
     EXPECT_EQ(step({}), 0u);  // a fence with no packets: nothing re-planned
     EXPECT_GE(step(half), 1u);
     d.ctl.install(lib.front().query);
-    jit.load(d.sw);
-    interp.load(d.sw);
+    jit.load();
+    interp.load();
     EXPECT_EQ(step({}), 0u);
     EXPECT_GE(step(pkts), 2u);
   }

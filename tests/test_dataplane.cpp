@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "dataplane/match_table.h"
 #include "dataplane/pipeline.h"
@@ -64,6 +66,44 @@ TEST(ConfigTable, InsertLookupRemove) {
   EXPECT_TRUE(t.remove(7));
   EXPECT_EQ(t.lookup(7), nullptr);
   EXPECT_FALSE(t.remove(7));
+}
+
+TEST(ConfigTable, CopyIsIndependent) {
+  const auto rules = [](const ConfigTable<int>& t) {
+    std::vector<std::pair<uint16_t, int>> out;
+    t.for_each([&](uint16_t qid, int v) { out.emplace_back(qid, v); });
+    return out;
+  };
+  ConfigTable<int> a(8);
+  for (uint16_t q : {9, 2, 5, 30}) a.insert(q, 100 + q);
+  ConfigTable<int> b(a);
+  ConfigTable<int> c(8);
+  c.insert(1, 1);
+  c = a;
+  // Each side mutates on its own: a swap-remove on one side must not move
+  // a rule the other side's index points at.
+  a.remove(2);
+  a.insert(7, 7);
+  b.remove(30);
+  b.insert(5, 55);
+  c.insert(40, 40);
+
+  using Rules = std::vector<std::pair<uint16_t, int>>;
+  EXPECT_EQ(rules(a), (Rules{{5, 105}, {7, 7}, {9, 109}, {30, 130}}));
+  EXPECT_EQ(rules(b), (Rules{{2, 102}, {5, 55}, {9, 109}}));
+  EXPECT_EQ(rules(c), (Rules{{2, 102}, {5, 105}, {9, 109}, {30, 130}, {40, 40}}));
+  EXPECT_EQ(a.lookup(2), nullptr);
+  EXPECT_EQ(*b.lookup(2), 102);
+  EXPECT_EQ(*a.lookup(30), 130);
+  EXPECT_EQ(b.lookup(30), nullptr);
+  EXPECT_EQ(*b.lookup(5), 55);
+  EXPECT_EQ(*c.lookup(5), 105);
+  EXPECT_EQ(c.lookup(1), nullptr);
+  EXPECT_EQ(c.lookup(7), nullptr);
+  EXPECT_EQ(a.lookup(40), nullptr);
+  EXPECT_EQ(a.size(), 4u);
+  EXPECT_EQ(b.size(), 3u);
+  EXPECT_EQ(c.size(), 5u);
 }
 
 TEST(ConfigTable, CapacityEnforced) {

@@ -159,8 +159,10 @@ struct QueryMix {
   }
 };
 
-// A worker replica of `sw`, wired exactly as ShardWorker::load_replica
-// does, reporting into `sink`.
+// A replica of `sw` reporting into `sink`: a deep clone of its pipeline
+// and newton_init table.  ShardWorker instead builds its own layout once
+// and copies the rules into it, but the tables, banks and packet loop this
+// test drives are the same.
 struct Replica {
   Pipeline pipe;
   std::shared_ptr<InitModule> init;
