@@ -38,9 +38,10 @@ class SoftwarePlane {
   void process(const Packet& pkt, const SpHeader& sp) {
     std::optional<SpHeader> cur = sp;
     for (int guard = 0; cur && guard < 64; ++guard) {
+      // No header back: the final slice ran, or no slice hosts this one.
       const auto out = sw_->process(pkt, cur);
-      cur = out.sp_out;
-      if (!out.sp_out && !out.sp_consumed) break;  // no hosting slice
+      cur.reset();
+      if (!out.sp_out.empty()) cur = out.sp_out.front();
     }
   }
 

@@ -27,12 +27,6 @@ inline constexpr std::size_t kStateBankRegisters = 49'152;
 // Rules per module instance (the paper configures 256, §6.2).
 inline constexpr std::size_t kRulesPerModule = 256;
 
-// Packets carry the list of active queries; modules look up their rule for
-// each active query.  Kept beside Phv's bitset for cheap iteration.
-struct ActiveQueryList {
-  std::vector<uint16_t> qids;
-};
-
 class KModule : public TableProgram {
  public:
   explicit KModule(std::string name) : name_(std::move(name)), table_(kRulesPerModule) {}

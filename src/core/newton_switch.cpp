@@ -276,13 +276,12 @@ NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
   ++packets_forwarded_;
 
   Output out;
-  Phv& phv = out.phv;
+  Phv phv;
   phv.pkt = pkt;
   if (clock_.late(pkt.ts_ns)) {
     ++late_packets_;
     phv.pkt.ts_ns = clock_.start_ns();
   }
-  phv.sp_in = sp_in;
   phv.at_ingress_edge = at_ingress_edge;
 
   // CQE ingress: resume the execution context carried by the SP header.
@@ -310,45 +309,33 @@ NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
 
   // CQE egress: snapshot results toward the next hop for every non-final
   // slice that ran with its query still live.  A resumed pass continues
-  // exactly one execution; a fresh ingress pass may start one execution per
-  // sliced query the packet activated — each gets its own SP header (the
-  // first lands in sp_out for single-query callers, the rest ride
-  // extra_sp_outs).
-  std::vector<const SliceRt*> runnings;
-  if (resumed) {
-    runnings.push_back(resumed);
-  } else if (!slices_.empty() && !phv.active_list.empty()) {
-    for (auto& [h, rt] : slices_) {
-      if (rt.index != 0) continue;
-      bool activated = false;
-      for (uint16_t q : rt.qids)
-        activated |= std::find(phv.active_list.begin(), phv.active_list.end(),
-                               q) != phv.active_list.end();
-      if (activated) runnings.push_back(&rt);
-    }
-  }
-  for (const SliceRt* running : runnings) {
-    if (running->final_slice) continue;
+  // exactly its one execution; a fresh pass may start one execution per
+  // sliced query (slice 0) — each gets its own SP header.  `active` is a
+  // subset of `active_list`, so a query still active here was activated.
+  sp_out_.clear();
+  const auto emit = [&](const SliceRt& rt) {
+    if (rt.final_slice) return;
     bool still_active = false;
-    for (uint16_t q : running->qids) still_active |= phv.active.test(q);
-    if (!still_active) continue;
-    SpHeader sp;
-    sp.qid = static_cast<uint8_t>(running->query_uid);
-    sp.next_slice = static_cast<uint8_t>(running->index + 1);
+    for (uint16_t q : rt.qids) still_active |= phv.active.test(q);
+    if (!still_active) return;
+    SpHeader& sp = sp_out_.emplace_back();
+    sp.qid = static_cast<uint8_t>(rt.query_uid);
+    sp.next_slice = static_cast<uint8_t>(rt.index + 1);
     sp.global_result = phv.global_result;
-    if (running->out_hash_set)
+    if (rt.out_hash_set)
       sp.hash_result = static_cast<uint16_t>(
-          phv.set(static_cast<std::size_t>(*running->out_hash_set))
-              .hash_result);
-    if (running->out_state_set)
+          phv.set(static_cast<std::size_t>(*rt.out_hash_set)).hash_result);
+    if (rt.out_state_set)
       sp.state_result =
-          phv.set(static_cast<std::size_t>(*running->out_state_set))
-              .state_result;
-    if (!out.sp_out)
-      out.sp_out = sp;
-    else
-      out.extra_sp_outs.push_back(sp);
+          phv.set(static_cast<std::size_t>(*rt.out_state_set)).state_result;
+  };
+  if (resumed) {
+    emit(*resumed);
+  } else if (!phv.active_list.empty()) {
+    for (const auto& [h, rt] : slices_)
+      if (rt.index == 0) emit(rt);
   }
+  out.sp_out = sp_out_;
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/compose.h"
@@ -17,6 +18,7 @@
 #include "core/window.h"
 #include "dataplane/pipeline.h"
 #include "dataplane/rule_latency.h"
+#include "packet/sp_header.h"
 
 namespace newton {
 
@@ -61,12 +63,11 @@ class NewtonSwitch {
   double remove(uint64_t handle);
 
   struct Output {
-    Phv phv;
-    std::optional<SpHeader> sp_out;  // CQE snapshot toward the next hop
-    // Additional snapshots when several sliced queries started fresh
-    // executions on this ingress pass (each concurrent query carries its
-    // own SP header; sp_out holds the first for single-query callers).
-    std::vector<SpHeader> extra_sp_outs;
+    // CQE snapshots toward the next hop, one per execution this pass left
+    // unfinished: at most one on a resumed pass, one per sliced query a
+    // fresh ingress pass started.  Points into a buffer the switch reuses,
+    // so it stays valid until the switch's next process().
+    std::span<const SpHeader> sp_out;
     // True if this switch hosted the slice named by sp_in and executed it
     // (the incoming header must not be forwarded further).
     bool sp_consumed = false;
@@ -142,7 +143,6 @@ class NewtonSwitch {
   // distinct stages used — the resource metrics of Fig. 16.
   std::size_t slots_used() const;
   std::size_t stages_used() const;
-  ResourceVec used_resources() const { return pipeline_.total_used(); }
   void set_sink(ReportSink* sink);
   InitModule& init_table() { return init_; }
   const InitModule& init_table() const { return init_; }
@@ -215,6 +215,7 @@ class NewtonSwitch {
   uint64_t packets_forwarded_ = 0;
   uint64_t late_packets_ = 0;
   uint64_t late_published_ = 0;
+  std::vector<SpHeader> sp_out_;  // backs Output::sp_out
 };
 
 }  // namespace newton

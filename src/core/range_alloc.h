@@ -44,7 +44,6 @@ class RangeAllocator {
     return width > 0 && width <= largest_free_block();
   }
 
-  std::size_t num_allocs() const { return allocs_.size(); }
   const std::map<std::size_t, std::size_t>& allocations() const {
     return allocs_;
   }

@@ -58,9 +58,6 @@ class ReloadableForwarder {
   // if dropped (no route, or mid-reload).
   std::optional<uint32_t> forward(const Packet& pkt, uint64_t t_ns);
 
-  bool reloading_at(uint64_t t_ns) const {
-    return t_ns >= reload_start_ns_ && t_ns < reload_end_ns_;
-  }
   uint64_t reload_end_ns() const { return reload_end_ns_; }
   uint64_t packets_dropped() const { return dropped_; }
   uint64_t packets_forwarded() const { return forwarded_; }

@@ -12,11 +12,9 @@
 #include <array>
 #include <bitset>
 #include <cstdint>
-#include <optional>
 
 #include "packet/fields.h"
 #include "packet/packet.h"
-#include "packet/sp_header.h"
 
 namespace newton {
 
@@ -78,11 +76,6 @@ struct Phv {
   // storage: the bitset guard in activate_query bounds it at kMaxQueries.
   InlineVec<uint16_t, kMaxQueries> active_list;
 
-  // CQE: decoded result-snapshot header if the packet arrived with one, and
-  // the header to emit on egress (set by newton_fin).
-  std::optional<SpHeader> sp_in;
-  std::optional<SpHeader> sp_out;
-
   // True if the packet entered the network at this switch (arrived on a
   // host-facing port) — matched by newton_init's ingress word.
   bool at_ingress_edge = true;
@@ -114,8 +107,6 @@ struct Phv {
     global_result = 0;
     active.reset();
     active_list.clear();
-    sp_in.reset();
-    sp_out.reset();
     at_ingress_edge = true;
   }
 };

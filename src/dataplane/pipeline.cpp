@@ -45,12 +45,6 @@ ResourceVec Stage::used() const {
   return r;
 }
 
-ResourceVec Pipeline::total_used() const {
-  ResourceVec r;
-  for (const Stage& s : stages_) r += s.used();
-  return r;
-}
-
 Stage Stage::clone() const {
   Stage c;
   for (const auto& t : tables_) {

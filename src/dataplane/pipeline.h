@@ -87,8 +87,6 @@ class Pipeline {
   // Cold path: call with the pipeline quiesced.
   void publish_telemetry();
 
-  ResourceVec total_used() const;
-
   // Deep copy of the whole pipeline: every table (rules, configs, register
   // banks) is duplicated, so the replica can execute packets concurrently
   // with the original without sharing any mutable state.  The clone starts

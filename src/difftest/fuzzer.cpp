@@ -132,6 +132,10 @@ FuzzStats run_fuzzer(const FuzzOptions& opt) {
     }
     ++st.runs;
     st.late_scenarios += out.late_packets > 0;
+    st.placement_scenarios += std::any_of(
+        out.axes.begin(), out.axes.end(), [](const AxisReport& a) {
+          return a.ran && a.axis == "place-inc-vs-scratch";
+        });
 
     if (threw || !out.ok()) {
       ++st.divergent;

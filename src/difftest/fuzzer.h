@@ -51,6 +51,9 @@ struct FuzzStats {
   std::size_t corpus = 0;          // retained corpus size at exit
   std::size_t coverage_bits = 0;   // distinct coverage bits ever set
   std::size_t late_scenarios = 0;  // scenarios whose trace had late packets
+  // Scenarios whose place-inc-vs-scratch axis ran (not skipped): the only
+  // cross-check of the two re-placement modes' reconciliations.
+  std::size_t placement_scenarios = 0;
   std::vector<std::string> failure_files;  // written scenario files
 
   bool ok() const { return divergent == 0; }

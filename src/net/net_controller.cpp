@@ -337,27 +337,26 @@ void NetworkController::refresh_degraded(Deployment& d) {
       [](const auto& kv) { return kv.second.degraded; })));
 }
 
-void NetworkController::reconcile(Deployment& d, bool allow_withdraw) {
-  // Algorithm 2 from scratch on the surviving topology, then diff against
-  // what is installed: only the delta touches switches.
-  // Each reconciliation episode gets a fresh retry budget: a deployment
-  // that went FAILED_PERMANENT during a churn storm must still be able to
-  // heal once the fabric calms down.
+void NetworkController::reconcile(
+    Deployment& d, const std::set<int>& targets,
+    const std::function<std::vector<std::size_t>(int)>& fresh_at,
+    bool allow_withdraw) {
+  // Diff the fresh placement against what is installed, switch by switch:
+  // only the delta touches switches.  Each reconciliation episode gets a
+  // fresh retry budget: a deployment that went FAILED_PERMANENT during a
+  // churn storm must still be able to heal once the fabric calms down.
   d.retries_used = 0;
-  std::vector<int> ingress;
-  for (int e : d.ingress_edges)
-    if (net_.topo().node_up(e)) ingress.push_back(e);
-  const Placement fresh =
-      place_resilient(net_.topo(), ingress, d.slices.size());
-
-  // Delta withdrawals: slices no longer needed on a live switch.  Link
-  // events (allow_withdraw == false) only RECORD the staleness: the
+  // Pass 1, delta withdrawals: slices no longer needed on a live switch.
+  // Link events (allow_withdraw == false) only RECORD the staleness: the
   // replica's sketch state must survive a transient link flap, and the
   // next switch event sweeps whatever is still unplaced then.
-  for (const auto& [sw_node, slice_idxs] : d.placement.assignment) {
+  for (int sw_node : targets) {
     if (!net_.has_switch(sw_node) || !net_.topo().node_up(sw_node)) continue;
-    for (std::size_t si : slice_idxs) {
-      if (fresh.has(sw_node, si)) {
+    const auto it = d.placement.assignment.find(sw_node);
+    if (it == d.placement.assignment.end()) continue;
+    const std::vector<std::size_t> fresh = fresh_at(sw_node);
+    for (std::size_t si : it->second) {
+      if (std::binary_search(fresh.begin(), fresh.end(), si)) {
         d.stale_extras.erase({sw_node, si});
         continue;
       }
@@ -372,11 +371,11 @@ void NetworkController::reconcile(Deployment& d, bool allow_withdraw) {
       FaultCounters::get().delta_withdrawals.add();
     }
   }
-  // Delta installs: slices the new placement adds (this also retries any
-  // hole a previous reconciliation's failed install left behind).
-  for (const auto& [sw_node, slice_idxs] : fresh.assignment) {
+  // Pass 2, delta installs: slices the fresh placement adds (this also
+  // retries any hole a previous reconciliation's failed install left).
+  for (int sw_node : targets) {
     if (!net_.has_switch(sw_node)) continue;
-    for (std::size_t si : slice_idxs) {
+    for (std::size_t si : fresh_at(sw_node)) {
       const auto it = d.by_slice.find(sw_node);
       if (it != d.by_slice.end() && it->second.contains(si)) {
         d.install_holes.erase({sw_node, si});
@@ -394,77 +393,11 @@ void NetworkController::reconcile(Deployment& d, bool allow_withdraw) {
       }
     }
   }
-  if (allow_withdraw) {
-    d.placement = fresh;
-  } else {
-    // Grow-only publish: the placement keeps the stale extras (they are
-    // still installed) and gains whatever the fresh placement added.
-    for (const auto& [sw_node, slice_idxs] : fresh.assignment) {
-      auto& slot = d.placement.assignment[sw_node];
-      for (std::size_t si : slice_idxs)
-        if (std::find(slot.begin(), slot.end(), si) == slot.end())
-          slot.push_back(si);
-      std::sort(slot.begin(), slot.end());
-    }
-  }
-}
-
-void NetworkController::reconcile_incremental(Deployment& d,
-                                              IncrementalPlacer& p,
-                                              bool allow_withdraw) {
-  // Same delta policy as the scratch `reconcile`, but only the switches
-  // the placer's relaxation actually moved — plus any switch carrying an
-  // unhealed install hole or (at switch events) a stale extra — are
-  // examined.  Everything else is untouched by construction: an unchanged
-  // mask means the fresh placement equals the published one there.
-  d.retries_used = 0;
-  std::set<int> targets(p.last_changed_switches().begin(),
-                        p.last_changed_switches().end());
-  for (const auto& [sw_node, si] : d.install_holes) targets.insert(sw_node);
-  if (allow_withdraw)
-    for (const auto& [sw_node, si] : d.stale_extras) targets.insert(sw_node);
-
-  for (int sw_node : targets) {  // pass 1: withdrawals / staleness tracking
-    if (!net_.has_switch(sw_node) || !net_.topo().node_up(sw_node)) continue;
-    const auto it = d.placement.assignment.find(sw_node);
-    if (it == d.placement.assignment.end()) continue;
-    const std::vector<std::size_t> fresh = p.slices_at(sw_node);
-    for (std::size_t si : it->second) {
-      if (std::binary_search(fresh.begin(), fresh.end(), si)) {
-        d.stale_extras.erase({sw_node, si});
-        continue;
-      }
-      if (!allow_withdraw) {
-        d.stale_extras.insert({sw_node, si});
-        continue;
-      }
-      remove_slice_handle(d, sw_node, si);
-      d.stale_extras.erase({sw_node, si});
-      d.install_holes.erase({sw_node, si});
-      ++fault_stats_.delta_withdrawals;
-      FaultCounters::get().delta_withdrawals.add();
-    }
-  }
-  for (int sw_node : targets) {  // pass 2: delta installs / hole healing
-    if (!net_.has_switch(sw_node)) continue;
-    for (std::size_t si : p.slices_at(sw_node)) {
-      const auto it = d.by_slice.find(sw_node);
-      if (it != d.by_slice.end() && it->second.contains(si)) {
-        d.install_holes.erase({sw_node, si});
-        continue;
-      }
-      try {
-        install_one_slice(d, sw_node, si);
-        d.install_holes.erase({sw_node, si});
-        ++fault_stats_.delta_installs;
-        FaultCounters::get().delta_installs.add();
-      } catch (const std::exception&) {
-        d.install_holes.insert({sw_node, si});
-      }
-    }
-  }
-  for (int sw_node : targets) {  // pass 3: refresh the published placement
-    std::vector<std::size_t> fresh = p.slices_at(sw_node);
+  // Pass 3, publish.  Link events publish grow-only: the placement keeps the
+  // stale extras (they are still installed) and gains what the fresh one
+  // added.
+  for (int sw_node : targets) {
+    std::vector<std::size_t> fresh = fresh_at(sw_node);
     if (allow_withdraw) {
       if (fresh.empty())
         d.placement.assignment.erase(sw_node);
@@ -505,6 +438,15 @@ void NetworkController::note_replacement(std::size_t scope,
 
 void NetworkController::replace_for_event(Deployment& d, bool allow_withdraw,
                                           bool switch_event, int a, int b) {
+  // Both modes reconcile through the same delta routine; they differ only
+  // in where the fresh slices come from and which switches are examined.
+  // Either way a switch carrying an unhealed install hole or (at switch
+  // events) a stale extra is examined.
+  std::set<int> targets;
+  for (const auto& [sw_node, si] : d.install_holes) targets.insert(sw_node);
+  if (allow_withdraw)
+    for (const auto& [sw_node, si] : d.stale_extras) targets.insert(sw_node);
+
   const auto it = placers_.find(d.query);
   if (mode_ == PlacementMode::Incremental && it != placers_.end()) {
     IncrementalPlacer& p = it->second;
@@ -514,15 +456,38 @@ void NetworkController::replace_for_event(Deployment& d, bool allow_withdraw,
       p.on_link_event(a, b);
     if (verify_placement_) verify_placer(d, p);
     note_replacement(p.last_scope(), p.last_changed());
-    reconcile_incremental(d, p, allow_withdraw);
+    // Only the switches the relaxation moved: an unchanged mask means the
+    // fresh placement equals the published one there.
+    targets.insert(p.last_changed_switches().begin(),
+                   p.last_changed_switches().end());
+    reconcile(
+        d, targets, [&p](int s) { return p.slices_at(s); }, allow_withdraw);
     return;
   }
-  // Scratch baseline: the whole live fabric is the re-placement scope.
+  // Scratch baseline: Algorithm 2 from scratch on the surviving topology;
+  // the whole live fabric is the re-placement scope, and every switch
+  // either placement names is examined.
   std::size_t live = 0;
   for (int s : net_.topo().switches())
     if (net_.topo().node_up(s)) ++live;
   note_replacement(live, 0);
-  reconcile(d, allow_withdraw);
+  std::vector<int> ingress;
+  for (int e : d.ingress_edges)
+    if (net_.topo().node_up(e)) ingress.push_back(e);
+  const Placement fresh =
+      place_resilient(net_.topo(), ingress, d.slices.size());
+  for (const auto& [sw_node, slices] : d.placement.assignment)
+    targets.insert(sw_node);
+  for (const auto& [sw_node, slices] : fresh.assignment)
+    targets.insert(sw_node);
+  reconcile(
+      d, targets,
+      [&fresh](int s) {
+        const auto f = fresh.assignment.find(s);
+        return f == fresh.assignment.end() ? std::vector<std::size_t>{}
+                                           : f->second;
+      },
+      allow_withdraw);
 }
 
 void NetworkController::on_switch_failed(int sw_node) {

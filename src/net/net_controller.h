@@ -15,6 +15,7 @@
 // (docs/fault.md).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -228,9 +229,14 @@ class NetworkController {
   void install_one_slice(Deployment& d, int sw_node, std::size_t si);
   void remove_slice_handle(Deployment& d, int sw_node, std::size_t si);
   void rollback(Deployment& d);
-  void reconcile(Deployment& d, bool allow_withdraw);
-  void reconcile_incremental(Deployment& d, IncrementalPlacer& p,
-                             bool allow_withdraw);
+  // Apply a fresh placement's delta on `targets`, visited in ascending
+  // order: withdraw (or, on link events, mark stale) slices it drops,
+  // install the ones it adds, heal install holes, and publish it (grow-only
+  // on link events).  `fresh_at(s)` is the fresh slice list of switch s,
+  // ascending.
+  void reconcile(Deployment& d, const std::set<int>& targets,
+                 const std::function<std::vector<std::size_t>(int)>& fresh_at,
+                 bool allow_withdraw);
   void handle_link_event(int a, int b);
   void replace_for_event(Deployment& d, bool allow_withdraw,
                          bool switch_event, int a, int b);

@@ -190,41 +190,36 @@ Network::SendStats Network::send_along(const Packet& pkt,
   latest_ts_ns_ = std::max(latest_ts_ns_, pkt.ts_ns);
   // Every concurrent sliced query carries its own SP header, so a packet
   // that activates several queries at the ingress edge hauls a small header
-  // stack hop to hop (each header is 12 wire bytes on every link).
-  std::vector<SpHeader> sps;
-  bool first_hop = true;
+  // stack hop to hop (each header is 12 wire bytes on every link).  The
+  // stack lives in two reused buffers: sps_ arrives at a hop, next_sps_
+  // leaves it.
+  sps_.clear();
   for (int node : sw_path) {
     ++st.hops;
     tc.hops.add();
     auto& sw = *switches_.at(node);
     sw.roll_to(latest_ts_ns_);
-    if (first_hop) {
-      // Ingress edge: one pass dispatches slice 0 of every activated query.
-      const auto out = sw.process(pkt, std::nullopt, /*at_ingress_edge=*/true);
-      if (out.sp_out) {
+    next_sps_.clear();
+    if (sps_.empty()) {
+      // No executions in flight: one pass.  At the ingress edge it may start
+      // slice 0 of every activated query; elsewhere it starts none (slice-0
+      // newton_init entries match only at the ingress edge), but it still
+      // runs the switch's whole-query installs and counts the packet.
+      const auto out =
+          sw.process(pkt, std::nullopt, /*at_ingress_edge=*/st.hops == 1);
+      for (const SpHeader& sp : out.sp_out) {
         slice_traversals(0).add();
-        sps.push_back(*out.sp_out);
+        next_sps_.push_back(sp);
       }
-      for (const SpHeader& sp : out.extra_sp_outs) {
-        slice_traversals(0).add();
-        sps.push_back(sp);
-      }
-      first_hop = false;
     } else {
-      // Downstream hop: resume each carried execution independently — the
-      // PHV has only two metadata sets, so concurrent resumptions cannot
-      // share a pipeline pass.  Headers this switch hosts no slice for are
-      // carried through untouched.  The packet itself is dispatched by
-      // newton_init once per hop, on the first pass; the other passes only
-      // resume their header's slice.
-      if (sps.empty()) {
-        // No executions in flight: an empty pass still runs the
-        // switch's whole-query installs and counts the packet.
-        sw.process(pkt, std::nullopt, /*at_ingress_edge=*/false);
-      }
-      std::vector<SpHeader> carried;
+      // Resume each carried execution independently — the PHV has only two
+      // metadata sets, so concurrent resumptions cannot share a pipeline
+      // pass.  Headers this switch hosts no slice for are carried through
+      // untouched.  The packet itself is dispatched by newton_init once per
+      // hop, on the first pass; the other passes only resume their header's
+      // slice.
       bool dispatch_init = true;
-      for (const SpHeader& sp : sps) {
+      for (const SpHeader& sp : sps_) {
         // The snapshot crosses the link as 12 wire bytes; encode/decode at
         // each hop exercises the real SP codec end to end.
         const auto wire = sp_encode(sp);
@@ -233,17 +228,19 @@ Network::SendStats Network::send_along(const Packet& pkt,
                                     dispatch_init);
         dispatch_init = false;
         if (out.sp_consumed) {
-          // This hop hosted and ran the slice the header addressed.
+          // This hop hosted and ran the slice the header addressed; no
+          // header back means the final slice ran (or the query stopped
+          // itself).
           slice_traversals(sp_in->next_slice).add();
-          if (out.sp_out) carried.push_back(*out.sp_out);
-          // else: final slice ran (or the query stopped itself).
+          next_sps_.insert(next_sps_.end(), out.sp_out.begin(),
+                           out.sp_out.end());
         } else {
-          carried.push_back(sp);  // no successor slice here; keep carrying
+          next_sps_.push_back(sp);  // no successor slice here; keep carrying
         }
       }
-      sps = std::move(carried);
     }
-    const std::size_t sp_bytes = kSpHeaderBytes * sps.size();
+    sps_.swap(next_sps_);
+    const std::size_t sp_bytes = kSpHeaderBytes * sps_.size();
     if (sp_bytes) {
       st.sp_link_bytes += sp_bytes;
       sp_link_bytes_ += sp_bytes;
@@ -252,7 +249,7 @@ Network::SendStats Network::send_along(const Packet& pkt,
     payload_link_bytes_ += pkt.wire_len;
   }
   st.delivered = true;
-  for (const SpHeader& sp : sps) {
+  for (const SpHeader& sp : sps_) {
     // Egress with an unfinished query: switches strip the SP header before
     // the packet reaches end hosts; the snapshot is mirrored to software.
     st.deferred = true;

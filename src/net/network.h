@@ -55,6 +55,8 @@ class Network {
   // window at every hop, as on one switch (docs/fleet.md "Hops").
   SendStats send_along(const Packet& pkt, const std::vector<int>& sw_path);
 
+  // The handler runs while send_along walks its reused header stack, so it
+  // must not send through this network.
   void set_deferred_handler(
       std::function<void(const Packet&, const SpHeader&)> h) {
     deferred_ = std::move(h);
@@ -102,6 +104,9 @@ class Network {
   std::vector<int> bfs_queue_;
   std::vector<int> candidates_;
   std::vector<int> sw_path_;
+  // send_along's SP-header stack: the headers arriving at a hop and those
+  // leaving it, swapped per hop.
+  std::vector<SpHeader> sps_, next_sps_;
   RouteStats route_stats_;
   // newton_cqe_slice_traversals_total series, resolved once per slice.
   std::vector<telemetry::Counter*> slice_counters_;

@@ -107,8 +107,8 @@ TEST_P(CqeEquivalence, ChainMatchesSingleSwitch) {
     std::optional<SpHeader> sp;
     for (auto& sw : chain) {
       auto out = sw->process(p, sp);
-      if (out.sp_out)
-        sp = out.sp_out;
+      if (!out.sp_out.empty())
+        sp = out.sp_out.front();
       else if (out.sp_consumed)
         sp.reset();
     }
@@ -144,7 +144,7 @@ TEST(Cqe, ReportsOnlyFromFinalSlice) {
     std::optional<SpHeader> sp;
     for (auto& sw : chain) {
       auto out = sw->process(p, sp);
-      if (out.sp_out) sp = out.sp_out;
+      if (!out.sp_out.empty()) sp = out.sp_out.front();
       else if (out.sp_consumed) sp.reset();
     }
   }
@@ -180,7 +180,7 @@ TEST(Cqe, DeferredSoftwareContinuationMatchesHardware) {
   for (const Packet& p : t.packets) {
     ref.process(p);
     auto out = hw.process(p, std::nullopt);
-    if (out.sp_out) software.process(p, *out.sp_out);
+    if (!out.sp_out.empty()) software.process(p, out.sp_out.front());
   }
   EXPECT_EQ(sw_sink.size(), 0u);
   ASSERT_EQ(soft_sink.size(), ref_sink.size());
@@ -201,12 +201,13 @@ TEST(Cqe, SpHeaderPassesThroughNonHostingSwitch) {
 
   const Packet p = make_packet(1, 2, 3, 80, kProtoTcp, kTcpSyn);
   auto out1 = first.process(p, std::nullopt);
-  ASSERT_TRUE(out1.sp_out.has_value());
+  ASSERT_EQ(out1.sp_out.size(), 1u);
+  const SpHeader sp = out1.sp_out.front();
   // A switch without the successor slice forwards the header untouched.
-  auto out_blank = blank.process(p, out1.sp_out);
+  auto out_blank = blank.process(p, sp);
   EXPECT_FALSE(out_blank.sp_consumed);
-  EXPECT_FALSE(out_blank.sp_out.has_value());
-  auto out2 = second.process(p, out1.sp_out);
+  EXPECT_TRUE(out_blank.sp_out.empty());
+  auto out2 = second.process(p, sp);
   EXPECT_TRUE(out2.sp_consumed);
 }
 

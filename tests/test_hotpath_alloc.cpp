@@ -7,6 +7,10 @@
 // interpreter and on the compiled executor (whose plan table fills inside
 // the measured region).
 //
+// The fleet send path (docs/fleet.md "Hops") is held to the same contract:
+// once the route tables, slice counters and SP-header buffers exist, a
+// Network::send of a CQE-sliced packet allocates nothing at any hop.
+//
 // The interposer is process-wide, so this test lives in its own binary:
 // gtest machinery and the setup phase allocate freely, the measured region
 // is bracketed by counter snapshots.
@@ -29,6 +33,9 @@
 #include "ingest/pcap_source.h"
 #include "ingest/replay_source.h"
 #include "ingest/trace_source.h"
+#include "net/net_controller.h"
+#include "net/network.h"
+#include "net/topology.h"
 #include "runtime/spsc_ring.h"
 #include "runtime/worker.h"
 #include "trace/pcap.h"
@@ -361,6 +368,57 @@ TEST(HotPathAlloc, IngestSourcePullLoopAllocatesNothing) {
       << (after - before) << " heap allocations in the source pull loop";
   EXPECT_EQ(pulled + warmed, 2 * kPackets);
   std::remove(path.c_str());
+}
+
+// A sliced deployment on a k=4 fat-tree: every SYN starts an execution at
+// its ingress edge switch, and its SP header rides the remaining hops (or
+// is handed off as deferred where the path is shorter than the slices).
+TEST(HotPathAlloc, FleetSendAllocatesNothing) {
+  ASSERT_GT(g_allocs.load(), 0u) << "interposer not linked in";
+
+  // --- setup (allocation is free here) --------------------------------
+  struct CountingSink : ReportSink {
+    uint64_t reports = 0;
+    void report(const ReportRecord&) override { ++reports; }
+  } sink;
+  constexpr std::size_t kBank = 1 << 14;
+  Network net(make_fat_tree(4), /*stages=*/3, &sink, kBank);
+  NetworkController ctl(net, nullptr, kBank);
+  QueryParams params;
+  params.sketch_width = 1024;
+  params.q1_syn_th = 8;
+  const auto& dep = ctl.deploy(make_q1(params));
+  ASSERT_GE(dep.slices.size(), 2u);
+
+  const std::vector<int> hosts = net.topo().hosts();
+  constexpr std::size_t kSends = 800;
+  const auto packet = [](std::size_t i, uint64_t ts) {
+    const uint32_t u = static_cast<uint32_t>(i);
+    return make_packet(ipv4(10, 0, 0, 1) + u % 29, ipv4(172, 16, 0, 1) + u % 3,
+                       1000 + u % 53, 80, kProtoTcp, kTcpSyn, 64, ts);
+  };
+  const auto send = [&](std::size_t i, uint64_t ts) {
+    return net.send(packet(i, ts), hosts[i % hosts.size()],
+                    hosts[(i * 7 + 3) % hosts.size()]);
+  };
+  // Warm-up: the same host pairs, earlier in the same window, build every
+  // route table, slice-traversal counter and header buffer.
+  for (std::size_t i = 0; i < kSends; ++i) send(i, 1'000 + i);
+  const uint64_t warm_sp_bytes = net.total_sp_link_bytes();
+  ASSERT_GT(warm_sp_bytes, 0u) << "no SP header crossed a link";
+
+  // --- measured region ------------------------------------------------
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  std::size_t hops = 0;
+  for (std::size_t i = 0; i < kSends; ++i) hops += send(i, 10'000 + i).hops;
+  const uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  // --- end measured region --------------------------------------------
+
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " heap allocations in the fleet send loop";
+  EXPECT_GT(hops, kSends);
+  EXPECT_EQ(net.total_sp_link_bytes(), 2 * warm_sp_bytes);
+  EXPECT_GT(sink.reports, 0u) << "no slice chain finished";
 }
 
 }  // namespace

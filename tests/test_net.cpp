@@ -2,9 +2,14 @@
 // resilient end-to-end monitoring through reroutes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <random>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "analyzer/analyzer.h"
 #include "core/queries.h"
@@ -532,6 +537,83 @@ TEST(NetworkResilience, RerouteStillMonitored) {
   for (const KeyArray& k : an.detected("q1_new_tcp"))
     found |= k[index(Field::DstIp)] == victim;
   EXPECT_TRUE(found);
+}
+
+// One query's report as a comparable tuple: when, which keys, what result.
+using ReportKey =
+    std::tuple<uint64_t, std::array<uint32_t, kNumFields>, uint32_t>;
+
+TEST(ConcurrentCqe, TwoSlicedQueriesMatchOneWholeSwitch) {
+  // Two sliced queries that both start on every SYN: the ingress switch
+  // emits two SP headers, and they travel the line together, each resumed
+  // by its own pass at every hop.  The reports must be what one switch
+  // holding both whole queries produces.  Queries run in one pass share
+  // the PHV's metadata sets, so the two key, hash and count alike and
+  // differ only in their thresholds: a header resumed as the other query
+  // would report at the other threshold.
+  QueryParams params;
+  params.sketch_width = 256;
+  params.q1_syn_th = 8;
+  const Query by_dst = make_q1(params);
+  params.q1_syn_th = 12;
+  Query by_dst_late = make_q1(params);
+  by_dst_late.name = "q1_new_tcp_late";
+
+  constexpr std::size_t kStages = 3;
+  constexpr std::size_t kBank = 1 << 14;
+  ReportBuffer fleet_sink;
+  Analyzer owners;  // the controller registers each (switch, qid) here
+  Network net(make_line(8), kStages, &fleet_sink, kBank);
+  NetworkController ctl(net, &owners, kBank);
+  std::size_t headers_per_syn = 0;  // links each header crosses, summed
+  for (const Query& q : {by_dst, by_dst_late}) {
+    const auto& dep = ctl.deploy(q);
+    ASSERT_GE(dep.slices.size(), 2u) << q.name;
+    ASSERT_LE(dep.slices.size(), net.topo().switches().size()) << q.name;
+    headers_per_syn += dep.slices.size() - 1;
+  }
+
+  ReportBuffer whole_sink;
+  NewtonSwitch whole(99, 24, &whole_sink, kBank);
+  std::map<uint16_t, std::string> whole_owner;
+  for (const Query& q : {by_dst, by_dst_late})
+    for (uint16_t qid : whole.install(compile_query(q)).qids)
+      whole_owner[qid] = q.name;
+
+  const auto hosts = net.topo().hosts();
+  std::size_t syns = 0;
+  for (std::size_t i = 0; i < 600; ++i) {
+    const uint32_t u = static_cast<uint32_t>(i);
+    const bool syn = i % 3 != 2;
+    const Packet p = make_packet(ipv4(10, 0, 0, 1) + u % 5,
+                                 ipv4(172, 16, 0, 1) + u % 4, 1000 + u % 97,
+                                 80, kProtoTcp, syn ? kTcpSyn : kTcpAck, 64,
+                                 i * 1000);
+    syns += syn;
+    whole.process(p);
+    const auto st = net.send(p, hosts[0], hosts[1]);
+    ASSERT_FALSE(st.deferred) << "packet " << i;
+  }
+
+  std::map<std::string, std::vector<ReportKey>> fleet, single;
+  for (const ReportRecord& r : fleet_sink.records()) {
+    const auto* owner = owners.owner_of(r.switch_id, r.qid);
+    ASSERT_NE(owner, nullptr);
+    fleet[owner->first].emplace_back(r.ts_ns, r.oper_keys, r.global_result);
+  }
+  for (const ReportRecord& r : whole_sink.records())
+    single[whole_owner.at(r.qid)].emplace_back(r.ts_ns, r.oper_keys,
+                                               r.global_result);
+  for (const Query& q : {by_dst, by_dst_late}) {
+    std::sort(fleet[q.name].begin(), fleet[q.name].end());
+    std::sort(single[q.name].begin(), single[q.name].end());
+    EXPECT_FALSE(single[q.name].empty()) << q.name;
+    EXPECT_EQ(fleet[q.name], single[q.name]) << q.name;
+  }
+  EXPECT_NE(fleet[by_dst.name], fleet[by_dst_late.name]);
+  // Every SYN starts both executions at the ingress switch; each header
+  // crosses one link per slice after the first, and nothing else rides.
+  EXPECT_EQ(net.total_sp_link_bytes(), kSpHeaderBytes * syns * headers_per_syn);
 }
 
 TEST(NetworkController, WithdrawRemovesRules) {

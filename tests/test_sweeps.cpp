@@ -71,8 +71,8 @@ TEST_P(CqeSweep, SlicedChainEqualsWholeSwitch) {
     std::optional<SpHeader> sp;
     for (auto& sw : chain) {
       auto out = sw->process(p, sp);
-      if (out.sp_out)
-        sp = out.sp_out;
+      if (!out.sp_out.empty())
+        sp = out.sp_out.front();
       else if (out.sp_consumed)
         sp.reset();
     }
