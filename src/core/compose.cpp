@@ -5,6 +5,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "core/overlap.h"
+
 namespace newton {
 namespace {
 
@@ -293,40 +295,28 @@ CompiledQuery compile_query(const Query& q, const CompileOptions& opts) {
     cq.branches.push_back(std::move(b));
   }
 
-  // Chain-group branches whose init entries can match the same traffic
-  // (they share the physical metadata sets and the global result).
-  std::vector<std::size_t> group(cq.branches.size());
-  for (std::size_t i = 0; i < cq.branches.size(); ++i) group[i] = i;
-  for (std::size_t i = 0; i < cq.branches.size(); ++i)
-    for (std::size_t j = 0; j < i; ++j)
-      if (cq.branches[i].init.overlaps(cq.branches[j].init))
-        group[i] = std::min(group[i], group[j]);
-  for (std::size_t i = 0; i < cq.branches.size(); ++i)
-    cq.branches[i].chain_group = group[i];
-
-  // Branches over the SAME traffic execute on the same packets and share
-  // the physical metadata sets + global result, so members of a chain group
-  // serialize into disjoint stage ranges.  Branches over DISJOINT traffic
-  // multiplex the same stages with different table rules, so each group
-  // starts back at min_stage (the resource multiplexing of Fig. 16).
-  std::set<std::size_t> group_ids(group.begin(), group.end());
-  std::size_t high_water = opts.min_stage;
-  for (std::size_t g : group_ids) {
-    std::size_t next_stage = opts.min_stage;
-    for (auto& b : cq.branches) {
-      if (b.chain_group != g) continue;
+  // Each overlap class serializes into disjoint stage ranges from min_stage;
+  // classes multiplex the same stages with different rules (Fig. 16).
+  const std::vector<std::size_t> group =
+      overlap_classes(cq.branches.size(), [&](std::size_t i, std::size_t j) {
+        return cq.branches[i].init.overlaps(cq.branches[j].init);
+      });
+  for (std::size_t g = 0; g < group.size(); ++g) {
+    if (group[g] != g) continue;
+    std::size_t next = opts.min_stage;
+    for (std::size_t i = g; i < group.size(); ++i) {
+      if (group[i] != g) continue;
+      BranchModules& b = cq.branches[i];
+      b.chain_group = g;
       if (opts.opt3) {
-        next_stage = schedule_branch(b, next_stage, opts.max_stages);
+        next = schedule_branch(b, next, opts.max_stages);
       } else {
-        for (ModuleSpec& m : b.modules)
-          m.stage = static_cast<int>(next_stage++);
-        if (next_stage > opts.max_stages)
+        for (ModuleSpec& m : b.modules) m.stage = static_cast<int>(next++);
+        if (next > opts.max_stages)
           throw std::runtime_error("compose: schedule exceeds max_stages");
       }
     }
-    high_water = std::max(high_water, next_stage);
   }
-  (void)high_water;
   return cq;
 }
 
@@ -390,27 +380,8 @@ std::string validate_schedule(const CompiledQuery& cq) {
       if (!seen.insert({m.stage, m.type}).second)
         return "duplicate (stage,type) rule in branch " + b.name;
   }
-  // Same-traffic branches (same chain group) share the physical metadata
-  // sets, so their stage ranges must be pairwise disjoint.
-  for (std::size_t i = 0; i < cq.branches.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      if (cq.branches[i].chain_group != cq.branches[j].chain_group) continue;
-      auto range = [](const BranchModules& b) {
-        int lo = INT32_MAX, hi = -1;
-        for (const auto& m : b.modules) {
-          lo = std::min(lo, m.stage);
-          hi = std::max(hi, m.stage);
-        }
-        return std::pair{lo, hi};
-      };
-      const auto [alo, ahi] = range(cq.branches[i]);
-      const auto [blo, bhi] = range(cq.branches[j]);
-      if (!(ahi < blo || bhi < alo))
-        return "same-traffic branches overlap in stages: " +
-               cq.branches[i].name + " vs " + cq.branches[j].name;
-    }
-  }
-  return {};
+  const CompiledQuery* one[] = {&cq};
+  return check_disjoint_stages(one);
 }
 
 }  // namespace newton

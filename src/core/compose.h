@@ -15,10 +15,10 @@
 // (K->H->S->R within a dataflow), WAW/WAR edges per metadata-set field,
 // the R global-result chain, and side-effect gating (a stateful S must
 // execute after every earlier R that can stop the query, so stopped
-// packets leave no state behind).  Branches whose newton_init entries can
-// match the same traffic are *chained* into disjoint stage ranges (they
-// share the physical metadata sets); branches over disjoint traffic share
-// stages with different rules — the multiplexing behind P-Newton (Fig. 16).
+// packets leave no state behind).  Branches in one overlap class
+// (core/overlap.h) are *chained* into disjoint stage ranges (they share the
+// physical metadata sets); classes over disjoint traffic share stages with
+// different rules — the multiplexing behind P-Newton (Fig. 16).
 #pragma once
 
 #include <cstddef>
@@ -34,8 +34,8 @@ struct CompileOptions {
   bool opt1 = true;
   bool opt2 = true;
   bool opt3 = true;
-  // First stage the query may use (the controller chains same-traffic
-  // queries by raising this; S-Newton in Fig. 16).
+  // First stage the query may use (raised to core/overlap.h's chain_floor so
+  // same-traffic queries chain; S-Newton in Fig. 16).
   std::size_t min_stage = 0;
   // Scheduling sanity bound.
   std::size_t max_stages = 512;
@@ -66,7 +66,8 @@ struct CompiledQuery {
 CompiledQuery compile_query(const Query& q, const CompileOptions& opts = {});
 
 // Recompute the hazard DAG for the compiled schedule and verify every
-// constraint holds; returns an empty string on success, else a diagnostic.
+// constraint, and the overlap rule over every branch pair, holds; returns an
+// empty string on success, else a diagnostic.
 std::string validate_schedule(const CompiledQuery& cq);
 
 // Hazard-DAG edges for one branch: edges[i] lists module indices that must

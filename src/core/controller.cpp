@@ -1,9 +1,11 @@
 #include "core/controller.h"
 
 #include <algorithm>
+#include <ranges>
 #include <stdexcept>
 #include <tuple>
 
+#include "core/overlap.h"
 #include "telemetry/telemetry.h"
 
 namespace newton {
@@ -70,21 +72,16 @@ void Controller::check_mutation_guard() const {
   }
 }
 
-std::size_t Controller::chain_min_stage(const Query& q,
-                                        const std::string* skip) const {
-  // Compile cheaply at stage 0 just to obtain the init entries.
-  std::size_t min_stage = 0;
-  for (std::size_t bi = 0; bi < q.branches.size(); ++bi) {
-    const BranchModules probe = decompose_branch(q, bi, /*opt1=*/true);
-    for (const auto& [name, e] : queries_) {
-      if (skip && name == *skip) continue;
-      for (const auto& b : e.cq.branches) {
-        if (probe.init.overlaps(b.init))
-          min_stage = std::max(min_stage, e.cq.max_stage() + 1);
-      }
-    }
-  }
-  return min_stage;
+CompiledQuery Controller::compile_chained(const Query& q, CompileOptions opts,
+                                         const std::string* skip) const {
+  // A view, not a vector: chaining adds no allocation to the install path.
+  auto placed =
+      queries_ | std::views::filter([skip](const auto& kv) {
+        return !skip || kv.first != *skip;
+      }) |
+      std::views::transform([](const auto& kv) { return &kv.second.cq; });
+  opts.min_stage = std::max(opts.min_stage, chain_floor(q, opts, placed));
+  return compile_query(q, opts);
 }
 
 AdmitDecision Controller::admit_compiled(const QueryDemand& d,
@@ -166,10 +163,8 @@ AdmitDecision Controller::admit(const Query& q, CompileOptions opts,
     d.detail = "query already installed: " + q.name;
     return d;
   }
-  opts.min_stage = std::max(opts.min_stage, chain_min_stage(q));
   try {
-    const CompiledQuery cq = compile_query(q, opts);
-    return admit_compiled(QueryDemand::of(cq), tenant);
+    return admit_compiled(QueryDemand::of(compile_chained(q, opts)), tenant);
   } catch (const std::exception& e) {
     AdmitDecision d;
     d.code = AdmitCode::kCompileError;
@@ -200,8 +195,7 @@ Controller::OpStats Controller::install(const Query& q, CompileOptions opts,
   if (queries_.contains(q.name))
     throw std::invalid_argument("Controller: query already installed: " +
                                 q.name);
-  opts.min_stage = std::max(opts.min_stage, chain_min_stage(q));
-  CompiledQuery cq = compile_query(q, opts);
+  CompiledQuery cq = compile_chained(q, opts);
   QueryDemand d = QueryDemand::of(cq);
   AdmitDecision dec = admit_compiled(d, tenant);
   if (!dec.admitted() && dec.would_fit_compacted && auto_compact_) {
@@ -224,10 +218,9 @@ Controller::InstallOutcome Controller::try_install(const Query& q,
     record_admission(out.decision, tenant);
     return out;
   }
-  opts.min_stage = std::max(opts.min_stage, chain_min_stage(q));
   CompiledQuery cq;
   try {
-    cq = compile_query(q, opts);
+    cq = compile_chained(q, opts);
   } catch (const std::exception& e) {
     out.decision.code = AdmitCode::kCompileError;
     out.decision.detail = e.what();
@@ -281,8 +274,7 @@ Controller::OpStats Controller::update(const std::string& name,
   // Compile BEFORE touching the switch: a compile failure leaves the old
   // query running untouched.  Chaining must ignore the entry being replaced
   // (its traffic overlaps the new version's by definition).
-  opts.min_stage = std::max(opts.min_stage, chain_min_stage(q, &name));
-  CompiledQuery cq = compile_query(q, opts);
+  CompiledQuery cq = compile_chained(q, opts, &name);
   const std::string tenant = it->second.tenant;
 
   Entry old = std::move(it->second);
@@ -357,10 +349,10 @@ bool Controller::compact_one(const std::string& name, CompactStats& stats) {
 
   // Recompile at the lowest stage the current chain constraints allow.
   CompileOptions opts = e.cq.options;
-  opts.min_stage = chain_min_stage(e.cq.source, &name);
+  opts.min_stage = 0;
   CompiledQuery cand;
   try {
-    cand = compile_query(e.cq.source, opts);
+    cand = compile_chained(e.cq.source, opts, &name);
   } catch (const std::exception&) {
     return false;
   }

@@ -1,9 +1,9 @@
 // Device-level Newton controller (§3): compiles queries to module rules and
-// drives runtime install / update / remove against one switch.  Queries
-// whose traffic classes overlap an installed query are automatically
-// *chained* into later stages (they share the physical metadata sets — the
-// S-Newton regime of Fig. 16); disjoint-traffic queries multiplex the same
-// module instances with new rules (P-Newton).
+// drives runtime install / update / remove against one switch.  Every
+// compilation starts at core/overlap.h's chain floor: a query whose traffic
+// overlaps an installed one is *chained* into later stages (they share the
+// physical metadata sets — the S-Newton regime of Fig. 16); disjoint-traffic
+// queries multiplex the same module instances with new rules (P-Newton).
 //
 // Multi-tenant churn hardening (docs/admission.md): every install passes
 // admission control — a pure capacity check against the switch's per-stage
@@ -180,11 +180,10 @@ class Controller {
   // Runs the quiesce guard; counts a rejected mutation if it throws.
   void check_mutation_guard() const;
 
-  // Lowest stage the new compilation may use given traffic overlap with
-  // already-installed queries.  `skip` names an installed query to ignore —
-  // update() chains against everything except the query being replaced.
-  std::size_t chain_min_stage(const Query& q,
-                              const std::string* skip = nullptr) const;
+  // compile_query at the chain floor over the installed queries but `skip`
+  // (update() and compaction ignore the query being replaced or moved).
+  CompiledQuery compile_chained(const Query& q, CompileOptions opts,
+                                const std::string* skip = nullptr) const;
 
   // Quota + switch admission for an already-compiled query's demand (pure).
   AdmitDecision admit_compiled(const QueryDemand& d,

@@ -67,7 +67,7 @@ struct BranchModules {
   std::size_t branch_index = 0;
   std::vector<ModuleSpec> modules;  // chain order
   InitEntrySpec init;
-  std::size_t chain_group = 0;  // same-traffic branches share a group
+  std::size_t chain_group = 0;  // overlap class (core/overlap.h)
 };
 
 // Decompose one branch into its naive module chain (every suite gets all

@@ -182,7 +182,6 @@ NewtonSwitch::InstallResult NewtonSwitch::install_impl(
   res.rule_ops = rec.rule_slots.size() + rec.init_handles.size();
   res.latency_ms = latency_.batch_ms(res.rule_ops);
   res.qids = rec.qids;
-  next_free_stage_ = std::max(next_free_stage_, cq.max_stage() + 1);
   // The first install into an emptied switch may bring a new window length.
   if (window_ns != clock_.window_ns()) clock_ = WindowClock(window_ns);
   segments_.insert(segments_.end(), rec.segments.begin(), rec.segments.end());

@@ -51,7 +51,8 @@ class NewtonSwitch {
   // switch runs the installed queries' window (`cq.source.window_ns`): an
   // install into an empty switch adopts it, and a query whose window differs
   // from the installed ones' throws std::invalid_argument with nothing
-  // installed (admission refuses it first as kWindowMismatch).
+  // installed (admission refuses it first as kWindowMismatch).  Overlap
+  // (core/overlap.h) is the caller's job, as in Controller and deploy_sole.
   InstallResult install(const CompiledQuery& cq, bool resolve_offsets = true);
 
   // Install one CQE slice of query `query_uid`.  Slices with index > 0 get
@@ -136,9 +137,6 @@ class NewtonSwitch {
   std::size_t num_stages() const { return pipeline_.num_stages(); }
   uint64_t packets_forwarded() const { return packets_forwarded_; }
   std::size_t installed_rule_count() const;
-  // First stage with no rules after all installed queries (used by the
-  // controller to chain same-traffic queries, S-Newton).
-  std::size_t next_free_stage() const { return next_free_stage_; }
   // Distinct (stage, module-type) slots holding at least one rule, and
   // distinct stages used — the resource metrics of Fig. 16.
   std::size_t slots_used() const;
@@ -210,7 +208,6 @@ class NewtonSwitch {
   std::map<uint64_t, SliceRt> slices_;  // keyed by same handle
   std::vector<StateSegment> segments_;  // every record's segments, in order
   uint64_t next_handle_ = 1;
-  std::size_t next_free_stage_ = 0;
   WindowClock clock_;
   uint64_t packets_forwarded_ = 0;
   uint64_t late_packets_ = 0;

@@ -1,11 +1,10 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
-#include <numeric>
 #include <stdexcept>
 
+#include "core/overlap.h"
 #include "sketch/estimator.h"
 
 namespace newton {
@@ -32,13 +31,6 @@ Probe probe_query(const Query& q) {
   return p;
 }
 
-bool queries_overlap(const CompiledQuery& a, const CompiledQuery& b) {
-  for (const auto& ba : a.branches)
-    for (const auto& bb : b.branches)
-      if (ba.init.overlaps(bb.init)) return true;
-  return false;
-}
-
 }  // namespace
 
 SchedulePlan schedule_queries(const std::vector<ScheduleRequest>& requests,
@@ -55,29 +47,20 @@ SchedulePlan schedule_queries(const std::vector<ScheduleRequest>& requests,
   probes.reserve(requests.size());
   for (const auto& r : requests) probes.push_back(probe_query(r.query));
 
-  // 2. Union-find traffic-overlap groups (chained within, parallel across).
+  // 2. Overlap classes (chained within, parallel across).
   const std::size_t n = requests.size();
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
-    return parent[x] == x ? x : parent[x] = find(parent[x]);
-  };
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < i; ++j)
-      if (queries_overlap(probes[i].compiled, probes[j].compiled))
-        parent[find(i)] = find(j);
+  const std::vector<std::size_t> group =
+      overlap_classes(n, [&](std::size_t i, std::size_t j) {
+        return traffic_overlaps(probes[i].compiled, probes[j].compiled);
+      });
 
-  // 3. Chain offsets: queries of one group stack; groups run in parallel.
-  std::vector<std::size_t> offset(n, 0);
-  std::map<std::size_t, std::size_t> group_height;
+  // 3. Chain offsets: queries of one class stack; classes run in parallel.
+  std::vector<std::size_t> offset(n, 0), height(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    auto& h = group_height[find(i)];
-    offset[i] = h;
-    h += probes[i].span;
+    offset[i] = height[group[i]];
+    height[group[i]] += probes[i].span;
   }
-  plan.stages_used = 0;
-  for (const auto& [g, h] : group_height)
-    plan.stages_used = std::max(plan.stages_used, h);
+  plan.stages_used = *std::max_element(height.begin(), height.end());
   if (plan.stages_used > profile.stages) {
     plan.reject_code = AdmitCode::kStageOverflow;
     plan.reason = "pipeline height " + std::to_string(plan.stages_used) +

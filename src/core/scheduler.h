@@ -5,8 +5,8 @@
 // Given a batch of queries with operator-assigned weights and a switch
 // profile, the scheduler plans:
 //   * stage sharing: disjoint-traffic queries multiplex the same stage
-//     ranges (P-Newton), same-traffic queries chain (S-Newton); overlap
-//     groups are packed to minimize the pipeline height;
+//     ranges (P-Newton), same-traffic queries chain (S-Newton); the overlap
+//     classes of core/overlap.h are packed to minimize the pipeline height;
 //   * register budgeting: if the per-stage state banks cannot hold every
 //     query's requested sketch width, widths degrade gracefully —
 //     proportionally to weight, in powers of two, never below a floor —

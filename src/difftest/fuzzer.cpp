@@ -132,6 +132,7 @@ FuzzStats run_fuzzer(const FuzzOptions& opt) {
     }
     ++st.runs;
     st.late_scenarios += out.late_packets > 0;
+    st.overlap_chain_scenarios += out.overlap_chained;
     st.placement_scenarios += std::any_of(
         out.axes.begin(), out.axes.end(), [](const AxisReport& a) {
           return a.ran && a.axis == "place-inc-vs-scratch";

@@ -54,6 +54,9 @@ struct FuzzStats {
   // Scenarios whose place-inc-vs-scratch axis ran (not skipped): the only
   // cross-check of the two re-placement modes' reconciliations.
   std::size_t placement_scenarios = 0;
+  // Scenarios whose churn axis installed two queries over shared traffic,
+  // so the overlap-rule oracle checked a real chain.
+  std::size_t overlap_chain_scenarios = 0;
   std::vector<std::string> failure_files;  // written scenario files
 
   bool ok() const { return divergent == 0; }

@@ -10,6 +10,7 @@
 #include "core/compose.h"
 #include "core/controller.h"
 #include "core/newton_switch.h"
+#include "core/overlap.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "net/net_controller.h"
@@ -496,18 +497,32 @@ struct ChurnOracle {
 // interleaved: every event runs a pre-admission check, the attempt, and the
 // post-state assertions.  Invariant violations land in `out` with axis
 // "churn-invariant"; the returned reports must still be byte-identical to
-// the churn-free o0 baseline (checked by the caller).
+// the churn-free o0 baseline (checked by the caller).  `overlap_chained` is
+// set once the installed set holds two queries over shared traffic.
 ExecResult run_churn(const Scenario& s, const Trace& t,
                      const std::vector<ChurnEvent>& plan,
-                     std::vector<Divergence>& out) {
+                     std::vector<Divergence>& out, bool& overlap_chained) {
   Analyzer an;
   NewtonSwitch sw(1, kSingleStages, &an, bank_size(s));
   Controller ctl(sw);
-  ctl.set_rebind_hook(
-      [&an](const std::string& name, const std::vector<uint16_t>& qids) {
-        for (std::size_t bi = 0; bi < qids.size(); ++bi)
-          an.register_qid_any(qids[bi], name, bi);
-      });
+  // The overlap rule over the installed set, checked apart from the
+  // Controller's chaining.
+  const auto overlap_rule = [&](const std::string& at) {
+    std::vector<const CompiledQuery*> placed;
+    for (const Controller::QueryInfo& info : ctl.list_queries())
+      placed.push_back(ctl.compiled(info.name));
+    if (const std::string err = check_disjoint_stages(placed); !err.empty())
+      out.push_back({"churn-invariant", at + ": " + err});
+    for (std::size_t i = 0; i < placed.size(); ++i)
+      for (std::size_t j = 0; j < i; ++j)
+        overlap_chained |= traffic_overlaps(*placed[i], *placed[j]);
+  };
+  ctl.set_rebind_hook([&](const std::string& name,
+                          const std::vector<uint16_t>& qids) {
+    for (std::size_t bi = 0; bi < qids.size(); ++bi)
+      an.register_qid_any(qids[bi], name, bi);
+    overlap_rule("after compaction move");
+  });
   ChurnOracle oracle;
   oracle.total_qids = sw.free_qids();
   const auto invariant = [&](const char* what, bool ok, std::string why) {
@@ -515,6 +530,7 @@ ExecResult run_churn(const Scenario& s, const Trace& t,
       out.push_back({"churn-invariant", std::string(what) + ": " + why});
   };
   const auto conserve = [&](const char* at) {
+    overlap_rule(at);
     const std::string err = oracle.check(sw);
     if (!err.empty())
       out.push_back({"churn-invariant", std::string(at) + ": " + err});
@@ -789,7 +805,7 @@ CheckOutcome check_scenario(const Scenario& s) {
     // Single-switch churn with per-event admission/rollback assertions;
     // reports must be byte-identical to the churn-free baseline.
     std::vector<Divergence> inv;
-    const ExecResult ch = run_churn(s, t, plan, inv);
+    const ExecResult ch = run_churn(s, t, plan, inv, o.overlap_chained);
     for (Divergence& d : inv) o.divergences.push_back(std::move(d));
     diff_exact(ch, o0, "churn-vs-o0", std::nullopt, o.divergences);
     o.axes.push_back({"churn-vs-o0", true, ""});

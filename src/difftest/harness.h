@@ -48,6 +48,9 @@ struct CheckOutcome {
   std::vector<AxisReport> axes;
   std::size_t packets = 0;
   uint64_t late_packets = 0;  // folded into a later window by the clock
+  // The churn axis's installed set held two queries over shared traffic,
+  // chained into disjoint stages (the overlap rule, core/overlap.h).
+  bool overlap_chained = false;
 
   bool ok() const { return divergences.empty(); }
 };

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/overlap.h"
 #include "telemetry/telemetry.h"
 
 namespace newton {
@@ -162,6 +163,26 @@ void NetworkController::free_central(Deployment& d) {
   d.central_allocs.clear();
 }
 
+void NetworkController::pair_ingress(Deployment& d, int delta) {
+  static telemetry::Gauge& shared = telemetry::Registry::global().gauge(
+      "newton_fleet_ingress_shared_queries",
+      "Deployed sliced queries whose slice 0 shares traffic (and so an "
+      "ingress switch's metadata sets) with another deployed slice 0");
+  if (d.slices.empty()) return;
+  for (auto& [name, other] : deployments_) {
+    if (&other == &d || other.slices.empty() ||
+        !traffic_overlaps(d.slices[0].part, other.slices[0].part))
+      continue;
+    other.ingress_partners += delta;
+    d.ingress_partners += delta;
+  }
+  // A leaving `d` ends with no partners, so it no longer counts.
+  ingress_shared_ = static_cast<std::size_t>(std::count_if(
+      deployments_.begin(), deployments_.end(),
+      [](const auto& kv) { return kv.second.ingress_partners > 0; }));
+  shared.set(static_cast<int64_t>(ingress_shared_));
+}
+
 void NetworkController::rollback(Deployment& d) {
   // Abort phase of the two-phase install: withdraw every slice already
   // installed and release the central register ranges, leaving no trace.
@@ -225,7 +246,9 @@ const NetworkController::Deployment& NetworkController::deploy(
   // Phase 2 (commit): the placement is complete; publish it (and the
   // placer state that tracks it incrementally from here on).
   if (placer) placers_.insert_or_assign(q.name, std::move(*placer));
-  return deployments_[q.name] = std::move(d);
+  Deployment& placed = deployments_[q.name] = std::move(d);
+  pair_ingress(placed, +1);
+  return placed;
 }
 
 const NetworkController::Deployment& NetworkController::deploy_path(
@@ -253,7 +276,9 @@ const NetworkController::Deployment& NetworkController::deploy_path(
     rollback(d);
     throw;
   }
-  return deployments_[q.name] = std::move(d);
+  Deployment& placed = deployments_[q.name] = std::move(d);
+  pair_ingress(placed, +1);
+  return placed;
 }
 
 const NetworkController::Deployment& NetworkController::deploy_sole(
@@ -263,6 +288,10 @@ const NetworkController::Deployment& NetworkController::deploy_sole(
   // Every switch runs the whole query at the same offsets, resolved against
   // the central allocator as deploy and deploy_path resolve theirs, so a
   // later deployment never picks a range this one holds.
+  std::vector<const CompiledQuery*> placed;
+  for (const auto& [name, other] : deployments_)
+    if (other.whole) placed.push_back(&*other.whole);
+  opts.min_stage = std::max(opts.min_stage, chain_floor(q, opts, placed));
   std::vector<QuerySlice> whole(1);
   whole[0].part = compile_query(q, opts);
   resolve_slice_offsets(whole, central_alloc_);
@@ -294,6 +323,7 @@ const NetworkController::Deployment& NetworkController::deploy_sole(
     rollback(d);
     throw;
   }
+  d.whole = std::move(whole[0].part);
   return deployments_[q.name] = std::move(d);
 }
 
@@ -309,6 +339,7 @@ void NetworkController::withdraw(const std::string& name) {
   for (const auto& [sw_node, handles] : it->second.orphaned)
     for (uint64_t h : handles) net_.sw(sw_node).remove(h);
   free_central(it->second);
+  pair_ingress(it->second, -1);
   placers_.erase(name);
   deployments_.erase(it);
   FaultCounters::get().degraded.set(static_cast<int64_t>(std::count_if(

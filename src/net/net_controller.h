@@ -141,6 +141,10 @@ class NetworkController {
     // is only swept at the next switch-death/restore reconciliation
     // (matching what the scratch path has always done).
     std::set<std::pair<int, std::size_t>> stale_extras;
+    std::optional<CompiledQuery> whole;  // deploy_sole: the query it runs
+    // Sliced deployments: how many other deployed slice 0s share traffic
+    // with this one's (traffic_overlaps, core/overlap.h).
+    std::size_t ingress_partners = 0;
   };
 
   // Running totals of the fault machinery (mirrored into telemetry).
@@ -174,7 +178,9 @@ class NetworkController {
   const Deployment& deploy_path(const Query& q, const std::vector<int>& sw_path,
                                 CompileOptions opts = {});
 
-  // Sole-execution baseline: every switch runs the full query.
+  // Sole-execution baseline: every switch runs the full query, chained past
+  // the sole deployments it shares traffic with (throws if it then no longer
+  // fits the switch's stages).
   const Deployment& deploy_sole(const Query& q, CompileOptions opts = {});
 
   void withdraw(const std::string& name);
@@ -221,6 +227,11 @@ class NetworkController {
   }
   // Any deployment currently running with partial coverage?
   bool any_degraded() const;
+  // Deployed sliced queries whose slice 0 shares traffic with another
+  // deployed slice 0 (gauge newton_fleet_ingress_shared_queries).  Such
+  // slice 0s share an ingress switch's metadata sets at the same stages
+  // (docs/fleet.md).
+  std::size_t ingress_shared_queries() const { return ingress_shared_; }
 
  private:
   NewtonSwitch::InstallResult install_with_retry(int sw_node,
@@ -248,6 +259,9 @@ class NetworkController {
   static void record_central(Deployment& d,
                              const std::vector<QuerySlice>& slices);
   void free_central(Deployment& d);
+  // A deployed `d` joins (delta +1) or leaves (-1) the sliced deployments:
+  // update the ingress partner counts and the shared-ingress gauge.
+  void pair_ingress(Deployment& d, int delta);
 
   Network& net_;
   Analyzer* analyzer_;
@@ -263,6 +277,7 @@ class NetworkController {
   bool verify_placement_ = false;
   FaultStats fault_stats_;
   std::optional<InstallFailure> last_failure_;
+  std::size_t ingress_shared_ = 0;
   uint16_t next_uid_ = 1;
 };
 

@@ -2,9 +2,16 @@
 // validation, and the paper's module/stage count claims.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <tuple>
+#include <vector>
+
 #include "core/compose.h"
 #include "core/decompose.h"
+#include "core/newton_switch.h"
 #include "core/queries.h"
+#include "packet/packet.h"
 
 namespace newton {
 namespace {
@@ -213,6 +220,119 @@ TEST(Compose, DisjointBranchesShareStages) {
   EXPECT_NE(cq.branches[0].chain_group, cq.branches[1].chain_group);
   // Multiplexing: total stages far below the sum of per-branch stages.
   EXPECT_LE(cq.num_stages(), 6u);
+}
+
+// Three branches whose overlap is not transitive: `udp` and `tcp` match
+// disjoint traffic, and `p53` overlaps both.
+Query three_branch_53() {
+  return QueryBuilder("three53")
+      .sketch(2, 4096)
+      .branch("udp")
+      .filter(Predicate{}.where(Field::Proto, Cmp::Eq, kProtoUdp))
+      .map({Field::DstIp})
+      .reduce({Field::DstIp}, Agg::Sum)
+      .when(Cmp::Ge, 100)
+      .branch("tcp")
+      .filter(Predicate{}.where(Field::Proto, Cmp::Eq, kProtoTcp))
+      .map({Field::DstIp, Field::SrcIp})
+      .distinct({Field::DstIp, Field::SrcIp})
+      .map({Field::DstIp})
+      .reduce({Field::DstIp}, Agg::Sum)
+      .when(Cmp::Ge, 10)
+      .branch("p53")
+      .filter(Predicate{}.where(Field::DstPort, Cmp::Eq, 53))
+      .map({Field::SrcIp})
+      .reduce({Field::SrcIp}, Agg::Sum)
+      .when(Cmp::Ge, 100)
+      .build();
+}
+
+using Records = std::vector<std::tuple<std::array<uint32_t, kNumFields>,
+                                       uint32_t, uint64_t>>;
+
+// Each branch's sorted records after 3,000 packets to port 53 in one
+// window: a third UDP from 5 sources to 172.16.0.1, the rest TCP from 40
+// sources, even sources to 172.16.0.2 and odd ones to 172.16.0.3.
+std::vector<Records> records_by_branch(const CompiledQuery& cq) {
+  ReportBuffer sink;
+  NewtonSwitch sw(1, 32, &sink);
+  const std::vector<uint16_t> qids = sw.install(cq).qids;
+  for (uint32_t i = 0; i < 3000; ++i) {
+    sw.process(i % 3 == 0
+                   ? make_packet(ipv4(10, 0, 1, 1 + i % 5), ipv4(172, 16, 0, 1),
+                                 5000, 53, kProtoUdp, 0, 64, 1000ull * i)
+                   : make_packet(ipv4(10, 0, 0, 1 + i % 40),
+                                 ipv4(172, 16, 0, 2 + i % 2), 5000 + i, 53,
+                                 kProtoTcp, kTcpAck, 64, 1000ull * i));
+  }
+  std::vector<Records> out(qids.size());
+  for (const ReportRecord& r : sink.records())
+    for (std::size_t bi = 0; bi < qids.size(); ++bi)
+      if (r.qid == qids[bi])
+        out[bi].emplace_back(r.oper_keys, r.state_result, r.ts_ns);
+  for (Records& rs : out) std::sort(rs.begin(), rs.end());
+  return out;
+}
+
+// Stage range [lo, hi] of one compiled branch.
+std::pair<int, int> stage_range(const BranchModules& b) {
+  int lo = INT32_MAX, hi = -1;
+  for (const ModuleSpec& m : b.modules) {
+    lo = std::min(lo, m.stage);
+    hi = std::max(hi, m.stage);
+  }
+  return {lo, hi};
+}
+
+TEST(Compose, OverlapClassesAreTransitive) {
+  const Query q = three_branch_53();
+  const CompiledQuery cq = compile_query(q, level(3));
+  ASSERT_EQ(cq.branches.size(), 3u);
+  // p53 links udp and tcp, so all three form one class.
+  EXPECT_EQ(cq.branches[0].chain_group, 0u);
+  EXPECT_EQ(cq.branches[1].chain_group, 0u);
+  EXPECT_EQ(cq.branches[2].chain_group, 0u);
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = 0; j < i; ++j) {
+      if (!cq.branches[i].init.overlaps(cq.branches[j].init)) continue;
+      const auto [ilo, ihi] = stage_range(cq.branches[i]);
+      const auto [jlo, jhi] = stage_range(cq.branches[j]);
+      EXPECT_TRUE(ihi < jlo || jhi < ilo) << i << " vs " << j;
+    }
+  EXPECT_EQ(validate_schedule(cq), "");
+
+  // Each branch alone, and the layout a non-transitive grouping gives: udp
+  // and p53 chained from stage 0, tcp beside them from stage 0, so tcp and
+  // p53 share stages over TCP traffic to port 53.
+  std::vector<CompiledQuery> solo;
+  for (std::size_t bi = 0; bi < 3; ++bi) {
+    Query one = q;
+    one.branches = {q.branches[bi]};
+    solo.push_back(compile_query(one, level(3)));
+  }
+  CompiledQuery split = cq;
+  CompileOptions after_udp = level(3);
+  after_udp.min_stage = solo[0].max_stage() + 1;
+  split.branches[0] = solo[0].branches[0];
+  split.branches[1] = solo[1].branches[0];
+  split.branches[2] = compile_query(solo[2].source, after_udp).branches[0];
+  for (std::size_t bi = 0; bi < 3; ++bi) {
+    split.branches[bi].branch_index = bi;
+    split.branches[bi].chain_group = bi == 1 ? 1 : 0;
+  }
+  ASSERT_LE(stage_range(split.branches[1]).first,
+            stage_range(split.branches[2]).second);
+  ASSERT_GE(stage_range(split.branches[1]).second,
+            stage_range(split.branches[2]).first);
+  EXPECT_NE(validate_schedule(split), "");
+
+  // On one switch every branch reports what it reports alone.
+  const std::vector<Records> together = records_by_branch(cq);
+  for (std::size_t bi = 0; bi < 3; ++bi) {
+    const Records alone = records_by_branch(solo[bi])[0];
+    EXPECT_FALSE(alone.empty()) << q.branches[bi].name;
+    EXPECT_EQ(together[bi], alone) << q.branches[bi].name;
+  }
 }
 
 TEST(Compose, MaxStagesGuardThrows) {

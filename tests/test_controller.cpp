@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <random>
+#include <tuple>
+#include <vector>
 
 #include "core/controller.h"
 #include "core/queries.h"
 #include "core/range_alloc.h"
+#include "packet/packet.h"
 
 namespace newton {
 namespace {
@@ -233,7 +237,7 @@ TEST(Controller, SNewtonStagesGrowLinearly) {
     Query q = make_q1(p);
     q.name += std::to_string(i);  // same traffic class every time
     ctl.install(q);
-    stage_marks.push_back(sw.next_free_stage());
+    stage_marks.push_back(ctl.compiled(q.name)->max_stage() + 1);
   }
   EXPECT_GT(stage_marks[1], stage_marks[0]);
   EXPECT_GT(stage_marks[2], stage_marks[1]);
@@ -281,6 +285,51 @@ TEST(Controller, UpdatePreservesName) {
   ctl.update("q1_new_tcp", make_q1(p));
   EXPECT_TRUE(ctl.installed("q1_new_tcp"));
   EXPECT_EQ(ctl.num_installed(), 1u);
+}
+
+using Records = std::vector<
+    std::tuple<std::array<uint32_t, kNumFields>, uint32_t, uint64_t>>;
+
+// q1's records (keys, state, timestamp), sorted, after a fixed mix on a
+// 64-stage switch: 1,200 packets in one window, two thirds TCP SYNs from
+// 3 sources to 11 destinations, the rest UDP.  `also` is installed after q1
+// with `also_opts`, when given.
+Records q1_records_beside(const Query* also, const CompileOptions& also_opts) {
+  ReportBuffer sink;
+  NewtonSwitch sw(1, 64, &sink);
+  Controller ctl(sw);
+  QueryParams p;
+  p.sketch_width = 256;
+  p.q1_syn_th = 8;
+  const std::vector<uint16_t> q1_qids = ctl.install(make_q1(p)).qids;
+  if (also) ctl.install(*also, also_opts);
+  for (uint32_t i = 0; i < 1200; ++i) {
+    const uint32_t sip = ipv4(10, 0, 0, 1 + i % 3);
+    const uint32_t dip = ipv4(172, 16, 0, 1 + i % 11);
+    sw.process(i % 3 == 2
+                   ? make_packet(sip, dip, 4000 + i, 53, kProtoUdp, 0, 64,
+                                 1000ull * i)
+                   : make_packet(sip, dip, 4000 + i, 80, kProtoTcp, kTcpSyn,
+                                 64, 1000ull * i));
+  }
+  Records out;
+  for (const ReportRecord& r : sink.records())
+    if (std::find(q1_qids.begin(), q1_qids.end(), r.qid) != q1_qids.end())
+      out.emplace_back(r.oper_keys, r.state_result, r.ts_ns);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Controller, MixedOpt1QueriesChain) {
+  // q5 compiled without Opt.1 keeps its UDP filter in K/R modules, so its
+  // newton_init entry matches every packet and overlaps q1's.  It must
+  // chain past q1 instead of rewriting q1's metadata set on every SYN.
+  const auto alone = q1_records_beside(nullptr, {});
+  ASSERT_EQ(alone.size(), 11u);
+  CompileOptions no_opt1;
+  no_opt1.opt1 = false;
+  const Query q5 = make_q5();
+  EXPECT_EQ(q1_records_beside(&q5, no_opt1), alone);
 }
 
 }  // namespace

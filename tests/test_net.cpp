@@ -18,6 +18,7 @@
 #include "net/placement.h"
 #include "net/routing.h"
 #include "net/topology.h"
+#include "telemetry/telemetry.h"
 #include "trace/attacks.h"
 
 namespace newton {
@@ -491,6 +492,71 @@ TEST(TransitInit, SlicedDeployAfterSoleQuery) {
   ctl.withdraw("sole_count");
   EXPECT_NO_THROW(ctl.deploy_sole(sole));
   EXPECT_NO_THROW(ctl.deploy(make_q1(params)));
+}
+
+TEST(TransitInit, OverlappingSoleDeploysChain) {
+  // q1 (SYNs per destination) and q3 (distinct destinations per source)
+  // both watch every SYN.  As whole-query deployments they share each
+  // switch's metadata sets, so the later one must chain past the earlier
+  // one; q1 keeps its 11 victims in either deploy order.
+  QueryParams p;
+  p.sketch_width = 256;
+  p.q1_syn_th = 8;
+  p.q3_fanout_th = 4;
+  for (const bool q1_first : {true, false}) {
+    Analyzer an;
+    Network net(make_line(3), /*stages=*/32, &an, /*bank=*/1 << 14);
+    NetworkController ctl(net, &an, 1 << 14);
+    if (q1_first) ctl.deploy_sole(make_q1(p));
+    ctl.deploy_sole(make_q3(p));
+    if (!q1_first) ctl.deploy_sole(make_q1(p));
+    const auto hosts = net.topo().hosts();
+    for (uint32_t i = 0; i < 900; ++i)
+      net.send(make_packet(ipv4(10, 0, 0, 1 + i % 3),
+                           ipv4(172, 16, 0, 1 + i % 11), 4000 + i, 80,
+                           kProtoTcp, i % 3 == 2 ? kTcpAck : kTcpSyn, 64,
+                           1000ull * i),
+               hosts[0], hosts[1]);
+    EXPECT_EQ(an.detected("q1_new_tcp").size(), 11u)
+        << "q1 first: " << q1_first;
+    EXPECT_EQ(an.detected("q3_super_spreader").size(), 3u)
+        << "q1 first: " << q1_first;
+  }
+}
+
+TEST(IngressShared, OverlappingSliceZerosAreCounted) {
+  // Every sliced query's slice 0 starts at stage 0 of its ingress switch,
+  // so two slice 0s over shared traffic share that switch's metadata sets.
+  // The controller counts such queries; TCP beside UDP shares nothing.
+  Analyzer an;
+  Network net(make_line(3), /*stages=*/5, &an, /*bank=*/1 << 14);
+  NetworkController ctl(net, &an, 1 << 14);
+  QueryParams params;
+  params.sketch_width = 256;
+  const auto gauge = [] {
+    const telemetry::Snapshot snap = telemetry::Registry::global().snapshot();
+    const telemetry::Sample* s =
+        snap.find("newton_fleet_ingress_shared_queries");
+    return s ? s->value : -1.0;
+  };
+  ctl.deploy(make_q1(params));  // TCP SYN, keyed on DstIp
+  ctl.deploy(make_q5(params));  // UDP
+  EXPECT_EQ(ctl.ingress_shared_queries(), 0u);
+  EXPECT_EQ(gauge(), 0.0);
+  ctl.deploy(make_q4(params));  // TCP SYN, keyed on SrcIp and DstPort
+  EXPECT_EQ(ctl.ingress_shared_queries(), 2u);
+  EXPECT_EQ(gauge(), 2.0);
+  ctl.withdraw("q4_port_scan");
+  EXPECT_EQ(ctl.ingress_shared_queries(), 0u);
+  EXPECT_EQ(gauge(), 0.0);
+  // Whole-query (sole) deployments chain instead and are not counted.
+  QueryBuilder b("sole_count");
+  b.sketch(1, 32);
+  b.map({Field::DstIp}).reduce({Field::DstIp}, Agg::Sum).when(Cmp::Ge, 1000);
+  Query sole = b.build();
+  sole.row_partitions = 1;
+  ctl.deploy_sole(sole);
+  EXPECT_EQ(ctl.ingress_shared_queries(), 0u);
 }
 
 TEST(NetworkResilience, RerouteStillMonitored) {

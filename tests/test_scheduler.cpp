@@ -140,7 +140,9 @@ TEST(Scheduler, PlanMatchesControllerChaining) {
   NewtonSwitch sw(1, profile.stages, nullptr);
   Controller ctl(sw);
   EXPECT_NO_THROW(apply_plan(ctl, plan));
-  EXPECT_LE(sw.next_free_stage(), plan.stages_used);
+  for (const ScheduledQuery& sq : plan.entries)
+    EXPECT_LE(ctl.compiled(sq.query.name)->max_stage() + 1, plan.stages_used)
+        << sq.query.name;
 }
 
 }  // namespace

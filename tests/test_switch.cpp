@@ -180,7 +180,8 @@ TEST(Controller, SameTrafficQueriesChainIntoLaterStages) {
   NewtonSwitch sw(1, 24, nullptr);
   Controller ctl(sw);
   ctl.install(make_q1());  // TCP SYN traffic
-  const std::size_t stage_after_q1 = sw.next_free_stage();
+  const std::size_t stage_after_q1 =
+      ctl.compiled("q1_new_tcp")->max_stage() + 1;
   Query q4 = make_q4();    // also TCP SYN traffic -> overlap -> chained
   ctl.install(q4);
   const CompiledQuery* cq4 = ctl.compiled("q4_port_scan");
