@@ -208,8 +208,8 @@ BENCHMARK(BM_SwitchProcessConcurrentQueries)->Arg(1)->Arg(16)->Arg(64);
 // query set: 0 = q1/q3/q5 over the CAIDA-like trace with a SYN and a UDP
 // flood, 1 = the six detectors over the labeled attack trace.  Arg 1 is
 // the burst: 64 as in the runtime, or 1, where every packet is its own run
-// and the per-run cost (load phase, plan lookup or merge) dominates.  The
-// input keeps the first 8192 packets that activate a query.
+// and the per-run cost (load phase, putting the chains in order)
+// dominates.  The input keeps the first 8192 packets that activate a query.
 void BM_CompiledRun(benchmark::State& state) {
   const bool detectors = state.range(0) == 1;
   const auto burst = static_cast<std::size_t>(state.range(1));

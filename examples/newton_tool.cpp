@@ -511,10 +511,10 @@ int cmd_fuzz(int argc, char** argv) {
   const difftest::FuzzStats st = difftest::run_fuzzer(fo);
   std::printf("fuzz: %zu run(s), %zu divergent, corpus %zu, %zu coverage "
               "bit(s), late arrivals in %zu, placement axis in %zu, "
-              "overlap chains in %zu\n",
+              "overlap chains in %zu, raw refusals in %zu\n",
               st.runs, st.divergent, st.corpus, st.coverage_bits,
               st.late_scenarios, st.placement_scenarios,
-              st.overlap_chain_scenarios);
+              st.overlap_chain_scenarios, st.raw_refusal_scenarios);
   for (const std::string& f : st.failure_files)
     std::printf("fuzz: failing scenario %s (replay: newton_tool fuzz "
                 "--replay %s)\n",

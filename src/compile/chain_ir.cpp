@@ -36,9 +36,8 @@ std::vector<Chain> lower(Pipeline& pipe) {
     return out[slot[qid] - 1u];
   };
   // Walk (stage, slot) major — the interpreter's visit order — appending
-  // each rule to its query's chain, so every chain comes out already
-  // ordered and a k-way merge by `order` reconstructs the exact
-  // interleaving the interpreter would execute.
+  // each rule to its query's chain, so every chain comes out already in
+  // the order the interpreter executes it.
   for (std::size_t si = 0; si < pipe.num_stages(); ++si) {
     const auto& tables = pipe.stage(si).tables();
     for (std::size_t ti = 0; ti < tables.size(); ++ti) {

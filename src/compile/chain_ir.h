@@ -44,8 +44,8 @@ struct ChainOp {
   OpKind kind = OpKind::K;
   uint8_t set = 0;          // which PHV metadata set the op reads/writes
   uint16_t qid = 0;
-  // Interpreter visit order: (stage << 8) | slot.  The merge key when
-  // several chains execute over one run of packets.
+  // Interpreter visit order: (stage << 8) | slot.  Each chain's first op's
+  // value orders a run's chains (co-active chains own disjoint stages).
   uint32_t order = 0;
   uint64_t* hits = nullptr;  // source module's rule-hit cell
 

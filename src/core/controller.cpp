@@ -390,10 +390,11 @@ bool Controller::compact_one(const std::string& name, CompactStats& stats) {
   if (!admit_against_switch(sw_, cand_demand).admitted()) return false;
 
   // install-new / withdraw-old.  Both run under the caller's quiesced
-  // mutation window, so no packet ever sees both copies.
+  // mutation window, so no packet ever sees both copies; the switch's
+  // overlap rule skips the copy being replaced.
   NewtonSwitch::InstallResult res;
   try {
-    res = sw_.install(cand);
+    res = sw_.install(cand, /*resolve_offsets=*/true, e.handle);
   } catch (const std::exception&) {
     return false;  // switch install rolled itself back; nothing changed
   }

@@ -4,6 +4,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "core/overlap.h"
 #include "telemetry/telemetry.h"
 
 namespace newton {
@@ -38,8 +39,25 @@ void NewtonSwitch::set_sink(ReportSink* sink) {
 }
 
 NewtonSwitch::InstallResult NewtonSwitch::install(const CompiledQuery& cq,
-                                                  bool resolve_offsets) {
+                                                  bool resolve_offsets,
+                                                  uint64_t replaces) {
+  check_overlap(cq, replaces);
   return install_impl(cq, resolve_offsets, /*with_init=*/true, std::nullopt);
+}
+
+void NewtonSwitch::check_overlap(const CompiledQuery& cq,
+                                 uint64_t replaces) const {
+  const auto refuse = [](const BranchModules& a, const BranchModules& b) {
+    const std::string err =
+        stage_conflict(a, stage_range(a), b, stage_range(b));
+    if (!err.empty()) throw std::invalid_argument(err);
+  };
+  for (std::size_t i = 0; i < cq.branches.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) refuse(cq.branches[i], cq.branches[j]);
+    for (const auto& [handle, rec] : installs_)
+      if (handle != replaces)
+        for (const BranchModules& b : rec.branches) refuse(cq.branches[i], b);
+  }
 }
 
 NewtonSwitch::InstallResult NewtonSwitch::install_slice(
@@ -185,6 +203,7 @@ NewtonSwitch::InstallResult NewtonSwitch::install_impl(
   // The first install into an emptied switch may bring a new window length.
   if (window_ns != clock_.window_ns()) clock_ = WindowClock(window_ns);
   segments_.insert(segments_.end(), rec.segments.begin(), rec.segments.end());
+  if (!slice_meta) rec.branches = std::move(q.branches);
   installs_[handle] = std::move(rec);
   return res;
 }
@@ -272,13 +291,14 @@ NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
                                            bool at_ingress_edge,
                                            bool dispatch_init) {
   roll_to(pkt.ts_ns);
-  ++packets_forwarded_;
+  // A hop counts its packet once: on the pass that dispatches it.
+  if (dispatch_init) ++packets_forwarded_;
 
   Output out;
   Phv phv;
   phv.pkt = pkt;
   if (clock_.late(pkt.ts_ns)) {
-    ++late_packets_;
+    if (dispatch_init) ++late_packets_;
     phv.pkt.ts_ns = clock_.start_ns();
   }
   phv.at_ingress_edge = at_ingress_edge;
@@ -305,6 +325,7 @@ NewtonSwitch::Output NewtonSwitch::process(const Packet& pkt,
 
   if (dispatch_init) init_.execute(phv);
   pipeline_.process_burst(&phv, 1);
+  if (!dispatch_init) pipeline_.uncount_packets(1);
 
   // CQE egress: snapshot results toward the next hop for every non-final
   // slice that ran with its query still live.  A resumed pass continues

@@ -51,12 +51,20 @@ class NewtonSwitch {
   // switch runs the installed queries' window (`cq.source.window_ns`): an
   // install into an empty switch adopts it, and a query whose window differs
   // from the installed ones' throws std::invalid_argument with nothing
-  // installed (admission refuses it first as kWindowMismatch).  Overlap
-  // (core/overlap.h) is the caller's job, as in Controller and deploy_sole.
-  InstallResult install(const CompiledQuery& cq, bool resolve_offsets = true);
+  // installed (admission refuses it first as kWindowMismatch).  So does a
+  // query that breaks the overlap rule (core/overlap.h): a branch that can
+  // match a packet another whole install's branch (or a sibling) matches,
+  // in stages that meet that branch's, is refused with the rule's
+  // diagnostic.  Controller and deploy_sole chain queries so they never
+  // are.  `replaces` names an installed handle the rule skips: the copy a
+  // compaction move installs the query beside, then withdraws.
+  InstallResult install(const CompiledQuery& cq, bool resolve_offsets = true,
+                        uint64_t replaces = 0);
 
   // Install one CQE slice of query `query_uid`.  Slices with index > 0 get
-  // no newton_init entry: they are activated by the SP header only.
+  // no newton_init entry: they are activated by the SP header only.  The
+  // overlap rule does not see slices (a fleet counts the slice 0s that
+  // share traffic instead, NetworkController::ingress_shared_queries).
   InstallResult install_slice(const QuerySlice& slice, uint16_t query_uid,
                               bool resolve_offsets = true);
 
@@ -81,6 +89,8 @@ class NewtonSwitch {
   // resumes several carried SP headers runs one pass per header, but the
   // packet is dispatched by newton_init only once: every pass after the
   // first sets `dispatch_init` false and runs only the resumed slice.
+  // Only the dispatching pass counts the packet (packets_forwarded(),
+  // late_packets(), the pipeline's packet and stage series).
   // A packet stamped before the open window is folded into it: the PHV's
   // copy carries the open window's start as its timestamp (core/window.h).
   Output process(const Packet& pkt, std::optional<SpHeader> sp_in = {},
@@ -186,11 +196,17 @@ class NewtonSwitch {
     std::vector<uint16_t> rule_qids;  // parallel to rule_slots
     std::vector<StateSegment> segments;  // allocated stateful slices
     std::optional<uint64_t> slice_rt_key;
+    // A whole-query install's branches: the overlap rule's input.
+    std::vector<BranchModules> branches;
   };
 
   InstallResult install_impl(const CompiledQuery& cq, bool resolve_offsets,
                              bool with_init,
                              std::optional<SliceRt> slice_meta);
+  // Throws std::invalid_argument when a branch of `cq` breaks the overlap
+  // rule against a sibling or an installed whole query other than
+  // `replaces`.
+  void check_overlap(const CompiledQuery& cq, uint64_t replaces) const;
   uint16_t alloc_qid();
   void free_qid(uint16_t q);
   // Remove `qid`'s rule from the module at `slot` (stage, type).

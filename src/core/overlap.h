@@ -1,7 +1,8 @@
 // The one overlap rule (docs/ARCHITECTURE.md): branches whose newton_init
 // entries can match one packet share the PHV's metadata sets and global
 // result, so they must occupy disjoint stage ranges (S-Newton, Fig. 16).
-// Compose, validate_schedule, the scheduler, Controller and deploy_sole use it.
+// Compose, validate_schedule, the scheduler, Controller and deploy_sole place
+// by it, and NewtonSwitch::install refuses a whole query that breaks it.
 #pragma once
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compose.h"
@@ -55,27 +57,45 @@ std::size_t chain_floor(const Query& q, const CompileOptions& opts,
   return floor;
 }
 
+// Stage range [lo, hi] of a branch's modules; hi < lo when it has none.
+inline std::pair<int, int> stage_range(const BranchModules& b) {
+  int lo = INT_MAX, hi = -1;
+  for (const ModuleSpec& m : b.modules) {
+    lo = std::min(lo, m.stage);
+    hi = std::max(hi, m.stage);
+  }
+  return {lo, hi};
+}
+
+// "" when branches `a` (stages `ra`) and `b` (stages `rb`) may share a
+// pipeline; else the diagnostic: they can match one packet and their stage
+// ranges meet.
+inline std::string stage_conflict(const BranchModules& a,
+                                  std::pair<int, int> ra,
+                                  const BranchModules& b,
+                                  std::pair<int, int> rb) {
+  if (ra.first > rb.second || rb.first > ra.second || !a.init.overlaps(b.init))
+    return {};
+  return std::string("same-traffic branches overlap in stages: ")
+      .append(a.name)
+      .append(" vs ")
+      .append(b.name);
+}
+
 // "" when overlapping branches of `placed`, within or across queries, have
 // disjoint stage ranges; else a diagnostic naming a pair.
 inline std::string check_disjoint_stages(
     std::span<const CompiledQuery* const> placed) {
   std::vector<std::pair<const BranchModules*, std::pair<int, int>>> all;
   for (const CompiledQuery* q : placed)
-    for (const BranchModules& b : q->branches) {
-      int lo = INT_MAX, hi = -1;  // hi < lo: no modules
-      for (const ModuleSpec& m : b.modules) {
-        lo = std::min(lo, m.stage);
-        hi = std::max(hi, m.stage);
-      }
-      all.push_back({&b, {lo, hi}});
-    }
+    for (const BranchModules& b : q->branches)
+      all.push_back({&b, stage_range(b)});
   for (std::size_t i = 0; i < all.size(); ++i)
     for (std::size_t j = 0; j < i; ++j)
-      if (all[i].second.first <= all[j].second.second &&
-          all[j].second.first <= all[i].second.second &&
-          all[i].first->init.overlaps(all[j].first->init))
-        return "same-traffic branches overlap in stages: " +
-               all[i].first->name + " vs " + all[j].first->name;
+      if (std::string err = stage_conflict(*all[i].first, all[i].second,
+                                           *all[j].first, all[j].second);
+          !err.empty())
+        return err;
   return {};
 }
 

@@ -133,6 +133,7 @@ FuzzStats run_fuzzer(const FuzzOptions& opt) {
     ++st.runs;
     st.late_scenarios += out.late_packets > 0;
     st.overlap_chain_scenarios += out.overlap_chained;
+    st.raw_refusal_scenarios += out.raw_refused;
     st.placement_scenarios += std::any_of(
         out.axes.begin(), out.axes.end(), [](const AxisReport& a) {
           return a.ran && a.axis == "place-inc-vs-scratch";

@@ -57,6 +57,9 @@ struct FuzzStats {
   // Scenarios whose churn axis installed two queries over shared traffic,
   // so the overlap-rule oracle checked a real chain.
   std::size_t overlap_chain_scenarios = 0;
+  // Scenarios whose raw axis saw the switch refuse an install that breaks
+  // the overlap rule.
+  std::size_t raw_refusal_scenarios = 0;
   std::vector<std::string> failure_files;  // written scenario files
 
   bool ok() const { return divergent == 0; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -617,6 +618,44 @@ ExecResult run_churn(const Scenario& s, const Trace& t,
 }
 
 // ---------------------------------------------------------------------------
+// Raw installs: the switch's own overlap rule (core/overlap.h)
+// ---------------------------------------------------------------------------
+
+// The scenario queries `qs` raw-installed, in order and before the stream,
+// on one bare switch: each compiled at the scenario's opt level at stage 0,
+// with no Controller to chain it.  The switch refuses every query that
+// shares traffic with one it holds; `qs` keeps the rest.  A refusal that
+// changed anything on the switch is a divergence.
+ExecResult run_raw(const Scenario& s, const Trace& t,
+                   std::vector<std::size_t>& qs,
+                   std::vector<Divergence>& out) {
+  Analyzer an;
+  NewtonSwitch sw(1, kSingleStages, &an, bank_size(s));
+  std::vector<std::size_t> kept;
+  for (const std::size_t qi : qs) {
+    const SwSnapshot before = snapshot_switch(sw);
+    try {
+      const auto res =
+          sw.install(compile_query(s.queries[qi], level(s.opt_level)));
+      for (std::size_t bi = 0; bi < res.qids.size(); ++bi)
+        an.register_qid_any(res.qids[bi], query_name(qi), bi);
+      kept.push_back(qi);
+    } catch (const std::invalid_argument&) {
+      if (!(snapshot_switch(sw) == before))
+        out.push_back({"raw-vs-solo",
+                       query_name(qi).append(": a refused install left "
+                                             "state on the switch")});
+    }
+  }
+  qs = std::move(kept);
+  const WindowReplay rp =
+      replay_windows(t, s.window_ns(), [](std::size_t) {},
+                     [&](std::size_t i, uint64_t) { sw.process(t.packets[i]); });
+  sw.flush_telemetry();
+  return collect(an, s, rp.last_window, std::nullopt);
+}
+
+// ---------------------------------------------------------------------------
 // Comparison
 // ---------------------------------------------------------------------------
 
@@ -795,6 +834,22 @@ CheckOutcome check_scenario(const Scenario& s) {
     diff_exact(rtN, rt1, "rtN-vs-rt1", std::nullopt, o.divergences);
     diff_state(rtN, rt1, "rtN-vs-rt1", o.divergences);
     o.axes.push_back({"rtN-vs-rt1", true, ""});
+  }
+
+  // Raw installs: every query the bare switch accepted beside the others
+  // reports exactly what it reports alone there.
+  if (s.queries.size() >= 2) {
+    std::vector<std::size_t> kept(s.queries.size());
+    std::iota(kept.begin(), kept.end(), std::size_t{0});
+    const ExecResult raw = run_raw(s, t, kept, o.divergences);
+    o.raw_refused = kept.size() < s.queries.size();
+    if (kept.size() >= 2)
+      for (const std::size_t qi : kept) {
+        std::vector<std::size_t> solo{qi};
+        diff_exact(raw, run_raw(s, t, solo, o.divergences), "raw-vs-solo",
+                   qi, o.divergences);
+      }
+    o.axes.push_back({"raw-vs-solo", true, ""});
   }
 
   if (s.churn_ops > 0) {

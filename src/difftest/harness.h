@@ -1,6 +1,6 @@
-// Differential execution harness: runs one Scenario through up to ten
-// executions and cross-checks their per-window report keysets
-// (docs/difftest.md):
+// Differential execution harness: runs one Scenario through the executions
+// below (the raw axis adds one per query it compares) and cross-checks
+// their per-window report keysets (docs/difftest.md):
 //
 //   ref    exact reference interpreter (plain maps/sets)   [tolerant]
 //   o0     single switch, no optimizations                 [baseline]
@@ -13,6 +13,9 @@
 //   place  fat-tree + mixed churn plan, incremental vs
 //          scratch re-placement, oracle armed              [exact vs each
 //                                                           other]
+//   raw    bare switch, every query installed raw at stage
+//          0; shared traffic is refused                    [exact vs each
+//                                                           query alone]
 //
 // The jit axis pins the compiled per-query executors (src/compile/,
 // docs/compile.md) against the interpreter on reports and merged state.
@@ -51,6 +54,8 @@ struct CheckOutcome {
   // The churn axis's installed set held two queries over shared traffic,
   // chained into disjoint stages (the overlap rule, core/overlap.h).
   bool overlap_chained = false;
+  // The raw axis's bare switch refused at least one query by that rule.
+  bool raw_refused = false;
 
   bool ok() const { return divergences.empty(); }
 };

@@ -291,11 +291,25 @@ const NetworkController::Deployment& NetworkController::deploy_sole(
   std::vector<const CompiledQuery*> placed;
   for (const auto& [name, other] : deployments_)
     if (other.whole) placed.push_back(&*other.whole);
-  opts.min_stage = std::max(opts.min_stage, chain_floor(q, opts, placed));
+  const std::size_t floor = chain_floor(q, opts, placed);
+  opts.min_stage = std::max(opts.min_stage, floor);
   std::vector<QuerySlice> whole(1);
   whole[0].part = compile_query(q, opts);
-  resolve_slice_offsets(whole, central_alloc_);
   const CompiledQuery& cq = whole[0].part;
+  if (cq.max_stage() >= net_.stages_per_switch())
+    throw std::runtime_error(
+        std::string("deploy_sole: ")
+            .append(q.name)
+            .append(" needs stages ")
+            .append(std::to_string(cq.min_used_stage()))
+            .append("-")
+            .append(std::to_string(cq.max_stage()))
+            .append(" (chain floor ")
+            .append(std::to_string(floor))
+            .append(") but switches have ")
+            .append(std::to_string(net_.stages_per_switch()))
+            .append(" stages"));
+  resolve_slice_offsets(whole, central_alloc_);
 
   Deployment d;
   d.query = q.name;

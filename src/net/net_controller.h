@@ -179,8 +179,9 @@ class NetworkController {
                                 CompileOptions opts = {});
 
   // Sole-execution baseline: every switch runs the full query, chained past
-  // the sole deployments it shares traffic with (throws if it then no longer
-  // fits the switch's stages).
+  // the sole deployments it shares traffic with.  A query that then no
+  // longer fits the switch's stages throws std::runtime_error naming its
+  // stages, chain floor and the stage count, with nothing reserved.
   const Deployment& deploy_sole(const Query& q, CompileOptions opts = {});
 
   void withdraw(const std::string& name);

@@ -116,14 +116,6 @@ void ShardedRuntime::bind_telemetry() {
       &reg.counter("newton_runtime_jit_hash_lanes_total",
                    "Digests the compiled executors computed "
                    "(docs/compile.md)");
-  metrics_.jit_plans =
-      &reg.gauge("newton_runtime_jit_plans",
-                 "Merged-op plans the compiled executors held at the last "
-                 "window fence, summed over live shards (docs/compile.md)");
-  metrics_.jit_plan_fallback_runs =
-      &reg.counter("newton_runtime_jit_plan_fallback_runs_total",
-                   "Multi-query runs merged into scratch because the "
-                   "executor's plan table was full");
   metrics_.installs_rejected =
       &reg.counter("newton_runtime_installs_rejected_total",
                    "Queued installs rejected by admission control at a "
@@ -175,18 +167,13 @@ void ShardedRuntime::flush_telemetry() {
                                flushed_.jit_recompiles);
   metrics_.late_packets->add(stats_.late_packets - flushed_.late_packets);
   metrics_.live_shards->set(static_cast<int64_t>(live_count_));
-  uint64_t plans = 0;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const WorkerStats& w = stats_.workers[i];
     const WorkerStats& was = flushed_.workers[i];
     metrics_.shard_packets[i]->add(w.packets - was.packets);
     metrics_.jit_packets->add(w.jit_packets - was.jit_packets);
     metrics_.jit_hash_lanes->add(w.jit_hash_lanes - was.jit_hash_lanes);
-    metrics_.jit_plan_fallback_runs->add(w.jit_plan_fallback_runs -
-                                         was.jit_plan_fallback_runs);
-    if (alive_[i]) plans += w.jit_plans;
   }
-  metrics_.jit_plans->set(static_cast<int64_t>(plans));
   flushed_ = stats_;
 }
 

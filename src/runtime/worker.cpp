@@ -76,8 +76,6 @@ void ShardWorker::load_replica(
 
 void ShardWorker::sync_jit_stats() {
   stats_.jit_hash_lanes = jit_.hash_lanes();
-  stats_.jit_plans = jit_.plans();
-  stats_.jit_plan_fallback_runs = jit_.plan_fallback_runs();
 }
 
 void ShardWorker::start() {
@@ -151,26 +149,20 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
     uncounted = activate_groups(items, n);
   else
     init_.execute_burst(phvs_.data(), n);
-  // Partition the burst into maximal runs the compiled executor can take
-  // whole (compile::run_length: one ordered activation list per run).
-  // With the jit off nothing is covered, so the whole burst is one
-  // interpreter run.  Run boundaries preserve burst order, so per-register
-  // op order (hence all results) stays byte-identical to a pure
-  // interpreter burst.
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i + 1;
-    if (jit_.covers(phvs_[i])) {
-      j = i + compile::run_length(phvs_.data() + i, n - i);
-      const bool single = jit_.execute_run(phvs_.data() + i, j - i);
-      pipeline_.note_compiled_packets(j - i);
-      stats_.jit_packets += j - i;
-      if (single) stats_.jit_fused_packets += j - i;
-    } else {
-      while (j < n && !jit_.covers(phvs_[j])) ++j;
-      pipeline_.process_burst(phvs_.data() + i, j - i);
+  if (!jit_.enabled()) {
+    pipeline_.process_burst(phvs_.data(), n);
+  } else {
+    // Maximal runs of one active set (compile::run_length), each executed
+    // whole by the compiled chains.  Runs keep burst order, so every
+    // register sees its ops in the interpreter's per-packet order.
+    for (std::size_t i = 0; i < n;) {
+      const std::size_t len = compile::run_length(phvs_.data() + i, n - i);
+      if (jit_.execute_run(phvs_.data() + i, len))
+        stats_.jit_fused_packets += len;
+      i += len;
     }
-    i = j;
+    pipeline_.note_compiled_packets(n);
+    stats_.jit_packets += n;
   }
   if (uncounted != 0) pipeline_.uncount_packets(uncounted);
   stats_.packets += n;

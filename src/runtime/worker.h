@@ -34,20 +34,15 @@ struct WorkerStats {
   uint64_t reports = 0;   // reports it emitted (drained at barriers)
   uint64_t busy_ns = 0;   // thread CPU time consumed so far
   // Of `packets`, how many ran through the compiled chain executor
-  // (src/compile/) rather than the interpreter, and of those how many ran
-  // in single-query runs.  The second keeps its old "fused" name only
-  // because the benchmark in perfbench/ still reads it.
+  // (src/compile/): all of them with the jit on, none with it off.  And of
+  // those, how many ran in single-query runs; that one keeps its old
+  // "fused" name only because the benchmark in perfbench/ still reads it.
   uint64_t jit_packets = 0;
   uint64_t jit_fused_packets = 0;
   // Digests the compiled executors computed (one per live lane of an
   // HHash op), mirrored from CompiledPipeline::hash_lanes() at window
   // fences.
   uint64_t jit_hash_lanes = 0;
-  // Merged-op plans the executor held at the last fence, and the
-  // multi-query runs it merged into scratch because its plan table was
-  // full (cumulative); mirrored like jit_hash_lanes.
-  uint64_t jit_plans = 0;
-  uint64_t jit_plan_fallback_runs = 0;
   // Always 0.  They counted hash-CSE folds and state-bank prefetch hints,
   // both since removed from the executors; kept only because the benchmark
   // in perfbench/ still reads them.

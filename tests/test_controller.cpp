@@ -1,11 +1,13 @@
 // Controller: query lifecycle, multiplexing metrics (Fig. 16 regimes),
-// register-range allocation behaviour.
+// register-range allocation behaviour, and the overlap rule the switch
+// enforces on raw installs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <map>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -330,6 +332,60 @@ TEST(Controller, MixedOpt1QueriesChain) {
   no_opt1.opt1 = false;
   const Query q5 = make_q5();
   EXPECT_EQ(q1_records_beside(&q5, no_opt1), alone);
+}
+
+// q1 and q3 both watch every TCP SYN.  Installed raw on one switch, both
+// at stage 0, the later one would rewrite the earlier one's metadata set,
+// so the switch refuses it in either order and installs nothing of it.
+// Through a Controller it chains, and q1 keeps its 11 records.
+TEST(OverlapRule, RawInstallOfSharedTrafficIsRefused) {
+  QueryParams p;
+  p.sketch_width = 256;
+  p.q1_syn_th = 8;
+  p.q3_fanout_th = 4;
+  const Query q1 = make_q1(p), q3 = make_q3(p);
+  for (const bool q1_first : {true, false}) {
+    SCOPED_TRACE(q1_first ? "q1 first" : "q3 first");
+    NewtonSwitch sw(1, 64, nullptr);
+    sw.install(compile_query(q1_first ? q1 : q3));
+    const std::size_t rules = sw.installed_rule_count();
+    const std::size_t qids = sw.free_qids();
+    const std::size_t segments = sw.state_segments().size();
+    try {
+      sw.install(compile_query(q1_first ? q3 : q1));
+      ADD_FAILURE() << "the second install was not refused";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "same-traffic branches overlap in stages: ", 0),
+                0u)
+          << e.what();
+    }
+    EXPECT_EQ(sw.num_installs(), 1u);
+    EXPECT_EQ(sw.installed_rule_count(), rules);
+    EXPECT_EQ(sw.free_qids(), qids);
+    EXPECT_EQ(sw.state_segments().size(), segments);
+  }
+  const Records alone = q1_records_beside(nullptr, {});
+  ASSERT_EQ(alone.size(), 11u);
+  EXPECT_EQ(q1_records_beside(&q3, {}), alone);
+}
+
+// A compaction move installs a query's new copy beside the old one, so
+// `replaces` exempts exactly the copy it names from the overlap rule.
+TEST(OverlapRule, ReplacesExemptsOnlyTheNamedCopy) {
+  QueryParams p;
+  p.sketch_width = 256;
+  NewtonSwitch sw(1, 24, nullptr);
+  const CompiledQuery q1 = compile_query(make_q1(p));
+  const uint64_t old = sw.install(q1).handle;
+  EXPECT_THROW(sw.install(q1), std::invalid_argument);
+  // UDP shares no traffic with q1, so it shares q1's stages.
+  const uint64_t udp = sw.install(compile_query(make_q5(p))).handle;
+  EXPECT_THROW(sw.install(q1, true, udp), std::invalid_argument);
+  sw.install(q1, true, old);
+  sw.remove(old);
+  EXPECT_THROW(sw.install(q1), std::invalid_argument);
+  EXPECT_EQ(sw.num_installs(), 2u);
 }
 
 }  // namespace

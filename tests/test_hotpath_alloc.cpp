@@ -264,8 +264,8 @@ TEST(HotPathAlloc, SteadyStateBurstLoopAllocatesNothing) {
 // The compiled path: the same mix through a CompiledPipeline built on the
 // replica, cut into runs as the worker cuts them (compile::run_length).
 // The warm-up feeds only non-SYN packets, so the multi-query set (q1 plus
-// syn_export on every SYN) is first seen inside the measured region: the
-// plan table fills there, from storage build() already allocated.
+// syn_export on every SYN) is first seen inside the measured region: its
+// chains are put in stage order there, in inline scratch.
 TEST(HotPathAlloc, CompiledRunLoopAllocatesNothing) {
   ASSERT_GT(g_allocs.load(), 0u) << "interposer not linked in";
 
@@ -288,13 +288,11 @@ TEST(HotPathAlloc, CompiledRunLoopAllocatesNothing) {
     rep.init->execute_burst(phvs.data(), n);
     for (std::size_t i = 0; i < n;) {
       const std::size_t len = compile::run_length(phvs.data() + i, n - i);
-      if (!exec.covers(phvs[i])) return false;
       if (!exec.execute_run(phvs.data() + i, len) &&
           !phvs[i].active_list.empty())
         multi += len;
       i += len;
     }
-    return true;
   };
 
   // Warm-up: one burst of the mix's non-SYN packets.
@@ -302,25 +300,19 @@ TEST(HotPathAlloc, CompiledRunLoopAllocatesNothing) {
   for (const Packet& p : mix.pkts)
     if (warm.size() < kBurst && p.get(Field::TcpFlags) != kTcpSyn)
       warm.push_back(p);
-  ASSERT_TRUE(burst(warm.data(), warm.size()));
-  ASSERT_EQ(exec.plans(), 0u);
+  burst(warm.data(), warm.size());
   ASSERT_EQ(multi, 0u);
 
   // --- measured region ------------------------------------------------
   const uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  bool covered = true;
   for (std::size_t done = 0; done < kPackets; done += kBurst)
-    covered &= burst(mix.pkts.data() + done,
-                     std::min(kBurst, kPackets - done));
+    burst(mix.pkts.data() + done, std::min(kBurst, kPackets - done));
   const uint64_t after = g_allocs.load(std::memory_order_relaxed);
   // --- end measured region --------------------------------------------
 
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocations in the compiled run loop";
-  EXPECT_TRUE(covered) << "a packet activated a query without a chain";
   EXPECT_GT(multi, 0u) << "no multi-query run";
-  EXPECT_EQ(exec.plans(), 1u);
-  EXPECT_EQ(exec.plan_fallback_runs(), 0u);
   EXPECT_GT(sink.records.size(), 0u) << "R path never fired";
   EXPECT_GT(rep.register_sum(), 0u);
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analyzer/analyzer.h"
+#include "core/controller.h"
 #include "core/queries.h"
 #include "net/net_controller.h"
 #include "net/network.h"
@@ -613,10 +614,11 @@ TEST(ConcurrentCqe, TwoSlicedQueriesMatchOneWholeSwitch) {
   // Two sliced queries that both start on every SYN: the ingress switch
   // emits two SP headers, and they travel the line together, each resumed
   // by its own pass at every hop.  The reports must be what one switch
-  // holding both whole queries produces.  Queries run in one pass share
-  // the PHV's metadata sets, so the two key, hash and count alike and
-  // differ only in their thresholds: a header resumed as the other query
-  // would report at the other threshold.
+  // holding both whole queries produces; that switch chains them into
+  // disjoint stages through a Controller, as the overlap rule requires.
+  // The two slice 0s share the ingress pass's metadata sets, so the two
+  // key, hash and count alike and differ only in their thresholds: a
+  // header resumed as the other query would report at the other threshold.
   QueryParams params;
   params.sketch_width = 256;
   params.q1_syn_th = 8;
@@ -641,10 +643,10 @@ TEST(ConcurrentCqe, TwoSlicedQueriesMatchOneWholeSwitch) {
 
   ReportBuffer whole_sink;
   NewtonSwitch whole(99, 24, &whole_sink, kBank);
+  Controller whole_ctl(whole);
   std::map<uint16_t, std::string> whole_owner;
   for (const Query& q : {by_dst, by_dst_late})
-    for (uint16_t qid : whole.install(compile_query(q)).qids)
-      whole_owner[qid] = q.name;
+    for (uint16_t qid : whole_ctl.install(q).qids) whole_owner[qid] = q.name;
 
   const auto hosts = net.topo().hosts();
   std::size_t syns = 0;
@@ -680,6 +682,97 @@ TEST(ConcurrentCqe, TwoSlicedQueriesMatchOneWholeSwitch) {
   // Every SYN starts both executions at the ingress switch; each header
   // crosses one link per slice after the first, and nothing else rides.
   EXPECT_EQ(net.total_sp_link_bytes(), kSpHeaderBytes * syns * headers_per_syn);
+}
+
+TEST(ConcurrentCqe, HopCountsEachPacketOnce) {
+  // Two sliced queries that both start on every SYN: each hop that holds a
+  // later slice of both resumes two SP headers in two passes.  It still
+  // counts the packet once, on the pass that dispatches it:
+  // packets_forwarded(), late_packets() and the pipeline packet and stage
+  // series advance once per packet per hop.
+  QueryParams params;
+  params.sketch_width = 256;
+  const Query a = make_q1(params);
+  Query b = make_q1(params);
+  b.name = "q1_new_tcp_b";
+  Analyzer an;
+  Network net(make_line(8), /*stages=*/3, &an, /*bank=*/1 << 14);
+  NetworkController ctl(net, &an, 1 << 14);
+  ctl.deploy(a);
+  ctl.deploy(b);
+  auto& reg = telemetry::Registry::global();
+  telemetry::Counter& packets =
+      reg.counter("newton_pipeline_packets_total", "");
+  telemetry::Counter& stage0 = reg.counter(
+      "newton_pipeline_stage_packets_total", "", {{"stage", "0"}});
+  telemetry::Counter& late = NewtonSwitch::late_packets_series(reg);
+  const uint64_t packets0 = packets.value(), stage00 = stage0.value(),
+                 late0 = late.value();
+
+  // A SYN in window 2, then a late SYN stamped in window 0: every hop folds
+  // the second into window 2.
+  const auto hosts = net.topo().hosts();
+  const uint64_t window = a.window_ns;
+  for (const uint64_t ts : {2 * window + 1000, window / 2}) {
+    const auto st = net.send(make_packet(ipv4(10, 0, 0, 1),
+                                         ipv4(172, 16, 0, 1), 1234, 80,
+                                         kProtoTcp, kTcpSyn, 64, ts),
+                             hosts[0], hosts[1]);
+    ASSERT_EQ(st.hops, 8u);
+    ASSERT_GE(st.sp_link_bytes, 4 * kSpHeaderBytes);  // two headers, 2+ links
+  }
+  const std::vector<int> sws = net.topo().switches();
+  for (int s : sws) {
+    net.sw(s).flush_telemetry();
+    EXPECT_EQ(net.sw(s).packets_forwarded(), 2u) << "switch " << s;
+    EXPECT_EQ(net.sw(s).late_packets(), 1u) << "switch " << s;
+  }
+  EXPECT_EQ(packets.value() - packets0, 2 * sws.size());
+  EXPECT_EQ(stage0.value() - stage00, 2 * sws.size());
+  EXPECT_EQ(late.value() - late0, sws.size());
+}
+
+TEST(TransitInit, SoleDeployThatDoesNotFitIsRefusedByStageCount) {
+  // A whole query needs all its stages on every switch.  The refusal names
+  // the query, the stages it needs from its chain floor and the switches'
+  // stage count, and deploys nothing.
+  Analyzer an;
+  Network net(make_line(3), /*stages=*/5, &an, /*bank=*/1 << 14);
+  NetworkController ctl(net, &an, 1 << 14);
+  QueryParams params;
+  params.sketch_width = 256;
+  const auto refusal = [&](const Query& q) {
+    try {
+      ctl.deploy_sole(q);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("deployed");
+  };
+  EXPECT_EQ(refusal(make_q4(params)),
+            "deploy_sole: q4_port_scan needs stages 0-8 (chain floor 0) but "
+            "switches have 5 stages");
+  for (int s : net.topo().switches())
+    EXPECT_EQ(net.sw(s).installed_rule_count(), 0u);
+  // Chaining past a deployed query over the same traffic raises the floor.
+  QueryBuilder b("sole_count");
+  b.sketch(1, 32);
+  b.map({Field::DstIp}).reduce({Field::DstIp}, Agg::Sum).when(Cmp::Ge, 1000);
+  Query sole = b.build();
+  sole.row_partitions = 1;
+  ctl.deploy_sole(sole);
+  const std::size_t rules =
+      net.sw(net.topo().switches()[0]).installed_rule_count();
+  sole.name = "sole_count_b";
+  EXPECT_EQ(refusal(sole),
+            "deploy_sole: sole_count_b needs stages 5-9 (chain floor 5) but "
+            "switches have 5 stages");
+  for (int s : net.topo().switches())
+    EXPECT_EQ(net.sw(s).installed_rule_count(), rules);
+  // Neither refusal reserved a central register range: withdrawing the one
+  // deployment leaves room for the same query again.
+  ctl.withdraw("sole_count");
+  EXPECT_EQ(refusal(sole), "deployed");
 }
 
 TEST(NetworkController, WithdrawRemovesRules) {

@@ -136,14 +136,18 @@ TEST(NewtonSwitch, EpochResetClearsCounters) {
 TEST(NewtonSwitch, QidExhaustionThrows) {
   NewtonSwitch sw(1, 12, nullptr);
   // Each Q1 install consumes one qid; register space runs out long before
-  // 256 installs with the default width, so shrink the sketch.
+  // 256 installs with the default width, so shrink the sketch.  Each copy
+  // counts SYNs to its own destination port: the copies share no traffic,
+  // so the overlap rule lets them share stages.
   QueryParams p;
   p.sketch_width = 16;
   std::size_t installed = 0;
   try {
-    for (int i = 0; i < 300; ++i) {
+    for (uint32_t i = 0; i < 300; ++i) {
       Query q = make_q1(p);
       q.name += std::to_string(i);
+      q.branches[0].primitives[0].pred.where(Field::DstPort, Cmp::Eq,
+                                             1000 + i);
       sw.install(compile_query(q));
       ++installed;
     }
